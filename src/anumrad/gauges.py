@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -56,14 +56,6 @@ class SweepConfig:
 
 
 DEFAULT_SWEEP = SweepConfig()
-
-
-class GaugeSweep(NamedTuple):
-    """All three rotation-profile gauges of one matrix from a shared scan."""
-
-    w: float
-    crawford: float
-    crawford_c: float
 
 
 def _square(m) -> np.ndarray:
@@ -154,46 +146,67 @@ def _make_pointwise(m: np.ndarray):
     return lam_max, min_abs
 
 
+class GaugeSweep:
+    """Rotation-profile gauges of one matrix from one shared theta scan.
+
+    The scan runs on construction; each of ``w``, ``crawford`` and
+    ``crawford_c`` is refined only when it is first read, so a gauge nobody
+    reads is never computed.
+    """
+
+    def __init__(self, m: np.ndarray, cfg: SweepConfig):
+        self._m = m
+        self._cfg = cfg
+        self._thetas, eigs = _theta_scan(m, cfg)
+        self._lam_max_grid = eigs[:, -1]
+        self._min_abs_grid = np.min(np.abs(eigs), axis=1)
+
+    @cached_property
+    def _pointwise(self):
+        return _make_pointwise(self._m)
+
+    @cached_property
+    def _lipschitz(self) -> float:
+        return spec_norm(self._m)
+
+    def _extremum(self, grid, fn, find_max: bool) -> float:
+        return _refine(self._thetas, grid, fn, find_max, self._lipschitz, self._cfg)
+
+    @cached_property
+    def w(self) -> float:
+        """Numerical radius: max over theta of lambda_max(Re(e^{i theta} M))."""
+        return max(0.0, self._extremum(self._lam_max_grid, self._pointwise[0], True))
+
+    @cached_property
+    def crawford(self) -> float:
+        """Crawford number: max(0, -min over theta of lambda_max)."""
+        return max(0.0, -self._extremum(self._lam_max_grid, self._pointwise[0], False))
+
+    @cached_property
+    def crawford_c(self) -> float:
+        """C: min over theta of sigma_min(Re(e^{i theta} M))."""
+        return max(0.0, self._extremum(self._min_abs_grid, self._pointwise[1], False))
+
+
 def sweep_gauges(m, cfg: SweepConfig = DEFAULT_SWEEP) -> GaugeSweep:
     """Numerical radius, Crawford number and C of one matrix from one scan."""
-    m = _square(m)
-    thetas, eigs = _theta_scan(m, cfg)
-    lam_max_grid = eigs[:, -1]
-    min_abs_grid = np.min(np.abs(eigs), axis=1)
-    lam_max, min_abs = _make_pointwise(m)
-    lip = spec_norm(m)
-    w = max(0.0, _refine(thetas, lam_max_grid, lam_max, True, lip, cfg))
-    low = _refine(thetas, lam_max_grid, lam_max, False, lip, cfg)
-    c = max(0.0, -low)
-    cc = max(0.0, _refine(thetas, min_abs_grid, min_abs, False, lip, cfg))
-    return GaugeSweep(w=w, crawford=c, crawford_c=cc)
+    return GaugeSweep(_square(m), cfg)
 
 
 def numerical_radius(m, cfg: SweepConfig = DEFAULT_SWEEP) -> float:
     """Classical numerical radius w(M) = sup |<Mx, x>| over unit vectors."""
-    m = _square(m)
-    thetas, eigs = _theta_scan(m, cfg)
-    lam_max, _ = _make_pointwise(m)
-    return max(0.0, _refine(thetas, eigs[:, -1], lam_max, True, spec_norm(m), cfg))
+    return sweep_gauges(m, cfg).w
 
 
 def crawford(m, cfg: SweepConfig = DEFAULT_SWEEP) -> float:
     """Distance from 0 to the numerical range of M (0 when 0 lies inside)."""
-    m = _square(m)
-    thetas, eigs = _theta_scan(m, cfg)
-    lam_max, _ = _make_pointwise(m)
-    low = _refine(thetas, eigs[:, -1], lam_max, False, spec_norm(m), cfg)
-    return max(0.0, -low)
+    return sweep_gauges(m, cfg).crawford
 
 
 def crawford_C(m, cfg: SweepConfig = DEFAULT_SWEEP) -> float:
     """min over phi of sigma_min(Re(e^{i phi} M)): the inner infimum over unit
     vectors at fixed phi is exactly the smallest singular value."""
-    m = _square(m)
-    thetas, eigs = _theta_scan(m, cfg)
-    _, min_abs = _make_pointwise(m)
-    grid = np.min(np.abs(eigs), axis=1)
-    return max(0.0, _refine(thetas, grid, min_abs, False, spec_norm(m), cfg))
+    return sweep_gauges(m, cfg).crawford_c
 
 
 def _reduced_checked(f: AFrame, t) -> np.ndarray:
