@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .catalog import registry_ids, run_all
+from .catalog import DEFAULT_TOL, registry_ids, run_all
 from .errors import AnumradError, ReproMismatch
 from .gauges import SweepConfig
 from .harness import (
@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--instance", required=True, help="instance JSON path")
     p_check.add_argument("--check-id", default="all",
                          help="check id or family prefix (default: all)")
-    p_check.add_argument("--tol", type=float, default=1e-8)
+    p_check.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_check.add_argument("--json", help="write the report as JSON to this path")
 
     def add_fuzz_args(p):
@@ -64,9 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank-policy", default="mixed",
                        choices=("full", "mixed", "degenerate-heavy"))
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--grid", type=int, default=1024,
-                       help="theta grid points per gauge sweep")
+                       help="theta grid points per gauge sweep (even, at least 16)")
         p.add_argument("--json", help="write the report as JSON to this path")
         p.add_argument("--csv", help="write the rows as CSV to this path")
 

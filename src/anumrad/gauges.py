@@ -11,10 +11,18 @@ Re(e^{i theta} M): its largest eigenvalue is the support function of the
   c(M) = max(0, -min_theta lambda_max(Re(e^{i theta} M)))
   C(M) = min_phi sigma_min(Re(e^{i phi} M))
 
-Each profile is sampled on a uniform grid, local extrema are bracketed with a
-3-point stencil and refined by golden-section search. The profiles are
-Lipschitz in theta with constant ||M||_2, which both guarantees bracketing at
-the default grid density and lets non-competitive brackets be pruned.
+Re(e^{i(theta + pi)} M) = -Re(e^{i theta} M), so the profiles are sampled on
+a uniform grid by solving only the first half of it and mirroring the rest.
+Local extrema are bracketed with a 3-point stencil and refined by safeguarded
+Newton steps: one eigendecomposition at theta gives the tracked eigenvalue
+and, by first- and second-order eigenvalue perturbation, its slope and
+curvature. Where the tracked eigenvalue is (nearly) multiple it has no
+derivatives and golden-section search takes over. The profiles are Lipschitz
+in theta with constant ||M||_2, which both guarantees bracketing at the
+default grid density and lets non-competitive brackets be pruned.
+
+``sweep_gauges`` returns a ``GaugeSweep`` that scans once and refines each
+gauge only when it is first read.
 
 A-weighted gauges are classical gauges of the range compression (see
 adjoint.ReducedOp). ``oracle_gauge`` estimates the same quantities straight
@@ -36,6 +44,8 @@ from .frame import AFrame
 from .matrixcore import as_cmatrix, herm_part, singular_values, spec_norm
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Below this eigenvalue gap the perturbation derivatives are unreliable.
+_GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,6 +59,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.grid_points < 16:
             raise ValueError("grid_points must be at least 16")
+        if self.grid_points % 2:
+            raise ValueError("grid_points must be even (the scan mirrors theta + pi)")
         if self.refine_tol <= 0:
             raise ValueError("refine_tol must be positive")
         if self.refine_max_iter < 1:
@@ -66,11 +78,12 @@ def _square(m) -> np.ndarray:
 
 
 def _theta_scan(m: np.ndarray, cfg: SweepConfig):
+    """Ascending eigenvalues of Re(e^{i theta} M) on the uniform theta grid;
+    the second half of the grid is the first half negated and reversed."""
     thetas = np.linspace(0.0, 2.0 * np.pi, cfg.grid_points, endpoint=False)
-    ph = np.exp(1j * thetas)[:, None, None]
-    stack = 0.5 * (ph * m + ph.conj() * m.conj().T)
-    eigs = np.linalg.eigvalsh(stack)
-    return thetas, eigs
+    ph = np.exp(1j * thetas[: cfg.grid_points // 2])[:, None, None]
+    eigs = np.linalg.eigvalsh(0.5 * (ph * m + ph.conj() * m.conj().T))
+    return thetas, np.concatenate((eigs, -eigs[:, ::-1]))
 
 
 def _golden(fn, a: float, b: float, tol: float, max_iter: int, find_max: bool) -> float:
@@ -99,6 +112,40 @@ def _golden(fn, a: float, b: float, tol: float, max_iter: int, find_max: bool) -
     return sign * best
 
 
+def _newton(fn, x: float, delta: float, find_max: bool, cfg: SweepConfig) -> float:
+    """Safeguarded Newton extremum of fn on [x - delta, x + delta], starting
+    at x; returns the best value seen.
+
+    The slope's sign narrows the bracket. A Newton step that leaves it, or a
+    curvature of the wrong sign, gives way to bisection; a zero of the
+    tracked eigenvalue predicted inside it is stepped to directly.
+    """
+    sign = 1.0 if find_max else -1.0
+    a, b = x - delta, x + delta
+    best = -math.inf
+    for _ in range(cfg.refine_max_iter):
+        f, df, d2f, gap, root = fn(x)
+        best = max(best, sign * f)
+        if gap < _GAP_TOL:
+            v = _golden(lambda t: fn(t)[0], a, b, cfg.refine_tol, cfg.refine_max_iter, find_max)
+            return sign * max(best, sign * v)
+        if sign * df > 0:
+            a = x
+        else:
+            b = x
+        step = x - df / d2f if sign * d2f < 0 else math.nan
+        if root is not None and a <= root <= b:
+            nxt = root
+        elif a <= step <= b:
+            nxt = step
+        else:
+            nxt = 0.5 * (a + b)
+        if abs(nxt - x) <= cfg.refine_tol:
+            break
+        x = nxt
+    return sign * best
+
+
 def _refine(thetas, vals, fn, find_max, lipschitz, cfg: SweepConfig) -> float:
     """Grid extremum improved by refining every bracket that could still win."""
     grid_best = float(vals.max() if find_max else vals.min())
@@ -119,29 +166,43 @@ def _refine(thetas, vals, fn, find_max, lipschitz, cfg: SweepConfig) -> float:
         cand = cand[order[-64:] if find_max else order[:64]]
     best = grid_best
     for i in cand:
-        v = _golden(
-            fn,
-            float(thetas[i]) - delta,
-            float(thetas[i]) + delta,
-            cfg.refine_tol,
-            cfg.refine_max_iter,
-            find_max,
-        )
+        v = _newton(fn, float(thetas[i]), delta, find_max, cfg)
         best = max(best, v) if find_max else min(best, v)
     return best
 
 
 def _make_pointwise(m: np.ndarray):
+    """The profiles lambda_max and min |lambda| of H(theta) = Re(e^{i theta} M).
+
+    Each returns (value, slope, curvature, gap, root) at theta. With H' =
+    Re(i e^{i theta} M), H'' = -H and the tracked eigenpair (lam_k, v_k) of
+    one ``eigh``, the slope is v_k* H' v_k and the curvature is
+    -lam_k + 2 sum_{j != k} |v_j* H' v_k|^2 / (lam_k - lam_j). gap is the
+    distance from lam_k to the nearest other eigenvalue; root is the Newton
+    estimate of the zero of lam_k for min |lambda| and None for lambda_max.
+    """
     mh = m.conj().T
 
-    def lam_max(theta: float) -> float:
+    def tracked(theta: float, largest: bool):
         ph = complex(math.cos(theta), math.sin(theta))
-        return float(np.linalg.eigvalsh(0.5 * (ph * m + ph.conjugate() * mh))[-1])
+        lam, v = np.linalg.eigh(0.5 * (ph * m + ph.conjugate() * mh))
+        k = lam.shape[0] - 1 if largest else int(np.argmin(np.abs(lam)))
+        coupling = v.conj().T @ (0.5j * (ph * (m @ v[:, k]) - ph.conjugate() * (mh @ v[:, k])))
+        diff = lam[k] - lam
+        diff[k] = np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):  # gap 0: unused
+            curvature = float(np.sum(np.abs(coupling) ** 2 / diff))
+        return (float(lam[k]), float(coupling[k].real), 2.0 * curvature - float(lam[k]),
+                float(np.min(np.abs(diff))))
 
-    def min_abs(theta: float) -> float:
-        ph = complex(math.cos(theta), math.sin(theta))
-        lam = np.linalg.eigvalsh(0.5 * (ph * m + ph.conjugate() * mh))
-        return float(np.min(np.abs(lam)))
+    def lam_max(theta: float):
+        return (*tracked(theta, True), None)
+
+    def min_abs(theta: float):
+        lam, slope, curvature, gap = tracked(theta, False)
+        root = theta - lam / slope if slope else None
+        sgn = 1.0 if lam >= 0 else -1.0
+        return abs(lam), sgn * slope, sgn * curvature, gap, root
 
     return lam_max, min_abs
 
@@ -150,42 +211,34 @@ class GaugeSweep:
     """Rotation-profile gauges of one matrix from one shared theta scan.
 
     The scan runs on construction; each of ``w``, ``crawford`` and
-    ``crawford_c`` is refined only when it is first read, so a gauge nobody
-    reads is never computed.
+    ``crawford_c`` is refined only when it is first read.
     """
 
     def __init__(self, m: np.ndarray, cfg: SweepConfig):
-        self._m = m
         self._cfg = cfg
         self._thetas, eigs = _theta_scan(m, cfg)
         self._lam_max_grid = eigs[:, -1]
         self._min_abs_grid = np.min(np.abs(eigs), axis=1)
+        self._lam_max, self._min_abs = _make_pointwise(m)
+        self._lipschitz = spec_norm(m)
 
-    @cached_property
-    def _pointwise(self):
-        return _make_pointwise(self._m)
-
-    @cached_property
-    def _lipschitz(self) -> float:
-        return spec_norm(self._m)
-
-    def _extremum(self, grid, fn, find_max: bool) -> float:
+    def _refined(self, grid, fn, find_max: bool) -> float:
         return _refine(self._thetas, grid, fn, find_max, self._lipschitz, self._cfg)
 
     @cached_property
     def w(self) -> float:
         """Numerical radius: max over theta of lambda_max(Re(e^{i theta} M))."""
-        return max(0.0, self._extremum(self._lam_max_grid, self._pointwise[0], True))
+        return max(0.0, self._refined(self._lam_max_grid, self._lam_max, True))
 
     @cached_property
     def crawford(self) -> float:
         """Crawford number: max(0, -min over theta of lambda_max)."""
-        return max(0.0, -self._extremum(self._lam_max_grid, self._pointwise[0], False))
+        return max(0.0, -self._refined(self._lam_max_grid, self._lam_max, False))
 
     @cached_property
     def crawford_c(self) -> float:
         """C: min over theta of sigma_min(Re(e^{i theta} M))."""
-        return max(0.0, self._extremum(self._min_abs_grid, self._pointwise[1], False))
+        return max(0.0, self._refined(self._min_abs_grid, self._min_abs, False))
 
 
 def sweep_gauges(m, cfg: SweepConfig = DEFAULT_SWEEP) -> GaugeSweep:

@@ -118,6 +118,8 @@ def validate_instance(inst: Instance, rank_tol: float = 1e-10) -> AFrame:
     if f.dim != inst.dim:
         raise ValueError(f"instance dim {inst.dim} does not match metric {f.dim}")
     for name, op in inst.operators.items():
+        if name not in OPERAND_NAMES:
+            raise ValueError(f"unknown operand {name!r}; expected names from {OPERAND_NAMES}")
         op = as_cmatrix(op)
         if op.shape != (inst.dim, inst.dim):
             raise ValueError(f"operator {name!r} has shape {op.shape}, expected "

@@ -99,10 +99,23 @@ def test_check_command_input_errors(tmp_path):
     assert "adjoint" in proc.stderr.lower()
 
 
+def test_check_command_rejects_unknown_operand_names(tmp_path):
+    # a misspelled operand must be a usage error, not 40 theorem violations
+    path = tmp_path / "inst.json"
+    save_instance(make_instance(3, 3, seed=42), path)
+    obj = json.loads(path.read_text())
+    obj["operators"] = {k.lower(): v for k, v in obj["operators"].items()}
+    path.write_text(json.dumps(obj))
+    proc = run_cli("check", "--instance", str(path))
+    assert proc.returncode == 2
+    assert "unknown operand" in proc.stderr
+
+
 def test_usage_errors():
     assert run_cli().returncode == 2
     assert run_cli("fuzz").returncode == 2  # --trials required
     assert run_cli("fuzz", "--trials", "-3").returncode == 2
+    assert run_cli("fuzz", "--trials", "1", "--grid", "1023").returncode == 2
 
 
 def test_scan_sharpness_command():

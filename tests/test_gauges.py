@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anumrad import gauges
 from anumrad import (
     SweepConfig,
     a_crawford,
@@ -47,6 +48,8 @@ def test_sweep_config_validation():
         SweepConfig(refine_tol=0.0)
     with pytest.raises(ValueError):
         SweepConfig(refine_max_iter=0)
+    with pytest.raises(ValueError):
+        SweepConfig(grid_points=1023)  # the half-circle scan needs an even grid
 
 
 def test_numerical_radius_examples():
@@ -104,6 +107,109 @@ def test_radius_error_contract_vs_fine_grid():
         assert abs(numerical_radius(m) - numerical_radius(m, fine)) <= bound
         assert abs(crawford(m) - crawford(m, fine)) <= bound
         assert abs(crawford_C(m) - crawford_C(m, fine)) <= bound
+
+
+def _golden_refined(monkeypatch, gauge, m):
+    """The gauge with every bracket refined by golden section instead of Newton."""
+    def golden(fn, x, delta, find_max, cfg):
+        return gauges._golden(lambda t: fn(t)[0], x - delta, x + delta,
+                              cfg.refine_tol, cfg.refine_max_iter, find_max)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(gauges, "_newton", golden)
+        return gauge(m)
+
+
+def _fragile_profiles():
+    rng = np.random.default_rng(44)
+    out = []
+    for _ in range(4):
+        # normal, 0 outside W: the minimum of lambda_max sits on a kink
+        u, _ = np.linalg.qr(rand_complex(rng, (4, 4)))
+        z = np.exp(1j * rng.uniform(0, 2 * np.pi)) * (
+            1.0 + rng.uniform(0, 1, 4) + 1j * rng.uniform(-1, 1, 4))
+        out.append(u @ np.diag(z) @ u.conj().T)
+        # repeated eigenvalue at the maximizer
+        out.append(u @ np.diag([3 * z[0], 3 * z[0], z[1], -z[2]]) @ u.conj().T)
+        # odd size: an eigenvalue of Re(e^{i phi} M) must cross zero, so C = 0
+        out.append(rand_complex(rng, (3, 3)))
+        out.append(rand_complex(rng, (5, 5)))
+    for n in (2, 3, 5):
+        jordan = np.diag(np.ones(n - 1), 1)
+        out.append(jordan)  # flat profile, W a disk
+        out.append(np.eye(n) + 0.3 * jordan)
+    return out
+
+
+def test_newton_refinement_matches_golden_section(monkeypatch):
+    for m in _fragile_profiles():
+        for gauge in (numerical_radius, crawford, crawford_C):
+            newton = gauge(m)
+            golden = _golden_refined(monkeypatch, gauge, m)
+            assert abs(newton - golden) <= 1e-12 * max(1.0, golden), (gauge.__name__, m)
+
+
+def test_newton_needs_few_evaluations_per_bracket(monkeypatch):
+    # golden section spends ~50 evaluations on a bracket, bisection ~33
+    count = {"evals": 0, "brackets": 0}
+    pointwise, newton = gauges._make_pointwise, gauges._newton
+
+    def counted(fn):
+        def inner(theta):
+            count["evals"] += 1
+            return fn(theta)
+        return inner
+
+    def counted_newton(*args):
+        count["brackets"] += 1
+        return newton(*args)
+
+    monkeypatch.setattr(gauges, "_make_pointwise", lambda m: tuple(map(counted, pointwise(m))))
+    monkeypatch.setattr(gauges, "_newton", counted_newton)
+    rng = np.random.default_rng(48)
+    for gauge in (numerical_radius, crawford, crawford_C):
+        count.update(evals=0, brackets=0)
+        for n in (3, 4):
+            for _ in range(5):
+                gauge(rand_complex(rng, (n, n)))
+        assert count["brackets"] > 0
+        assert count["evals"] <= 6 * count["brackets"], gauge.__name__
+
+
+def test_pointwise_derivatives_match_finite_differences():
+    rng = np.random.default_rng(45)
+    m = rand_complex(rng, (4, 4))
+    h = 1e-4
+    for fn in gauges._make_pointwise(m):
+        for theta in rng.uniform(0, 2 * np.pi, 5):
+            f0, df, d2f, gap, _ = fn(theta)
+            fp, fm = fn(theta + h)[0], fn(theta - h)[0]
+            assert gap > 1e-3
+            assert df == pytest.approx((fp - fm) / (2 * h), abs=1e-6)
+            assert d2f == pytest.approx((fp - 2 * f0 + fm) / h**2, abs=1e-4)
+
+
+def test_sweep_refines_only_the_gauges_read(monkeypatch):
+    calls = []
+    refine = gauges._refine
+    monkeypatch.setattr(gauges, "_refine", lambda *a: calls.append(a) or refine(*a))
+    m = rand_complex(np.random.default_rng(46), (4, 4))
+    sweep = gauges.sweep_gauges(m)
+    assert calls == []
+    w = sweep.w
+    assert sweep.w == w
+    assert len(calls) == 1
+
+
+def test_half_circle_scan_matches_full_circle():
+    rng = np.random.default_rng(47)
+    cfg = SweepConfig(grid_points=64)
+    for n in (1, 2, 5):
+        m = rand_complex(rng, (n, n))
+        thetas, eigs = gauges._theta_scan(m, cfg)
+        ph = np.exp(1j * thetas)[:, None, None]
+        full = np.linalg.eigvalsh(0.5 * (ph * m + ph.conj() * m.conj().T))
+        np.testing.assert_allclose(eigs, full, rtol=0, atol=1e-13)
 
 
 def test_a_seminorm_and_min_modulus():
