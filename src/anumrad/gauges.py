@@ -133,11 +133,10 @@ def _newton(fn, x: float, delta: float, find_max: bool, cfg: SweepConfig) -> flo
             a = x
         else:
             b = x
-        step = x - df / d2f if sign * d2f < 0 else math.nan
         if root is not None and a <= root <= b:
             nxt = root
-        elif a <= step <= b:
-            nxt = step
+        elif sign * d2f < 0 and a <= x - df / d2f <= b:
+            nxt = x - df / d2f
         else:
             nxt = 0.5 * (a + b)
         if abs(nxt - x) <= cfg.refine_tol:
