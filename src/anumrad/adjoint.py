@@ -16,7 +16,9 @@ from .errors import DimensionMismatch, NoAdjoint
 from .frame import AFrame, frame_scale
 from .matrixcore import as_cmatrix, frob, herm_eig, herm_part, spec_norm
 
-DEFAULT_TOL = 1e-9
+# Relative tolerance of the A-selfadjoint/A-positive/A-unitary predicates
+# (verdict tolerances are catalog.DEFAULT_TOL).
+PREDICATE_TOL = 1e-9
 
 
 class ReducedOp(NamedTuple):
@@ -66,14 +68,14 @@ def im_a(f: AFrame, t) -> np.ndarray:
     return (t - sharp(f, t)) / 2j
 
 
-def is_a_selfadjoint(f: AFrame, t, tol: float = DEFAULT_TOL) -> bool:
+def is_a_selfadjoint(f: AFrame, t, tol: float = PREDICATE_TOL) -> bool:
     """True when A T is Hermitian within a relative tolerance."""
     t = _check_square(f, t)
     at = f.a @ t
     return frob(at - at.conj().T) <= tol * (1.0 + frob(at))
 
 
-def is_a_positive(f: AFrame, t, tol: float = DEFAULT_TOL) -> bool:
+def is_a_positive(f: AFrame, t, tol: float = PREDICATE_TOL) -> bool:
     """True when A T is Hermitian PSD within a relative tolerance."""
     t = _check_square(f, t)
     at = f.a @ t
@@ -83,7 +85,7 @@ def is_a_positive(f: AFrame, t, tol: float = DEFAULT_TOL) -> bool:
     return float(lam[0]) >= -tol * (1.0 + spec_norm(at))
 
 
-def is_a_unitary(f: AFrame, u, tol: float = DEFAULT_TOL) -> bool:
+def is_a_unitary(f: AFrame, u, tol: float = PREDICATE_TOL) -> bool:
     """U^sharp U = (U^sharp)^sharp U^sharp = P_A within tolerance."""
     u = _check_square(f, u)
     us = sharp(f, u)

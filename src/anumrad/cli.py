@@ -19,8 +19,9 @@ import sys
 
 from .catalog import DEFAULT_TOL, registry_ids, run_all
 from .errors import AnumradError, ReproMismatch
-from .gauges import SweepConfig
+from .gauges import DEFAULT_SWEEP, SweepConfig
 from .harness import (
+    RANK_POLICIES,
     FuzzConfig,
     Report,
     exit_code_for,
@@ -61,11 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, required=True)
         p.add_argument("--n-min", type=int, default=2)
         p.add_argument("--n-max", type=int, default=6)
-        p.add_argument("--rank-policy", default="mixed",
-                       choices=("full", "mixed", "degenerate-heavy"))
+        p.add_argument("--rank-policy", default="mixed", choices=RANK_POLICIES)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--grid", type=int, default=1024,
+        p.add_argument("--grid", type=int, default=DEFAULT_SWEEP.grid_points,
                        help="theta grid points per gauge sweep (even, at least 16)")
         p.add_argument("--json", help="write the report as JSON to this path")
         p.add_argument("--csv", help="write the rows as CSV to this path")

@@ -145,11 +145,14 @@ def _newton(fn, x: float, delta: float, find_max: bool, cfg: SweepConfig) -> flo
     return sign * best
 
 
-def _refine(thetas, vals, fn, find_max, lipschitz, cfg: SweepConfig) -> float:
-    """Grid extremum improved by refining every bracket that could still win."""
+def _refine(thetas, vals, fn, find_max, lipschitz, flat_tol, cfg: SweepConfig) -> float:
+    """Grid extremum improved by refining every bracket that could still win.
+
+    A profile whose grid values spread by at most flat_tol is flat to
+    rounding (a Jordan block's, for one) and is not refined.
+    """
     grid_best = float(vals.max() if find_max else vals.min())
-    spread = float(vals.max() - vals.min())
-    if spread <= 1e-15 * max(1.0, abs(grid_best)):
+    if float(vals.max() - vals.min()) <= flat_tol:
         return grid_best
     delta = 2.0 * np.pi / thetas.shape[0]
     prev = np.roll(vals, 1)
@@ -220,9 +223,12 @@ class GaugeSweep:
         self._min_abs_grid = np.min(np.abs(eigs), axis=1)
         self._lam_max, self._min_abs = _make_pointwise(m)
         self._lipschitz = spec_norm(m)
+        # eigvalsh rounding noise: a few ulps of ||M|| per dimension
+        self._flat_tol = 4.0 * m.shape[0] * np.finfo(float).eps * self._lipschitz
 
     def _refined(self, grid, fn, find_max: bool) -> float:
-        return _refine(self._thetas, grid, fn, find_max, self._lipschitz, self._cfg)
+        return _refine(self._thetas, grid, fn, find_max, self._lipschitz, self._flat_tol,
+                       self._cfg)
 
     @cached_property
     def w(self) -> float:
@@ -311,7 +317,8 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
     hill-climb.
 
     Every evaluation happens at a feasible point, so the result approaches
-    sup-type gauges from below and inf-type gauges from above.
+    sup-type gauges from below and inf-type gauges from above. The result is
+    a pure function of (f, t, kind, samples, seed), stable bit for bit.
     """
     if kind not in ORACLE_KINDS:
         raise ValueError(f"unknown gauge kind {kind!r}; expected one of {ORACLE_KINDS}")
@@ -338,17 +345,26 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
     def draw(shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
+    def column_norms(y):
+        """np.linalg.norm(y, axis=0), without its argument handling; y is
+        overwritten. Summed from (y.conj() * y).real as np.linalg.norm does:
+        y.real**2 + y.imag**2 rounds differently."""
+        np.multiply(y.conj(), y, out=y)
+        return np.sqrt(np.add.reduce(y.real, axis=0))
+
     def normalize(z):
-        nrm = np.linalg.norm(w_map @ z, axis=0)
-        nrm = np.where(nrm == 0.0, 1.0, nrm)
-        return z / nrm
+        """Scale the columns of z to unit A-norm, in place."""
+        nrm = column_norms(w_map @ z)
+        nrm[nrm == 0.0] = 1.0
+        z /= nrm
+        return z
 
     def evaluate(z):
         x = u @ z
         if kind in ("w", "c"):
             return np.abs(np.einsum("ij,ij->j", x.conj(), at @ x))
         if kind in ("norm", "minmod"):
-            return np.linalg.norm(st @ x, axis=0)
+            return column_norms(st @ x)
         # kind == "C": min over phases of ||(e^{i phi} Tx + e^{-i phi} T#x)/2||_A
         tu = st @ x
         tv = ss @ x
@@ -359,21 +375,26 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
         return np.sqrt(np.clip(val2, 0.0, None))
 
     def climb(z, best, rounds, scales, base, decay):
-        props = len(scales)
+        # One standard_normal(out=) fill per round draws exactly the numbers
+        # of draw((r, props, m)): the real parts, then the imaginary parts.
+        props, m = len(scales), z.shape[1]
+        scales = np.asarray(scales)[:, None]
+        noise = np.empty((2, r, props, m))
+        zp = np.empty((r, props, m), dtype=complex)
+        flat = zp.reshape(r, props * m)
+        cols = np.arange(m)
         for _ in range(rounds):
-            m = z.shape[1]
-            noise = draw((r, props, m))
-            for j, scale in enumerate(scales):
-                noise[:, j, :] *= base * scale
-            zp = normalize((z[:, None, :] + noise).reshape(r, props * m))
-            vals = evaluate(zp).reshape(props, m)
-            idx = np.argmax(sign * vals, axis=0)
-            cols = np.arange(m)
+            rng.standard_normal(out=noise)
+            noise *= base * scales
+            np.add(z.real[:, None, :], noise[0], out=zp.real)
+            np.add(z.imag[:, None, :], noise[1], out=zp.imag)
+            vals = evaluate(normalize(flat)).reshape(props, m)
+            idx = vals.argmax(axis=0) if maximize else vals.argmin(axis=0)
             vb = vals[idx, cols]
-            zb = zp.reshape(r, props, m)[:, idx, cols]
-            better = sign * vb > sign * best
-            z[:, better] = zb[:, better]
-            best[better] = vb[better]
+            up = (vb > best if maximize else vb < best).nonzero()[0]
+            if up.size:  # false in about half of the last phase's rounds
+                z[:, up] = zp[:, idx[up], up]
+                best[up] = vb[up]
             base *= decay
         return z, best
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from anumrad import make_instance, save_instance
+from anumrad.harness import RANK_POLICIES, FuzzConfig
 
 
 def run_cli(*args):
@@ -116,6 +118,18 @@ def test_usage_errors():
     assert run_cli("fuzz").returncode == 2  # --trials required
     assert run_cli("fuzz", "--trials", "-3").returncode == 2
     assert run_cli("fuzz", "--trials", "1", "--grid", "1023").returncode == 2
+
+
+def test_parser_defaults_match_library():
+    from anumrad import cli
+
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("fuzz", "scan-sharpness"):
+        args = parser.parse_args([command, "--trials", "1"])
+        assert cli._fuzz_config(args, None) == FuzzConfig(trials=1)
+        policy = next(a for a in sub.choices[command]._actions if a.dest == "rank_policy")
+        assert tuple(policy.choices) == RANK_POLICIES
 
 
 def test_scan_sharpness_command():

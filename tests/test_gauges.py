@@ -189,6 +189,22 @@ def test_pointwise_derivatives_match_finite_differences():
             assert d2f == pytest.approx((fp - 2 * f0 + fm) / h**2, abs=1e-4)
 
 
+def test_jordan_block_profiles_are_flat(monkeypatch):
+    # the spectrum of Re(e^{i theta} J) does not depend on theta, so the grid
+    # values differ by rounding only and no bracket is refined
+    evals = []
+    pointwise = gauges._make_pointwise
+    monkeypatch.setattr(gauges, "_make_pointwise", lambda m: tuple(
+        (lambda theta, fn=fn: evals.append(theta) or fn(theta)) for fn in pointwise(m)))
+    for n in range(2, 9):
+        sweep = gauges.sweep_gauges(np.diag(np.ones(n - 1), 1))
+        eigs = np.cos(np.arange(1, n + 1) * np.pi / (n + 1))  # spectrum of Re J
+        assert sweep.w == pytest.approx(eigs[0], abs=1e-14)
+        assert sweep.crawford == 0.0
+        assert sweep.crawford_c == pytest.approx(np.min(np.abs(eigs)), abs=1e-14)
+        assert evals == [], n
+
+
 def test_sweep_refines_only_the_gauges_read(monkeypatch):
     calls = []
     refine = gauges._refine
@@ -295,6 +311,38 @@ def test_oracle_inf_kinds_from_above():
         co = oracle_gauge(f, t, "C", 1500, seed=400 + i)
         assert co >= cc - 1e-9
         assert abs(co - cc) <= 5e-3
+
+
+# oracle_gauge(f, t, kind, samples, seed=63) for samples 1, 37 and 300 on the
+# frames of _oracle_golden_frame, as float.hex. The estimates are a pure
+# function of their inputs, so any change to the random stream or to the
+# hill-climb arithmetic shows up here. Captured with numpy 2.4 and OpenBLAS
+# 0.3 on x86-64; another numpy or BLAS may round differently.
+_ORACLE_GOLDEN = {
+    (4, 'w'): ('0x1.601fbba64b75ep+2', '0x1.601fbbacfe26ep+2', '0x1.601fbbaf8029dp+2'),
+    (4, 'c'): ('0x1.34837a0a61188p-18', '0x1.09313c811214ap-19', '0x1.6d1f47d81fcddp-20'),
+    (4, 'norm'): ('0x1.38392a14eb5b1p+3', '0x1.38392a1621a0ap+3', '0x1.38392a16a9226p+3'),
+    (4, 'minmod'): ('0x1.f0a758229c9dap-3', '0x1.f0a756564da80p-3', '0x1.f0a7565d9eb56p-3'),
+    (4, 'C'): ('0x1.e770f27eed668p-10', '0x1.fabcef1f58b0ap-12', '0x1.af463270f72cbp-12'),
+    (2, 'w'): ('0x1.ef8fc809b4078p+0', '0x1.ef8fc809c6daep+0', '0x1.ef8fc809c821bp+0'),
+    (2, 'c'): ('0x1.4f32290a50942p-19', '0x1.9280f60119097p-21', '0x1.94ba895846441p-23'),
+    (2, 'norm'): ('0x1.0a212c28182dfp+1', '0x1.0a212c2819ab5p+1', '0x1.0a212c2819917p+1'),
+    (2, 'minmod'): ('0x1.1170a05d7c5d8p+0', '0x1.1170a05d747a0p+0', '0x1.1170a05d7445dp+0'),
+    (2, 'C'): ('0x1.dab1aaa432d27p-5', '0x1.dab1aaa33e1dfp-5', '0x1.dab1aaa341d32p-5'),
+}
+
+
+def _oracle_golden_frame(rank):
+    f = new_frame(gen_psd(4, rank, 61))
+    return f, gen_compatible(f, 62)
+
+
+@pytest.mark.parametrize("rank", [4, 2])
+def test_oracle_golden_values(rank):
+    f, t = _oracle_golden_frame(rank)
+    for kind in gauges.ORACLE_KINDS:
+        got = tuple(float(oracle_gauge(f, t, kind, s, seed=63)).hex() for s in (1, 37, 300))
+        assert got == _ORACLE_GOLDEN[(rank, kind)], kind
 
 
 def test_a_positive_power_examples():
