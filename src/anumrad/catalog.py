@@ -11,9 +11,10 @@ id filters accept either the exact id or a family prefix.
 Hypothesis gating: checks whose statement assumes a strictly positive metric
 are *skipped* (never failed) on degenerate frames; the same applies to the
 nilpotency-conditional equality checks and to the lower bounds that divide by
-the operator seminorm. Exploration mode (``params={"explore": True}``)
-evaluates strict-metric checks on degenerate frames anyway, still reporting
-them as skipped, with the values recorded as outside-hypothesis metadata.
+the operator seminorm.
+
+Operands a check names but the caller omits fall back to X = Y = T and
+P = Q = I.
 """
 
 from __future__ import annotations
@@ -25,9 +26,16 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .adjoint import reduced, sharp
+from .blocks import assemble
 from .errors import UnknownCheckId
 from .frame import AFrame, direct_sum
-from .gauges import DEFAULT_SWEEP, SweepConfig, a_positive_power, sweep_gauges
+from .gauges import (
+    DEFAULT_SWEEP,
+    SweepConfig,
+    _integer_exponent,
+    a_positive_power,
+    sweep_gauges,
+)
 from .matrixcore import as_cmatrix, frob, singular_values, spec_norm
 from .seeding import label_seed
 
@@ -87,12 +95,23 @@ def resolve_ids(checks: Optional[Sequence[str]]) -> list[str]:
     return sorted(out)
 
 
+def missing_operands(operands, checks: Optional[Sequence[str]] = None) -> list[str]:
+    """Operands the selected checks need (``CheckDef.roles``) that neither
+    ``operands`` nor the fallbacks X = Y = T and P = Q = I supply."""
+    have = set(operands or {}) | {"P", "Q"}
+    if "T" in have:
+        have |= {"X", "Y"}
+    need = {role for cid in resolve_ids(checks) for role in REGISTRY[cid].roles}
+    return sorted(need - have)
+
+
 class _Ctx:
     """Per-instance evaluation context: frame, sweep config and gauge caches.
 
     Gauges are memoized by matrix bytes so that checks sharing intermediate
     operators (the same T^2, the same assembled block, ...) pay for each
-    sweep once per instance.
+    sweep once per instance. One cache holds operators on H and 2x2 block
+    operators on H + H alike; the size of a matrix picks its frame.
     """
 
     def __init__(self, f: AFrame, operands, params, cfg: SweepConfig):
@@ -105,8 +124,6 @@ class _Ctx:
         self._sweep: dict = {}
         self._sv: dict = {}
         self._bf: Optional[AFrame] = None
-        self._bred: dict = {}
-        self._bsweep: dict = {}
 
     @staticmethod
     def _key(m: np.ndarray):
@@ -138,7 +155,8 @@ class _Ctx:
     def red(self, m: np.ndarray) -> np.ndarray:
         k = self._key(m)
         if k not in self._red:
-            self._red[k] = reduced(self.f, m).mat
+            f = self.f if m.shape[0] == self.f.dim else self.bframe()
+            self._red[k] = reduced(f, m).mat
         return self._red[k]
 
     def _gauges(self, m: np.ndarray):
@@ -178,14 +196,11 @@ class _Ctx:
     def antidiag(self) -> np.ndarray:
         x, y = self.op("X"), self.op("Y")
         zero = np.zeros_like(x)
-        return np.block([[zero, x], [y, zero]])
+        return assemble(zero, x, y, zero).assembled
 
     def wb(self, m2: np.ndarray) -> float:
-        k = self._key(m2)
-        if k not in self._bsweep:
-            red = reduced(self.bframe(), m2).mat
-            self._bsweep[k] = sweep_gauges(red, self.cfg)
-        return self._bsweep[k].w
+        """Numerical radius of a block operator under diag(A, A)."""
+        return self._gauges(m2).w
 
     def pm(self, t: np.ndarray) -> np.ndarray:
         """T^sharp T + T T^sharp."""
@@ -205,25 +220,21 @@ def _nilpotency_defect(t: np.ndarray, order: int) -> float:
     return frob(p) / (1.0 + frob(t) ** order)
 
 
-def _hypothesis_state(cd: CheckDef, ctx: _Ctx) -> tuple[bool, bool]:
-    """Returns (met, explorable): whether the hypothesis holds, and whether
-    exploration mode may still evaluate the formulas when it does not."""
+def _hypothesis_state(cd: CheckDef, ctx: _Ctx) -> bool:
+    """Whether the check's hypothesis holds on this instance."""
     if cd.hypothesis == "always":
-        return True, False
+        return True
     if cd.hypothesis == "strict":
-        return ctx.f.strictly_positive, True
+        return ctx.f.strictly_positive
     if cd.hypothesis == "strict_nonzero_t":
         nt = ctx.nrm(ctx.op("T"))
-        nonzero = nt > 1e-12 * (1.0 + frob(ctx.op("T")))
-        return (ctx.f.strictly_positive and nonzero), nonzero
+        return ctx.f.strictly_positive and nt > 1e-12 * (1.0 + frob(ctx.op("T")))
     if cd.hypothesis == "nilpotent2":
-        return _nilpotency_defect(ctx.op("T"), 2) <= 1e-12, False
+        return _nilpotency_defect(ctx.op("T"), 2) <= 1e-12
     if cd.hypothesis == "nilpotent3":
-        return _nilpotency_defect(ctx.op("T"), 3) <= 1e-12, False
+        return _nilpotency_defect(ctx.op("T"), 3) <= 1e-12
     if cd.hypothesis == "power":
-        r = cd.param_r
-        integer = r is not None and abs(r - round(r)) <= 1e-12
-        return (integer or ctx.f.strictly_positive), False
+        return _integer_exponent(cd.param_r) or ctx.f.strictly_positive
     raise AssertionError(f"unknown hypothesis kind {cd.hypothesis!r}")
 
 
@@ -694,30 +705,16 @@ def _thm_wa_lower_max(ctx):
 # Execution
 # --------------------------------------------------------------------------
 
-def _skipped_result(cd: CheckDef, meta: Dict[str, object]) -> CheckResult:
+def _unevaluated(check_id: str, passed: bool, hypothesis_met: bool,
+                 metadata: Dict[str, object]) -> CheckResult:
+    """A skipped or errored check: no lhs, rhs or slack."""
     nan = float("nan")
-    return CheckResult(
-        check_id=cd.check_id,
-        lhs=nan,
-        rhs=nan,
-        slack=nan,
-        passed=True,
-        hypothesis_met=False,
-        metadata=meta,
-    )
+    return CheckResult(check_id, nan, nan, nan, passed, hypothesis_met, metadata)
 
 
 def _run_one(cd: CheckDef, ctx: _Ctx, tol: float) -> CheckResult:
-    met, explorable = _hypothesis_state(cd, ctx)
-    if not met:
-        meta: Dict[str, object] = {"skip_reason": cd.hypothesis}
-        if explorable and bool(ctx.params.get("explore")):
-            lhs, rhs, extra = cd.evaluate(ctx)
-            meta.update(extra)
-            meta["outside_hypothesis"] = True
-            meta["explored_lhs"] = lhs
-            meta["explored_rhs"] = rhs
-        return _skipped_result(cd, meta)
+    if not _hypothesis_state(cd, ctx):
+        return _unevaluated(cd.check_id, True, False, {"skip_reason": cd.hypothesis})
     lhs, rhs, meta = cd.evaluate(ctx)
     lhs = float(lhs)
     rhs = float(rhs)
@@ -732,28 +729,12 @@ def _run_one(cd: CheckDef, ctx: _Ctx, tol: float) -> CheckResult:
     )
 
 
-def _lookup(check_id: str, params) -> CheckDef:
-    cd = REGISTRY.get(check_id)
-    if cd is not None:
-        return cd
-    if check_id == "thm_power_r" and params and "r" in params:
-        r = float(params["r"])
-        return CheckDef(
-            check_id="thm_power_r",
-            mode="le",
-            hypothesis="power",
-            roles=("T",),
-            evaluate=_power_evaluator(r),
-            param_r=r,
-            description=f"power bound at caller-supplied r={r}",
-        )
-    raise UnknownCheckId(check_id)
-
-
 def run_check(check_id: str, f: AFrame, operands, params=None,
               cfg: SweepConfig = DEFAULT_SWEEP, tol: float = DEFAULT_TOL) -> CheckResult:
     """Evaluate a single registry check; errors propagate to the caller."""
-    cd = _lookup(check_id, params)
+    cd = REGISTRY.get(check_id)
+    if cd is None:
+        raise UnknownCheckId(check_id)
     ctx = _Ctx(f, operands, params, cfg)
     return _run_one(cd, ctx, tol)
 
@@ -774,16 +755,6 @@ def run_all(f: AFrame, operands, params=None, cfg: SweepConfig = DEFAULT_SWEEP,
         try:
             results.append(_run_one(cd, ctx, tol))
         except Exception as exc:  # noqa: BLE001 - fold into the report
-            nan = float("nan")
-            results.append(
-                CheckResult(
-                    check_id=cid,
-                    lhs=nan,
-                    rhs=nan,
-                    slack=nan,
-                    passed=False,
-                    hypothesis_met=True,
-                    metadata={"error": f"{type(exc).__name__}: {exc}"},
-                )
-            )
+            error = {"error": f"{type(exc).__name__}: {exc}"}
+            results.append(_unevaluated(cid, False, True, error))
     return results

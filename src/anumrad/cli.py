@@ -17,13 +17,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .catalog import DEFAULT_TOL, registry_ids, run_all
+from .catalog import DEFAULT_TOL, missing_operands, registry_ids, run_all
 from .errors import AnumradError, ReproMismatch
 from .gauges import DEFAULT_SWEEP, SweepConfig
 from .harness import (
     RANK_POLICIES,
+    TOOL_VERSION,
     FuzzConfig,
     Report,
+    _row,
+    _summarize,
     exit_code_for,
     fuzz,
     load_instance,
@@ -74,9 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_fuzz_args(p_fuzz)
     p_fuzz.add_argument("--check-id", action="append", default=None,
                         help="restrict to this id/family (repeatable)")
-    p_fuzz.add_argument("--explore", action="store_true",
-                        help="also evaluate strict-metric checks on degenerate "
-                             "frames, reported as outside-hypothesis skips")
 
     p_scan = sub.add_parser("scan-sharpness",
                             help="rank instances by smallest relative slack")
@@ -142,16 +142,16 @@ def _cmd_check(args) -> int:
     inst = load_instance(args.instance)
     f = validate_instance(inst)
     checks = None if args.check_id == "all" else [args.check_id]
+    missing = missing_operands(inst.operators, checks)
+    if missing:
+        raise ValueError(f"instance lacks operand(s) {', '.join(missing)} "
+                         "needed by the selected checks")
     results = run_all(f, inst.operators, params={"seed": inst.seed},
                       tol=args.tol, checks=checks)
-    rows = [{
-        "trial": 0, "check_id": r.check_id, "lhs": r.lhs, "rhs": r.rhs,
-        "slack": r.slack, "pass": r.passed, "skipped": r.skipped,
-    } for r in results]
+    rows = [_row(0, r) for r in results]
     _print_rows(rows)
     violations = sum(1 for r in results if not r.passed and not r.skipped)
     if args.json:
-        from .harness import TOOL_VERSION, _summarize
         report = Report(TOOL_VERSION, inst.seed, 1, rows,
                         _summarize(rows, [inst.seed], [r.check_id for r in results]))
         _write_outputs(report, args.json)
@@ -168,7 +168,6 @@ def _fuzz_config(args, checks) -> FuzzConfig:
         rank_policy=args.rank_policy,
         tol=args.tol,
         checks=checks,
-        explore=getattr(args, "explore", False),
         sweep=SweepConfig(grid_points=args.grid),
     )
 

@@ -46,6 +46,9 @@ from .matrixcore import as_cmatrix, herm_part, singular_values, spec_norm
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Below this eigenvalue gap the perturbation derivatives are unreliable.
 _GAP_TOL = 1e-9
+# Refinement stops once a step in theta is this small, or after this many steps.
+_REFINE_TOL = 1e-12
+_REFINE_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -53,18 +56,12 @@ class SweepConfig:
     """Discretization of the sup-over-theta gauge formulas."""
 
     grid_points: int = 1024
-    refine_tol: float = 1e-12
-    refine_max_iter: int = 200
 
     def __post_init__(self):
         if self.grid_points < 16:
             raise ValueError("grid_points must be at least 16")
         if self.grid_points % 2:
             raise ValueError("grid_points must be even (the scan mirrors theta + pi)")
-        if self.refine_tol <= 0:
-            raise ValueError("refine_tol must be positive")
-        if self.refine_max_iter < 1:
-            raise ValueError("refine_max_iter must be positive")
 
 
 DEFAULT_SWEEP = SweepConfig()
@@ -112,7 +109,7 @@ def _golden(fn, a: float, b: float, tol: float, max_iter: int, find_max: bool) -
     return sign * best
 
 
-def _newton(fn, x: float, delta: float, find_max: bool, cfg: SweepConfig) -> float:
+def _newton(fn, x: float, delta: float, find_max: bool) -> float:
     """Safeguarded Newton extremum of fn on [x - delta, x + delta], starting
     at x; returns the best value seen.
 
@@ -123,11 +120,11 @@ def _newton(fn, x: float, delta: float, find_max: bool, cfg: SweepConfig) -> flo
     sign = 1.0 if find_max else -1.0
     a, b = x - delta, x + delta
     best = -math.inf
-    for _ in range(cfg.refine_max_iter):
+    for _ in range(_REFINE_MAX_ITER):
         f, df, d2f, gap, root = fn(x)
         best = max(best, sign * f)
         if gap < _GAP_TOL:
-            v = _golden(lambda t: fn(t)[0], a, b, cfg.refine_tol, cfg.refine_max_iter, find_max)
+            v = _golden(lambda t: fn(t)[0], a, b, _REFINE_TOL, _REFINE_MAX_ITER, find_max)
             return sign * max(best, sign * v)
         if sign * df > 0:
             a = x
@@ -139,13 +136,13 @@ def _newton(fn, x: float, delta: float, find_max: bool, cfg: SweepConfig) -> flo
             nxt = x - df / d2f
         else:
             nxt = 0.5 * (a + b)
-        if abs(nxt - x) <= cfg.refine_tol:
+        if abs(nxt - x) <= _REFINE_TOL:
             break
         x = nxt
     return sign * best
 
 
-def _refine(thetas, vals, fn, find_max, lipschitz, flat_tol, cfg: SweepConfig) -> float:
+def _refine(thetas, vals, fn, find_max, lipschitz, flat_tol) -> float:
     """Grid extremum improved by refining every bracket that could still win.
 
     A profile whose grid values spread by at most flat_tol is flat to
@@ -168,7 +165,7 @@ def _refine(thetas, vals, fn, find_max, lipschitz, flat_tol, cfg: SweepConfig) -
         cand = cand[order[-64:] if find_max else order[:64]]
     best = grid_best
     for i in cand:
-        v = _newton(fn, float(thetas[i]), delta, find_max, cfg)
+        v = _newton(fn, float(thetas[i]), delta, find_max)
         best = max(best, v) if find_max else min(best, v)
     return best
 
@@ -217,7 +214,6 @@ class GaugeSweep:
     """
 
     def __init__(self, m: np.ndarray, cfg: SweepConfig):
-        self._cfg = cfg
         self._thetas, eigs = _theta_scan(m, cfg)
         self._lam_max_grid = eigs[:, -1]
         self._min_abs_grid = np.min(np.abs(eigs), axis=1)
@@ -227,8 +223,7 @@ class GaugeSweep:
         self._flat_tol = 4.0 * m.shape[0] * np.finfo(float).eps * self._lipschitz
 
     def _refined(self, grid, fn, find_max: bool) -> float:
-        return _refine(self._thetas, grid, fn, find_max, self._lipschitz, self._flat_tol,
-                       self._cfg)
+        return _refine(self._thetas, grid, fn, find_max, self._lipschitz, self._flat_tol)
 
     @cached_property
     def w(self) -> float:
@@ -420,6 +415,12 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
     return sign * max(sign * result, float(np.max(sign * best)))
 
 
+def _integer_exponent(r: float) -> bool:
+    """Whether r is an integer up to rounding, so A^r needs no functional
+    calculus beyond the plain matrix power."""
+    return abs(r - round(r)) <= 1e-12
+
+
 def a_positive_power(f: AFrame, s, r: float) -> ReducedOp:
     """Reduced operator of the r-th power of an A-positive operator.
 
@@ -432,7 +433,7 @@ def a_positive_power(f: AFrame, s, r: float) -> ReducedOp:
         raise ValueError("exponent must satisfy r >= 1")
     if not is_a_positive(f, s):
         raise NotAPositive("operand is not A-positive")
-    if abs(r - round(r)) > 1e-12 and not f.strictly_positive:
+    if not _integer_exponent(r) and not f.strictly_positive:
         raise UnsupportedExponent(
             "non-integer exponent requires a strictly positive metric"
         )

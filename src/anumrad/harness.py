@@ -112,9 +112,9 @@ def make_instance(n: int, rank: int, seed: int,
     return Instance(dim=n, a=a, operators=ops, seed=seed, note=f"n={n} rank={rank}")
 
 
-def validate_instance(inst: Instance, rank_tol: float = 1e-10) -> AFrame:
+def validate_instance(inst: Instance) -> AFrame:
     """Frame construction plus admissibility of every operator."""
-    f = new_frame(inst.a, rank_tol)
+    f = new_frame(inst.a)
     if f.dim != inst.dim:
         raise ValueError(f"instance dim {inst.dim} does not match metric {f.dim}")
     for name, op in inst.operators.items():
@@ -183,7 +183,6 @@ class FuzzConfig:
     rank_policy: str = "mixed"
     tol: float = catalog.DEFAULT_TOL
     checks: Optional[Sequence[str]] = None
-    explore: bool = False
     sweep: SweepConfig = field(default_factory=lambda: DEFAULT_SWEEP)
 
     def __post_init__(self):
@@ -280,6 +279,8 @@ def fuzz(config: FuzzConfig, top: Optional[int] = None) -> Report:
     implementation bug, since every registered statement is a theorem on its
     hypothesis domain.
     """
+    if top is not None and top < 0:
+        raise ValueError("top must be nonnegative")
     ids = resolve_ids(config.checks)
     rows: List[dict] = []
     trial_seeds: List[int] = []
@@ -293,8 +294,7 @@ def fuzz(config: FuzzConfig, top: Optional[int] = None) -> Report:
         try:
             inst = make_instance(n, rank, child)
             f = new_frame(inst.a)
-            params = {"seed": child, "explore": config.explore}
-            results = run_all(f, inst.operators, params, config.sweep,
+            results = run_all(f, inst.operators, {"seed": child}, config.sweep,
                               config.tol, checks=ids)
             rows.extend(_row(trial, res) for res in results)
         except Exception as exc:  # noqa: BLE001 - never abort the sweep

@@ -1,7 +1,9 @@
 # src/anumrad/matrixcore.py
 
-"""Dense complex matrix primitives: validation, Hermitian eigendecomposition,
-SVD, Moore-Penrose pseudoinverse, PSD square root and range basis.
+"""Dense complex matrix primitives: validation, norms, Hermitian
+eigendecomposition and singular values. The metric's square root,
+pseudoinverses and range basis all come from one eigendecomposition in
+``frame.new_frame``.
 
 All routines work on plain ``numpy.ndarray`` values with dtype complex128.
 Matrices are desk-scale (n <= ~64); numpy/LAPACK is used throughout.
@@ -9,11 +11,11 @@ Matrices are desk-scale (n <= ~64); numpy/LAPACK is used throughout.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, NotPSD
+from .errors import NoConvergence, NotHermitian
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -81,63 +83,9 @@ def herm_eig(h, tol: float = DEFAULT_RANK_TOL) -> EigDecomp:
     return EigDecomp(lam, v)
 
 
-def svd(m) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition M = U diag(s) V*, s descending.
-
-    Returns (U, s, V); note V (not its conjugate transpose) is returned.
-    """
-    m = as_cmatrix(m)
-    try:
-        u, s, vh = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NoConvergence(str(exc)) from exc
-    return u, s, vh.conj().T
-
-
 def singular_values(m) -> np.ndarray:
     m = as_cmatrix(m)
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NoConvergence(str(exc)) from exc
-
-
-def pinv(m, rel_rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with singular values below
-    rel_rank_tol * sigma_max treated as zero."""
-    if rel_rank_tol <= 0:
-        raise ValueError("rel_rank_tol must be positive")
-    m = as_cmatrix(m)
-    return np.linalg.pinv(m, rcond=rel_rank_tol)
-
-
-def psd_sqrt(a, rel_rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
-
-    Eigenvalues below -rel_rank_tol * ||A|| raise NotPSD; small negative
-    rounding dust is clamped to zero.
-    """
-    lam, v = herm_eig(a, tol=rel_rank_tol)
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    if lam.size and float(lam[0]) < -rel_rank_tol * scale:
-        raise NotPSD(f"eigenvalue {lam[0]:.3e} below -tol*||A||")
-    root = np.sqrt(np.clip(lam, 0.0, None))
-    s = (v * root) @ v.conj().T
-    return herm_part(s)
-
-
-def range_basis(a, rel_rank_tol: float = DEFAULT_RANK_TOL) -> Tuple[np.ndarray, int]:
-    """Orthonormal basis of the range of a Hermitian PSD matrix.
-
-    Returns (U, r) where the n x r columns of U span the eigenspaces with
-    eigenvalue > rel_rank_tol * lambda_max; r is the numerical rank.
-    Columns are ordered by descending eigenvalue (dominant direction first).
-    """
-    lam, v = herm_eig(a, tol=rel_rank_tol)
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    if lam.size and float(lam[0]) < -rel_rank_tol * scale:
-        raise NotPSD(f"eigenvalue {lam[0]:.3e} below -tol*||A||")
-    mask = lam > rel_rank_tol * scale
-    sel = np.nonzero(mask)[0]
-    sel = sel[np.argsort(-lam[sel], kind="stable")]
-    return v[:, sel], int(mask.sum())

@@ -10,7 +10,7 @@ from anumrad import (
     run_all,
     run_check,
 )
-from anumrad.catalog import REGISTRY, _verdict
+from anumrad.catalog import REGISTRY, _verdict, missing_operands
 from anumrad.errors import UnknownCheckId
 
 T39 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
@@ -138,11 +138,11 @@ def test_nilpotent_equality_checks():
 
 
 def test_power_check_dynamic_exponent():
+    # only the registered exponents exist; a caller-supplied r is no check id
     f = new_frame(gen_psd(3, 3, 11))
     t = gen_compatible(f, 12)
-    res = run_check("thm_power_r", f, {"T": t}, params={"r": 2.5})
-    assert res.passed
-    assert res.metadata["r"] == 2.5
+    with pytest.raises(UnknownCheckId):
+        run_check("thm_power_r", f, {"T": t}, params={"r": 2.5})
     with pytest.raises(UnknownCheckId):
         run_check("thm_power_r", f, {"T": t})  # no r supplied
 
@@ -154,18 +154,6 @@ def test_power_non_integer_skipped_on_degenerate_frame():
     assert res.skipped
     res_int = run_check("thm_power_r_2", f, {"T": t})
     assert res_int.hypothesis_met and res_int.passed
-
-
-def test_explore_mode_records_outside_hypothesis_values():
-    rng = np.random.default_rng(63)
-    f = new_frame(gen_psd(4, 2, 15))
-    ops = random_operands(f, rng)
-    res = run_check("cor_kittaneh_A_upper", f, ops, params={"explore": True, "seed": 4})
-    assert res.skipped  # still reported as outside the hypothesis
-    assert res.metadata["outside_hypothesis"] is True
-    assert np.isfinite(res.metadata["explored_lhs"])
-    plain = run_check("cor_kittaneh_A_upper", f, ops)
-    assert "explored_lhs" not in plain.metadata
 
 
 def test_run_all_folds_errors_per_check():
@@ -199,6 +187,20 @@ def test_operand_defaults():
     )
     assert res.lhs == pytest.approx(full.lhs, rel=1e-12)
     assert res.rhs == pytest.approx(full.rhs, rel=1e-12)
+
+
+def test_roles_name_every_operand_a_check_reads():
+    # missing_operands trusts CheckDef.roles, so a check given only its roles
+    # must evaluate without falling back to an operand it does not declare
+    f = new_frame(gen_psd(3, 3, 18))
+    ops = random_operands(f, np.random.default_rng(19))
+    for cid, cd in REGISTRY.items():
+        res = run_check(cid, f, {name: ops[name] for name in cd.roles})
+        assert res.passed or res.skipped, cid
+    assert missing_operands(ops) == []
+    assert missing_operands({"X": ops["X"], "Y": ops["Y"]}) == ["T"]
+    assert missing_operands({"X": ops["X"]}) == ["T", "Y"]
+    assert missing_operands({"X": ops["X"]}, ["thm_prod_particular"]) == []
 
 
 def test_improvement_orderings():

@@ -113,11 +113,35 @@ def test_check_command_rejects_unknown_operand_names(tmp_path):
     assert "unknown operand" in proc.stderr
 
 
+@pytest.mark.parametrize("supplied,missing", [("XYPQ", "T"), ("X", "T, Y")])
+def test_check_command_rejects_missing_operands(tmp_path, supplied, missing):
+    # a check that needs an operand nobody supplied is a usage error, not a
+    # FAIL row; X = Y = T and P = Q = I are the only fallbacks
+    path = tmp_path / "inst.json"
+    save_instance(make_instance(3, 3, seed=42), path)
+    obj = json.loads(path.read_text())
+    obj["operators"] = {k: v for k, v in obj["operators"].items() if k in supplied}
+    path.write_text(json.dumps(obj))
+    proc = run_cli("check", "--instance", str(path))
+    assert proc.returncode == 2
+    assert f"operand(s) {missing}" in proc.stderr
+    assert "violations" not in proc.stdout
+    if supplied == "X":  # checks that need only X, P and Q still run
+        proc = run_cli("check", "--instance", str(path), "--check-id", "thm_prod_particular")
+        assert proc.returncode == 0, proc.stderr
+        assert "checks=2 violations=0" in proc.stdout
+
+
 def test_usage_errors():
     assert run_cli().returncode == 2
     assert run_cli("fuzz").returncode == 2  # --trials required
     assert run_cli("fuzz", "--trials", "-3").returncode == 2
     assert run_cli("fuzz", "--trials", "1", "--grid", "1023").returncode == 2
+    assert run_cli("fuzz", "--trials", "1", "--explore").returncode == 2  # removed flag
+    proc = run_cli("scan-sharpness", "--trials", "1", "--check-id", "equiv_half",
+                   "--top", "-2")
+    assert proc.returncode == 2
+    assert "top" in proc.stderr
 
 
 def test_parser_defaults_match_library():
@@ -138,15 +162,6 @@ def test_scan_sharpness_command():
                    "--rank-policy", "full")
     assert proc.returncode == 0, proc.stderr
     assert "seed=" in proc.stdout
-
-
-@pytest.mark.parametrize("explore", [False, True])
-def test_fuzz_explore_flag(explore):
-    args = ["fuzz", "--trials", "2", "--seed", "9", "--rank-policy", "degenerate-heavy"]
-    if explore:
-        args.append("--explore")
-    proc = run_cli(*args)
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_repro_mismatch_exit_code(monkeypatch):

@@ -24,6 +24,7 @@ def test_rank_one_frame():
     f = new_frame(np.array([[0.0, 0.0], [0.0, 1.0]]))
     assert f.rank == 1 and not f.strictly_positive
     np.testing.assert_allclose(f.projector, np.diag([0.0, 1.0]), atol=1e-13)
+    np.testing.assert_allclose(f.pinv_a, np.diag([0.0, 1.0]), atol=1e-13)  # its own pseudoinverse
 
 
 def test_diagonal_frame_derived_matrices():
@@ -57,6 +58,30 @@ def test_frame_invariants_random():
         assert f.strictly_positive == (f.rank == n)
         assert f.range_u.shape == (n, f.rank)
         assert f.null_u.shape == (n, n - f.rank)
+
+
+def test_pinv_a_penrose_identities():
+    # A^dagger is the Moore-Penrose pseudoinverse of A, on every rank
+    rng = np.random.default_rng(14)
+    for _ in range(30):
+        n = int(rng.integers(1, 7))
+        f = new_frame(gen_psd(n, int(rng.integers(0, n + 1)), int(rng.integers(0, 2**63))))
+        a, p = f.a, f.pinv_a
+        scale = 1.0 + frob(a)
+        assert frob(a @ p @ a - a) <= 1e-10 * scale
+        assert frob(p @ a @ p - p) <= 1e-10 * (1.0 + frob(p))
+        assert frob((a @ p) - (a @ p).conj().T) <= 1e-10 * scale
+        assert frob((p @ a) - (p @ a).conj().T) <= 1e-10 * scale
+        assert frob(f.range_u.conj().T @ f.range_u - np.eye(f.rank)) <= 1e-12
+        assert frob(f.projector @ a - a) <= 1e-10 * scale
+
+
+def test_rank_zero_frame():
+    f = new_frame(np.zeros((3, 3)))
+    assert f.rank == 0 and not f.strictly_positive
+    assert f.range_u.shape == (3, 0) and f.null_u.shape == (3, 3)
+    for m in (f.sqrt_a, f.pinv_sqrt_a, f.pinv_a, f.projector):
+        np.testing.assert_allclose(m, 0.0, atol=0.0)
 
 
 def test_a_inner_examples():

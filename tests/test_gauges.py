@@ -45,10 +45,6 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(grid_points=8)
     with pytest.raises(ValueError):
-        SweepConfig(refine_tol=0.0)
-    with pytest.raises(ValueError):
-        SweepConfig(refine_max_iter=0)
-    with pytest.raises(ValueError):
         SweepConfig(grid_points=1023)  # the half-circle scan needs an even grid
 
 
@@ -98,7 +94,7 @@ def test_crawford_C_brute_force_cross_check():
 
 
 def test_radius_error_contract_vs_fine_grid():
-    # default sweep accuracy must beat max(refine_tol, (pi ||M|| / grid)^2)
+    # default sweep accuracy must beat max(_REFINE_TOL, (pi ||M|| / grid)^2)
     rng = np.random.default_rng(42)
     fine = SweepConfig(grid_points=8192)
     for _ in range(5):
@@ -111,9 +107,9 @@ def test_radius_error_contract_vs_fine_grid():
 
 def _golden_refined(monkeypatch, gauge, m):
     """The gauge with every bracket refined by golden section instead of Newton."""
-    def golden(fn, x, delta, find_max, cfg):
+    def golden(fn, x, delta, find_max):
         return gauges._golden(lambda t: fn(t)[0], x - delta, x + delta,
-                              cfg.refine_tol, cfg.refine_max_iter, find_max)
+                              gauges._REFINE_TOL, gauges._REFINE_MAX_ITER, find_max)
 
     with monkeypatch.context() as mp:
         mp.setattr(gauges, "_newton", golden)

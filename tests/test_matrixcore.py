@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from anumrad import EigDecomp, as_cmatrix, herm_eig, pinv, psd_sqrt, range_basis, svd
-from anumrad.errors import NotHermitian, NotPSD
+from anumrad import EigDecomp, as_cmatrix, herm_eig
+from anumrad.errors import NotHermitian
 from anumrad.matrixcore import frob, herm_part
 
 
@@ -42,99 +42,6 @@ def test_herm_eig_reconstruction_residual():
         res = frob(h @ v - v * lam)
         assert res <= 1e-10 * (1.0 + frob(h))
         assert frob(v.conj().T @ v - np.eye(n)) <= 1e-12
-
-
-def test_svd_examples():
-    _, s, _ = svd(np.zeros((3, 3)))
-    np.testing.assert_allclose(s, 0.0, atol=1e-15)
-    _, s, _ = svd(np.array([[0.0, 2.0], [0.0, 0.0]]))
-    np.testing.assert_allclose(s, [2.0, 0.0], atol=1e-14)
-    _, s, _ = svd(np.diag([3.0, 4.0]))
-    np.testing.assert_allclose(s, [4.0, 3.0], atol=1e-14)
-
-
-def test_svd_reconstruction():
-    rng = np.random.default_rng(1)
-    m = rand_complex(rng, (4, 6))
-    u, s, v = svd(m)
-    np.testing.assert_allclose(u @ np.diag(s) @ v[:, : s.size].conj().T, m, atol=1e-12)
-
-
-def test_pinv_examples():
-    np.testing.assert_allclose(pinv(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-14)
-    a = np.array([[0.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_allclose(pinv(a), a, atol=1e-14)  # analytically its own pseudoinverse
-
-
-def test_pinv_inverts_full_rank():
-    rng = np.random.default_rng(2)
-    m = rand_complex(rng, (4, 4)) + 2 * np.eye(4)
-    np.testing.assert_allclose(pinv(m) @ m, np.eye(4), atol=1e-10)
-
-
-def test_pinv_penrose_identities_rank_deficient():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        n = int(rng.integers(2, 7))
-        r = int(rng.integers(1, n))
-        m = rand_complex(rng, (n, r)) @ rand_complex(rng, (r, n))
-        p = pinv(m)
-        scale = 1.0 + frob(m)
-        assert frob(m @ p @ m - m) <= 1e-10 * scale
-        assert frob(p @ m @ p - p) <= 1e-10 * (1.0 + frob(p))
-        assert frob((m @ p) - (m @ p).conj().T) <= 1e-10 * scale
-        assert frob((p @ m) - (p @ m).conj().T) <= 1e-10 * scale
-
-
-def test_pinv_requires_positive_tolerance():
-    with pytest.raises(ValueError):
-        pinv(np.eye(2), rel_rank_tol=0.0)
-
-
-def test_psd_sqrt_examples():
-    np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 1.0])), np.diag([2.0, 1.0]), atol=1e-13)
-    np.testing.assert_allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=1e-13)
-    np.testing.assert_allclose(psd_sqrt(np.diag([0.0, 9.0])), np.diag([0.0, 3.0]), atol=1e-13)
-
-
-def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(NotPSD):
-        psd_sqrt(np.diag([1.0, -1.0]))
-
-
-def test_psd_sqrt_squares_and_commutes():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        n = int(rng.integers(1, 7))
-        r = int(rng.integers(0, n + 1))
-        g = rand_complex(rng, (n, max(r, 1))) if r else np.zeros((n, 1))
-        a = g @ g.conj().T
-        s = psd_sqrt(a)
-        scale = 1.0 + frob(a)
-        assert frob(s @ s - a) <= 1e-10 * scale
-        assert frob(s @ a - a @ s) <= 1e-10 * scale
-
-
-def test_range_basis_examples():
-    u, r = range_basis(np.diag([0.0, 1.0]))
-    assert r == 1
-    assert abs(abs(u[1, 0]) - 1.0) < 1e-12 and abs(u[0, 0]) < 1e-12
-    _, r = range_basis(np.eye(4))
-    assert r == 4
-    u, r = range_basis(np.zeros((3, 3)))
-    assert r == 0 and u.shape == (3, 0)
-
-
-def test_range_basis_properties():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        n = int(rng.integers(1, 7))
-        k = int(rng.integers(0, n + 1))
-        g = rand_complex(rng, (n, max(k, 1))) if k else np.zeros((n, 1))
-        a = g @ g.conj().T
-        u, r = range_basis(a)
-        assert frob(u.conj().T @ u - np.eye(r)) <= 1e-12
-        assert frob((np.eye(n) - u @ u.conj().T) @ a) <= 1e-10 * max(frob(a), 1e-300)
 
 
 def test_as_cmatrix_rejects_nonfinite():
