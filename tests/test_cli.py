@@ -137,11 +137,20 @@ def test_usage_errors():
     assert run_cli("fuzz").returncode == 2  # --trials required
     assert run_cli("fuzz", "--trials", "-3").returncode == 2
     assert run_cli("fuzz", "--trials", "1", "--grid", "1023").returncode == 2
-    assert run_cli("fuzz", "--trials", "1", "--explore").returncode == 2  # removed flag
     proc = run_cli("scan-sharpness", "--trials", "1", "--check-id", "equiv_half",
                    "--top", "-2")
     assert proc.returncode == 2
     assert "top" in proc.stderr
+
+
+@pytest.mark.parametrize("explore", [False, True])
+def test_fuzz_explore_flag(explore):
+    # --explore was removed: a plain run still works, the old flag is a usage error
+    args = ["fuzz", "--trials", "2", "--seed", "9", "--rank-policy", "degenerate-heavy"]
+    if explore:
+        args.append("--explore")
+    proc = run_cli(*args)
+    assert proc.returncode == (2 if explore else 0), proc.stderr
 
 
 def test_parser_defaults_match_library():
