@@ -114,10 +114,10 @@ class _Ctx:
     operators on H + H alike; the size of a matrix picks its frame.
     """
 
-    def __init__(self, f: AFrame, operands, params, cfg: SweepConfig):
+    def __init__(self, f: AFrame, operands, seed: int, cfg: SweepConfig):
         self.f = f
         self.cfg = cfg
-        self.params = dict(params or {})
+        self.seed = int(seed)
         self._ops = {k: as_cmatrix(v) for k, v in dict(operands or {}).items()}
         self._sharp: dict = {}
         self._red: dict = {}
@@ -141,7 +141,7 @@ class _Ctx:
         raise KeyError(f"operand {name!r} not supplied")
 
     def seed_for(self, label: str) -> int:
-        return label_seed(int(self.params.get("seed", 0)), label)
+        return label_seed(self.seed, label)
 
     def sharp_of(self, m: np.ndarray) -> np.ndarray:
         k = self._key(m)
@@ -729,26 +729,34 @@ def _run_one(cd: CheckDef, ctx: _Ctx, tol: float) -> CheckResult:
     )
 
 
-def run_check(check_id: str, f: AFrame, operands, params=None,
+def run_check(check_id: str, f: AFrame, operands, *, seed: int = 0,
               cfg: SweepConfig = DEFAULT_SWEEP, tol: float = DEFAULT_TOL) -> CheckResult:
-    """Evaluate a single registry check; errors propagate to the caller."""
+    """Evaluate a single registry check; errors propagate to the caller.
+
+    ``seed`` seeds the checks that sample (``lem_pointwise``)."""
     cd = REGISTRY.get(check_id)
     if cd is None:
         raise UnknownCheckId(check_id)
-    ctx = _Ctx(f, operands, params, cfg)
+    ctx = _Ctx(f, operands, seed, cfg)
     return _run_one(cd, ctx, tol)
 
 
-def run_all(f: AFrame, operands, params=None, cfg: SweepConfig = DEFAULT_SWEEP,
-            tol: float = DEFAULT_TOL, checks: Optional[Sequence[str]] = None) -> list[CheckResult]:
+def run_all(f: AFrame, operands, *, seed: int = 0, cfg: SweepConfig = DEFAULT_SWEEP,
+            tol: float = DEFAULT_TOL, checks: Optional[Sequence[str]] = None,
+            ids: Optional[Sequence[str]] = None) -> list[CheckResult]:
     """Evaluate a filtered batch of checks on one instance.
 
-    All checks share one gauge cache. Per-check errors are folded into failed
-    results (error message in metadata) instead of aborting the batch; the
-    result list is ordered by check_id.
+    ``checks`` takes exact ids and family prefixes; a caller that runs many
+    instances can resolve them once with ``resolve_ids`` and pass the result
+    as ``ids`` instead. All checks share one gauge cache. Per-check errors
+    are folded into failed results (error message in metadata) instead of
+    aborting the batch; the result list is ordered by check_id.
     """
-    ids = resolve_ids(checks)
-    ctx = _Ctx(f, operands, params, cfg)
+    if ids is None:
+        ids = resolve_ids(checks)
+    elif checks is not None:
+        raise ValueError("pass checks or ids, not both")
+    ctx = _Ctx(f, operands, seed, cfg)
     results = []
     for cid in ids:
         cd = REGISTRY[cid]

@@ -146,7 +146,7 @@ def _cmd_check(args) -> int:
     if missing:
         raise ValueError(f"instance lacks operand(s) {', '.join(missing)} "
                          "needed by the selected checks")
-    results = run_all(f, inst.operators, params={"seed": inst.seed},
+    results = run_all(f, inst.operators, seed=inst.seed,
                       tol=args.tol, checks=checks)
     rows = [_row(0, r) for r in results]
     _print_rows(rows)

@@ -21,8 +21,25 @@ derivatives and golden-section search takes over. The profiles are Lipschitz
 in theta with constant ||M||_2, which both guarantees bracketing at the
 default grid density and lets non-competitive brackets be pruned.
 
-``sweep_gauges`` returns a ``GaugeSweep`` that scans once and refines each
-gauge only when it is first read.
+``sweep_gauges`` returns a ``GaugeSweep`` that refines each gauge only when
+it is first read, and solves only the grid points a gauge can still use. It
+solves every 16th grid point first. Each read then bounds the profile on
+every coarse cell [a, b] between two solved points:
+
+  * lambda_max is the support function h of the convex numerical range, so
+    Johnson's outer polygon (C. R. Johnson, SIAM J. Numer. Anal. 15, 1978)
+    bounds it from above: h <= max(h_a, h_b) / cos((b - a) / 2) on the cell
+    when that max is >= 0, and h <= max(h_a, h_b) otherwise (this is the
+    bound for w);
+  * the Lipschitz bound (f_a + f_b - ||M|| (b - a)) / 2 bounds either
+    profile from below (for c and C).
+
+A cell whose bound stays more than ||M|| delta (the grid step) beyond the
+coarse extremum holds neither the grid extremum nor a refinement candidate,
+and it cannot change the 3-point test of a neighbouring candidate. So its
+points are left unsolved and the gauge is bit for bit the full scan's.
+1x1 matrices, grids whose coarse cells would span pi/2 or more, and profiles
+whose coarse values are flat to rounding are scanned in full.
 
 A-weighted gauges are classical gauges of the range compression (see
 adjoint.ReducedOp). ``oracle_gauge`` estimates the same quantities straight
@@ -34,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,6 +66,12 @@ _GAP_TOL = 1e-9
 # Refinement stops once a step in theta is this small, or after this many steps.
 _REFINE_TOL = 1e-12
 _REFINE_MAX_ITER = 200
+# The lazy scan solves every _COARSE_STRIDE-th grid point first.
+_COARSE_STRIDE = 16
+# A cell is skipped only if its bound clears the prune threshold by this much
+# times ||M||: far above eigvalsh rounding (a few ulps of ||M|| per
+# dimension), far below the ||M|| delta the threshold already allows.
+_PRUNE_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -74,13 +97,67 @@ def _square(m) -> np.ndarray:
     return m
 
 
-def _theta_scan(m: np.ndarray, cfg: SweepConfig):
+@lru_cache(maxsize=None)
+def _grid(grid_points: int):
+    """The uniform theta grid and e^{i theta} on its first half."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
+    phases = np.exp(1j * thetas[: grid_points // 2])
+    thetas.flags.writeable = phases.flags.writeable = False
+    return thetas, phases
+
+
+def _theta_scan(m: np.ndarray, cfg: SweepConfig, rows=None):
     """Ascending eigenvalues of Re(e^{i theta} M) on the uniform theta grid;
-    the second half of the grid is the first half negated and reversed."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, cfg.grid_points, endpoint=False)
-    ph = np.exp(1j * thetas[: cfg.grid_points // 2])[:, None, None]
+    the second half of the grid is the first half negated and reversed.
+
+    With ``rows``, only those rows of the first half are solved and returned.
+    Each matrix is built exactly as in the full stack, so for n >= 2 its
+    eigenvalues agree bit for bit; for n = 1 numpy coalesces the loop and
+    rounds differently, so 1x1 callers ask for every row.
+    """
+    thetas, ph = _grid(cfg.grid_points)
+    if rows is not None:
+        ph = ph[rows]
+    ph = ph[:, None, None]
     eigs = np.linalg.eigvalsh(0.5 * (ph * m + ph.conj() * m.conj().T))
+    if rows is not None:
+        return thetas, eigs
     return thetas, np.concatenate((eigs, -eigs[:, ::-1]))
+
+
+@dataclass(frozen=True)
+class _Cells:
+    """Coarse cells of the lazy scan on a grid of N points.
+
+    The coarse points are every _COARSE_STRIDE-th row of the first half and
+    their mirrors; cell k runs from points[k] to the next coarse point.
+    """
+
+    rows: np.ndarray  # first-half rows of the coarse points, as a mask
+    points: np.ndarray  # coarse grid indices, ascending
+    ends: np.ndarray  # grid index of each cell's far end (mod N)
+    span: np.ndarray  # angular length of each cell
+    cos_half: np.ndarray  # cos(span / 2)
+    cell_of: np.ndarray  # per grid index: its cell, or -1 at a coarse point
+
+
+@lru_cache(maxsize=None)
+def _coarse_cells(grid_points: int):
+    """The lazy scan's cells, or None if one would span pi/2 or more: the
+    outer-polygon bound needs cells well short of pi."""
+    rows = np.zeros(grid_points // 2, dtype=bool)
+    rows[::_COARSE_STRIDE] = True
+    points = np.nonzero(np.tile(rows, 2))[0]
+    length = np.diff(np.append(points, grid_points))
+    span = length * (2.0 * np.pi / grid_points)
+    if span.max() >= 0.5 * np.pi:
+        return None
+    cell_of = np.repeat(np.arange(points.size), length)
+    cell_of[points] = -1
+    cells = _Cells(rows, points, np.roll(points, -1), span, np.cos(0.5 * span), cell_of)
+    for arr in vars(cells).values():  # shared by every sweep on this grid
+        arr.flags.writeable = False
+    return cells
 
 
 def _golden(fn, a: float, b: float, tol: float, max_iter: int, find_max: bool) -> float:
@@ -207,22 +284,68 @@ def _make_pointwise(m: np.ndarray):
 
 
 class GaugeSweep:
-    """Rotation-profile gauges of one matrix from one shared theta scan.
+    """Rotation-profile gauges of one matrix from one shared, lazy theta scan.
 
-    The scan runs on construction; each of ``w``, ``crawford`` and
-    ``crawford_c`` is refined only when it is first read.
+    Construction solves the coarse grid points. Each of ``w``, ``crawford``
+    and ``crawford_c`` is refined only when it is first read, after solving
+    the fine points of the cells its bound cannot rule out; the points any
+    read solved are kept for the others.
     """
 
     def __init__(self, m: np.ndarray, cfg: SweepConfig):
-        self._thetas, eigs = _theta_scan(m, cfg)
-        self._lam_max_grid = eigs[:, -1]
-        self._min_abs_grid = np.min(np.abs(eigs), axis=1)
+        self._m, self._cfg = m, cfg
+        self._thetas = _grid(cfg.grid_points)[0]
+        self._lam_max_grid = np.full(cfg.grid_points, np.nan)
+        self._min_abs_grid = np.full(cfg.grid_points, np.nan)
+        self._solved = np.zeros(cfg.grid_points, dtype=bool)  # mirrored halves
         self._lam_max, self._min_abs = _make_pointwise(m)
         self._lipschitz = spec_norm(m)
         # eigvalsh rounding noise: a few ulps of ||M|| per dimension
         self._flat_tol = 4.0 * m.shape[0] * np.finfo(float).eps * self._lipschitz
+        self._cells = _coarse_cells(cfg.grid_points) if m.shape[0] > 1 else None
+        half = cfg.grid_points // 2
+        self._solve(np.ones(half, dtype=bool) if self._cells is None else self._cells.rows)
+
+    def _solve(self, rows: np.ndarray) -> None:
+        """Solve the first-half rows marked in ``rows`` that are not yet solved."""
+        half = self._solved.size // 2
+        rows = np.nonzero(rows & ~self._solved[:half])[0]
+        if rows.size == 0:
+            return
+        eigs = _theta_scan(self._m, self._cfg, rows)[1]
+        self._lam_max_grid[rows] = eigs[:, -1]
+        self._lam_max_grid[rows + half] = -eigs[:, 0]
+        self._min_abs_grid[rows] = self._min_abs_grid[rows + half] = np.min(
+            np.abs(eigs), axis=1)
+        self._solved[rows] = self._solved[rows + half] = True
+
+    def _cells_needed(self, grid, find_max: bool) -> np.ndarray:
+        """Per coarse cell: whether its fine points can still matter.
+
+        Coarse values that spread by less than ``reach`` keep every cell, so
+        a profile flat to rounding is scanned in full and _refine's flat
+        test sees the same grid as before.
+        """
+        cells, lip = self._cells, self._lipschitz
+        lo, hi = grid[cells.points], grid[cells.ends]
+        reach = lip * (2.0 * np.pi / grid.shape[0] + _PRUNE_MARGIN)
+        if find_max:
+            top = np.maximum(lo, hi)
+            # outer polygon: top / cos(span / 2) if top >= 0, else top
+            bound = np.maximum(top, top / cells.cos_half)
+            return bound >= lo.max() - reach
+        bound = 0.5 * (lo + hi - lip * cells.span)  # Lipschitz
+        return bound <= lo.min() + reach
 
     def _refined(self, grid, fn, find_max: bool) -> float:
+        if not self._solved.all():
+            fine = (self._cells.cell_of >= 0) & self._cells_needed(grid, find_max)[
+                self._cells.cell_of]
+            half = self._solved.size // 2
+            self._solve(fine[:half] | fine[half:])
+        if not self._solved.all():
+            # an unsolved point can be no candidate and loses every 3-point test
+            grid = np.where(self._solved, grid, -np.inf if find_max else np.inf)
         return _refine(self._thetas, grid, fn, find_max, self._lipschitz, self._flat_tol)
 
     @cached_property

@@ -4,10 +4,10 @@
 report serialization.
 
 Determinism contract: every random quantity flows from a per-trial child seed
-derived with ``seeding.splitmix64(master_seed, trial)``, so serial and
-parallel execution (and repeated runs) produce identical reports. Floats are
-serialized at 12 significant digits; reports are byte-stable at that
-precision.
+derived with ``seeding.splitmix64(master_seed, trial)``, so repeated runs
+produce identical reports, and a trial's rows do not depend on the trials
+before it. Floats are serialized at 12 significant digits; reports are
+byte-stable at that precision.
 
 Wire format: complex scalars are two-element ``[re, im]`` arrays; matrices
 are row-major nested lists of those pairs.
@@ -294,8 +294,8 @@ def fuzz(config: FuzzConfig, top: Optional[int] = None) -> Report:
         try:
             inst = make_instance(n, rank, child)
             f = new_frame(inst.a)
-            results = run_all(f, inst.operators, {"seed": child}, config.sweep,
-                              config.tol, checks=ids)
+            results = run_all(f, inst.operators, seed=child, cfg=config.sweep,
+                              tol=config.tol, ids=ids)
             rows.extend(_row(trial, res) for res in results)
         except Exception as exc:  # noqa: BLE001 - never abort the sweep
             nan = float("nan")

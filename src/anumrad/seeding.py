@@ -2,8 +2,8 @@
 
 """Deterministic 64-bit seed derivation.
 
-``splitmix64(seed, index)`` is the published child-seed function: parallel
-and serial execution of seeded trials produce identical streams because every
+``splitmix64(seed, index)`` is the published child-seed function: seeded
+trials produce the same streams in whatever order they run, because every
 consumer derives its own seed through this mix rather than sharing a
 generator.
 """

@@ -40,9 +40,30 @@ def test_resolve_ids_prefix_families():
         "thm_power_r_2",
         "thm_power_r_3",
     ]
+    # an exact id that is also a family prefix selects the whole family
+    assert resolve_ids(["thm_cubic"]) == [
+        "thm_cubic",
+        "thm_cubic_cube_zero",
+        "thm_cubic_sq_zero",
+    ]
     assert resolve_ids(None) == registry_ids()
     with pytest.raises(UnknownCheckId):
         resolve_ids(["no_such_check"])
+
+
+def test_run_all_takes_resolved_ids():
+    f = new_frame(gen_psd(3, 3, 21))
+    ops = random_operands(f, np.random.default_rng(22))
+    checks = ["thm_cubic", "lem_pointwise", "equiv_half"]
+    by_checks = run_all(f, ops, seed=5, checks=checks)
+    by_ids = run_all(f, ops, seed=5, ids=resolve_ids(checks))
+    assert [r.check_id for r in by_ids] == resolve_ids(checks)
+    def fields(results):  # repr: skipped rows carry nan
+        return [repr((r.check_id, r.lhs, r.rhs, r.passed, r.skipped)) for r in results]
+
+    assert fields(by_ids) == fields(by_checks)
+    with pytest.raises(ValueError):
+        run_all(f, ops, checks=checks, ids=resolve_ids(checks))
 
 
 def test_unknown_check_id():
@@ -100,7 +121,7 @@ def test_zero_operator_run_all():
 def test_singular_frame_skip_accounting():
     rng = np.random.default_rng(60)
     f = new_frame(gen_psd(4, 2, 3))
-    results = run_all(f, random_operands(f, rng), params={"seed": 1})
+    results = run_all(f, random_operands(f, rng), seed=1)
     skipped = {r.check_id for r in results if r.skipped}
     expected = set()
     for cid, cd in REGISTRY.items():
@@ -115,7 +136,7 @@ def test_singular_frame_skip_accounting():
 def test_strict_frame_runs_everything_but_nilpotent_equalities():
     rng = np.random.default_rng(61)
     f = new_frame(gen_psd(4, 4, 5))
-    results = run_all(f, random_operands(f, rng), params={"seed": 2})
+    results = run_all(f, random_operands(f, rng), seed=2)
     skipped = {r.check_id for r in results if r.skipped}
     assert skipped == {"thm_cubic_sq_zero", "thm_cubic_cube_zero"}
     assert not any((not r.passed and not r.skipped) for r in results)
@@ -142,9 +163,9 @@ def test_power_check_dynamic_exponent():
     f = new_frame(gen_psd(3, 3, 11))
     t = gen_compatible(f, 12)
     with pytest.raises(UnknownCheckId):
-        run_check("thm_power_r", f, {"T": t}, params={"r": 2.5})
-    with pytest.raises(UnknownCheckId):
         run_check("thm_power_r", f, {"T": t})  # no r supplied
+    with pytest.raises(TypeError):  # nor is there a free-form params dict
+        run_check("thm_power_r_2", f, {"T": t}, params={"r": 2.5})
 
 
 def test_power_non_integer_skipped_on_degenerate_frame():

@@ -224,6 +224,98 @@ def test_half_circle_scan_matches_full_circle():
         np.testing.assert_allclose(eigs, full, rtol=0, atol=1e-13)
 
 
+def _structured(n, rng):
+    """Matrices whose profiles are generic, symmetric, flat or tiny."""
+    jordan = np.diag(np.ones(n - 1), 1)
+    u, _ = np.linalg.qr(rand_complex(rng, (n, n)))
+    h = rand_complex(rng, (n, n))
+    return [
+        rand_complex(rng, (n, n)),
+        u @ np.diag(rand_complex(rng, n)) @ u.conj().T,  # normal
+        h + h.conj().T,  # Hermitian
+        jordan,
+        np.eye(n) + 0.3 * jordan,
+        (1.7 - 0.4j) * np.eye(n),
+        np.zeros((n, n)),
+        1e-8 * rand_complex(rng, (n, n)),
+        rand_complex(rng, (n, n)) + 3.0 * np.eye(n),  # 0 outside W: c > 0
+    ]
+
+
+def _full_scan_gauges(m, cfg):
+    """w, c and C from the full theta scan, refined by the same _refine."""
+    thetas, eigs = gauges._theta_scan(m, cfg)
+    lam_max, min_abs = gauges._make_pointwise(m)
+    lip = spec_norm(m)
+    flat_tol = 4.0 * m.shape[0] * np.finfo(float).eps * lip
+
+    def refined(grid, fn, find_max):
+        return gauges._refine(thetas, grid, fn, find_max, lip, flat_tol)
+
+    return (max(0.0, refined(eigs[:, -1], lam_max, True)),
+            max(0.0, -refined(eigs[:, -1], lam_max, False)),
+            max(0.0, refined(np.min(np.abs(eigs), axis=1), min_abs, False)))
+
+
+@pytest.mark.parametrize("grid", [16, 18, 20, 34, 64, 130, 1024, 2048])
+def test_pruned_scan_is_bit_identical_to_full_scan(grid):
+    # the cell bounds skip only grid points that can change nothing, in
+    # whichever order the gauges are read
+    cfg = SweepConfig(grid_points=grid)
+    rng = np.random.default_rng(grid)
+    for n in range(1, 13):
+        for m in _structured(n, rng):
+            m = np.asarray(m, dtype=complex)
+            want = [v.hex() for v in _full_scan_gauges(m, cfg)]
+            forward = gauges.sweep_gauges(m, cfg)
+            backward = gauges.sweep_gauges(m, cfg)
+            got_b = [backward.crawford_c, backward.crawford, backward.w][::-1]
+            got_f = [forward.w, forward.crawford, forward.crawford_c]
+            assert [v.hex() for v in got_f] == want, (grid, n, m)
+            assert [v.hex() for v in got_b] == want, (grid, n, m)
+
+
+def test_outer_polygon_keeps_a_peak_between_coarse_points():
+    # W is the segment [1, 1.001 e^{-i theta0}]; the higher apex sits mid-cell
+    # at theta0, where both coarse ends read 1.001 cos(8 delta) < 1 - ||M|| delta,
+    # so only the 1 / cos(span / 2) factor keeps that cell
+    cfg = SweepConfig(grid_points=130)
+    theta0 = 24 * 2 * np.pi / 130
+    m = np.diag([1.0, 1.001 * np.exp(-1j * theta0)])
+    assert numerical_radius(m, cfg) == pytest.approx(1.001, abs=1e-14)
+    assert numerical_radius(m, cfg).hex() == _full_scan_gauges(m, cfg)[0].hex()
+
+
+def test_w_read_prunes_most_of_the_scan(monkeypatch):
+    # fails if pruning is silently disabled: the full scan solves 512 rows
+    solved = []
+    scan = gauges._theta_scan
+    monkeypatch.setattr(gauges, "_theta_scan", lambda m, cfg, rows=None: solved.append(
+        cfg.grid_points // 2 if rows is None else len(rows)) or scan(m, cfg, rows))
+    rng = np.random.default_rng(49)
+    for _ in range(10):
+        solved.clear()
+        gauges.sweep_gauges(rand_complex(rng, (4, 4))).w
+        assert 0 < sum(solved) <= gauges.DEFAULT_SWEEP.grid_points // 6
+
+
+def test_row_subset_scan_matches_full_stack():
+    rng = np.random.default_rng(50)
+    cfg = SweepConfig(grid_points=1024)
+    for n in range(1, 13):
+        m = rand_complex(rng, (n, n))
+        thetas, full = gauges._theta_scan(m, cfg)
+        every = np.arange(512)
+        assert np.array_equal(gauges._theta_scan(m, cfg, every)[1], full[:512])
+        if n == 1:  # numpy rounds a 1x1 subset differently; 1x1 sweeps solve every row
+            continue
+        for _ in range(20):
+            rows = np.sort(rng.choice(512, size=int(rng.integers(1, 100)), replace=False))
+            sub_thetas, sub = gauges._theta_scan(m, cfg, rows)
+            assert sub_thetas is thetas
+            assert np.array_equal(sub, full[rows])
+
+
 def test_a_seminorm_and_min_modulus():
     rng = np.random.default_rng(32)
     t = rand_complex(rng, (3, 3))

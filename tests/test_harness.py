@@ -202,13 +202,38 @@ _GOLDEN_REPORT_SHA256 = {
     "csv": "00211a949293d783ee8bfba466ae46e2e3e8bc7f8fc3d13712c0aa0924874495",
 }
 
+# The same for the other rank policies and for a single-family sharpness
+# scan (the only run here whose summary carries top-k lists). Captured the
+# same way, from the full 1024-point theta scan, before the scan became
+# bound-pruned: the pruned scan must reproduce them bit for bit.
+_GOLDEN_RUNS = {
+    "degenerate-heavy": (
+        lambda: fuzz(FuzzConfig(trials=40, master_seed=11, rank_policy="degenerate-heavy")),
+        "6982cda33f3dd86f79e8060523ec949d9d8b2259528b14e20ae49e2d7101193e",
+        "a4069bebc7994a8acd232a0476bfae63481a53ed2aa46d2859e151819ae25eda"),
+    "full": (
+        lambda: fuzz(FuzzConfig(trials=40, master_seed=11, rank_policy="full")),
+        "4a99015d351ebeb1716d26eff5fc96caa7a3c1030fbd40d0ae0ecf6365bd20cf",
+        "0e99f1ee3ef63446cd2c3becc25a7120554c9a811fa977249a64372a271bfd9b"),
+    "equiv_half-top10": (
+        lambda: scan_sharpness(FuzzConfig(trials=100, master_seed=11, checks=["equiv_half"]),
+                               top=10),
+        "5e1df72bd023fda78b4b7c959e3dc5cbc0cb4ebcb103d8a801de8839b503c443",
+        "76df0fefd1cb7d2a7b0fb677f1eec71357100aeecb7d212fa1691e704a310132"),
+}
+
+
+def _report_digests(report):
+    return {kind: hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for kind, text in (("json", report_to_json(report)),
+                               ("csv", report_to_csv(report)))}
+
 
 def test_fuzz_report_golden_digests():
     report = fuzz(FuzzConfig(trials=40, master_seed=11))
-    digests = {kind: hashlib.sha256(text.encode("utf-8")).hexdigest()
-               for kind, text in (("json", report_to_json(report)),
-                                  ("csv", report_to_csv(report)))}
-    assert digests == _GOLDEN_REPORT_SHA256
+    assert _report_digests(report) == _GOLDEN_REPORT_SHA256
+    for name, (run, json_sha, csv_sha) in _GOLDEN_RUNS.items():
+        assert _report_digests(run()) == {"json": json_sha, "csv": csv_sha}, name
 
 
 def test_summary_counts_exact():
