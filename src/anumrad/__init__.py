@@ -9,17 +9,7 @@ Core objects: metric frames (``new_frame``), the A-adjoint calculus
 tolerance-aware inequality checks, and a seeded fuzzing harness with a CLI.
 """
 
-from .adjoint import (
-    ReducedOp,
-    admits_a_adjoint,
-    im_a,
-    is_a_positive,
-    is_a_selfadjoint,
-    is_a_unitary,
-    re_a,
-    reduced,
-    sharp,
-)
+from .adjoint import admits_a_adjoint, is_a_positive, reduced, sharp
 from .blocks import BlockOp, assemble, b_sharp_blockwise_check, block_gauge
 from .catalog import (
     CheckDef,
@@ -45,7 +35,7 @@ from .errors import (
     UnknownCheckId,
     UnsupportedExponent,
 )
-from .frame import AFrame, a_inner, a_norm_vec, direct_sum, in_null_space, new_frame
+from .frame import AFrame, direct_sum, new_frame
 from .gauges import (
     DEFAULT_SWEEP,
     GaugeSweep,
@@ -81,7 +71,7 @@ from .harness import (
     scan_sharpness,
     validate_instance,
 )
-from .matrixcore import EigDecomp, as_cmatrix, as_cvector, herm_eig
+from .matrixcore import as_cmatrix
 from .seeding import splitmix64
 
 __version__ = TOOL_VERSION
@@ -95,7 +85,6 @@ __all__ = [
     "CheckResult",
     "DEFAULT_SWEEP",
     "DimensionMismatch",
-    "EigDecomp",
     "EmptyRange",
     "FuzzConfig",
     "GaugeSweep",
@@ -106,7 +95,6 @@ __all__ = [
     "NotHermitian",
     "NotPSD",
     "REGISTRY",
-    "ReducedOp",
     "Report",
     "ReproMismatch",
     "RequiresStrictPositivity",
@@ -116,15 +104,12 @@ __all__ = [
     "UnsupportedExponent",
     "a_crawford",
     "a_crawford_C",
-    "a_inner",
     "a_min_modulus",
-    "a_norm_vec",
     "a_numerical_radius",
     "a_positive_power",
     "a_seminorm",
     "admits_a_adjoint",
     "as_cmatrix",
-    "as_cvector",
     "assemble",
     "b_sharp_blockwise_check",
     "block_gauge",
@@ -134,20 +119,14 @@ __all__ = [
     "fuzz",
     "gen_compatible",
     "gen_psd",
-    "herm_eig",
-    "im_a",
-    "in_null_space",
     "instance_from_dict",
     "instance_to_dict",
     "is_a_positive",
-    "is_a_selfadjoint",
-    "is_a_unitary",
     "load_instance",
     "make_instance",
     "new_frame",
     "numerical_radius",
     "oracle_gauge",
-    "re_a",
     "reduced",
     "registry_ids",
     "report_to_csv",

@@ -17,7 +17,7 @@ import numpy as np
 from .adjoint import sharp
 from .errors import DimensionMismatch, RequiresStrictPositivity
 from .frame import AFrame, direct_sum
-from .gauges import DEFAULT_SWEEP, SweepConfig, a_numerical_radius
+from .gauges import a_numerical_radius
 from .matrixcore import as_cmatrix, frob
 
 PATTERNS = ("diag", "antidiag", "antidiag_phase", "symmetric")
@@ -68,7 +68,6 @@ def block_gauge(
     x,
     y,
     theta: float | None = None,
-    cfg: SweepConfig = DEFAULT_SWEEP,
 ) -> tuple[float, float]:
     """Doubled-frame numerical radius of a patterned block operator and the
     matching closed form.
@@ -93,21 +92,21 @@ def block_gauge(
     bf = direct_sum(f)
     if pattern == "diag":
         op = assemble(x, zero, zero, y)
-        rhs = max(a_numerical_radius(f, x, cfg), a_numerical_radius(f, y, cfg))
+        rhs = max(a_numerical_radius(f, x), a_numerical_radius(f, y))
     elif pattern == "antidiag":
         op = assemble(zero, x, y, zero)
         swapped = assemble(zero, y, x, zero)
-        rhs = a_numerical_radius(bf, swapped.assembled, cfg)
+        rhs = a_numerical_radius(bf, swapped.assembled)
     elif pattern == "antidiag_phase":
         if theta is None:
             raise ValueError("antidiag_phase requires theta")
         op = assemble(zero, x, np.exp(1j * theta) * y, zero)
         plain = assemble(zero, x, y, zero)
-        rhs = a_numerical_radius(bf, plain.assembled, cfg)
+        rhs = a_numerical_radius(bf, plain.assembled)
     else:  # symmetric
         op = assemble(x, y, y, x)
         rhs = max(
-            a_numerical_radius(f, x + y, cfg), a_numerical_radius(f, x - y, cfg)
+            a_numerical_radius(f, x + y), a_numerical_radius(f, x - y)
         )
-    wb = a_numerical_radius(bf, op.assembled, cfg)
+    wb = a_numerical_radius(bf, op.assembled)
     return wb, rhs

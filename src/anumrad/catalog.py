@@ -156,7 +156,7 @@ class _Ctx:
         k = self._key(m)
         if k not in self._red:
             f = self.f if m.shape[0] == self.f.dim else self.bframe()
-            self._red[k] = reduced(f, m).mat
+            self._red[k] = reduced(f, m)
         return self._red[k]
 
     def _gauges(self, m: np.ndarray):
@@ -210,8 +210,8 @@ class _Ctx:
     def power_norm(self, t: np.ndarray, r: float) -> float:
         """||(T^sharp T)^r + (T T^sharp)^r||_A via the PSD functional calculus."""
         s = self.sharp_of(t)
-        p1 = a_positive_power(self.f, s @ t, r).mat
-        p2 = a_positive_power(self.f, t @ s, r).mat
+        p1 = a_positive_power(self.f, s @ t, r)
+        p2 = a_positive_power(self.f, t @ s, r)
         return spec_norm(p1 + p2)
 
 
@@ -236,6 +236,11 @@ def _hypothesis_state(cd: CheckDef, ctx: _Ctx) -> bool:
     if cd.hypothesis == "power":
         return _integer_exponent(cd.param_r) or ctx.f.strictly_positive
     raise AssertionError(f"unknown hypothesis kind {cd.hypothesis!r}")
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
 
 
 def _verdict(lhs: float, rhs: float, mode: str, tol: float, abs_tol: Optional[float]) -> bool:
@@ -734,6 +739,7 @@ def run_check(check_id: str, f: AFrame, operands, *, seed: int = 0,
     """Evaluate a single registry check; errors propagate to the caller.
 
     ``seed`` seeds the checks that sample (``lem_pointwise``)."""
+    _check_tol(tol)
     cd = REGISTRY.get(check_id)
     if cd is None:
         raise UnknownCheckId(check_id)
@@ -752,6 +758,7 @@ def run_all(f: AFrame, operands, *, seed: int = 0, cfg: SweepConfig = DEFAULT_SW
     are folded into failed results (error message in metadata) instead of
     aborting the batch; the result list is ordered by check_id.
     """
+    _check_tol(tol)
     if ids is None:
         ids = resolve_ids(checks)
     elif checks is not None:

@@ -11,16 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPSD
-from .matrixcore import (
-    DEFAULT_RANK_TOL,
-    as_cmatrix,
-    as_cvector,
-    frob,
-    herm_eig,
-    herm_part,
-    spec_norm,
-)
+from .errors import NoConvergence, NotHermitian, NotPSD
+from .matrixcore import DEFAULT_RANK_TOL, as_cmatrix, frob, herm_part
 
 
 @dataclass(frozen=True)
@@ -35,10 +27,9 @@ class AFrame:
       pinv_a            A^dagger
       range_u           n x r orthonormal basis of the range of A
       null_u            n x (n-r) orthonormal basis of the null space of A
-      rank              numerical rank r
+      rank              numerical rank r (eigenvalues above DEFAULT_RANK_TOL*||A||)
       projector         orthogonal projector onto the range of A (= U U*)
       strictly_positive r == n
-      rank_tol          relative eigenvalue cutoff used throughout
     """
 
     dim: int
@@ -51,7 +42,6 @@ class AFrame:
     rank: int
     projector: np.ndarray
     strictly_positive: bool
-    rank_tol: float
 
 
 def _freeze(*mats: np.ndarray) -> None:
@@ -59,7 +49,7 @@ def _freeze(*mats: np.ndarray) -> None:
         m.setflags(write=False)
 
 
-def new_frame(a, rank_tol: float = DEFAULT_RANK_TOL) -> AFrame:
+def new_frame(a) -> AFrame:
     """Validate a metric operator and eagerly compute its derived artifacts.
 
     Raises NotHermitian / NotPSD when A fails to be a positive operator.
@@ -70,11 +60,17 @@ def new_frame(a, rank_tol: float = DEFAULT_RANK_TOL) -> AFrame:
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise NotHermitian(f"metric must be square, got {a.shape}")
-    lam, v = herm_eig(a, tol=rank_tol)
+    dev = frob(a - a.conj().T)
+    if dev > DEFAULT_RANK_TOL * (1.0 + frob(a)):
+        raise NotHermitian(f"Hermitian deviation {dev:.3e} exceeds tolerance")
+    try:
+        lam, v = np.linalg.eigh(herm_part(a))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergence(str(exc)) from exc
     scale = float(np.max(np.abs(lam))) if n else 0.0
-    if n and float(lam[0]) < -rank_tol * scale:
+    if n and float(lam[0]) < -DEFAULT_RANK_TOL * scale:
         raise NotPSD(f"eigenvalue {lam[0]:.3e} below -tol*||A||")
-    mask = lam > rank_tol * scale
+    mask = lam > DEFAULT_RANK_TOL * scale
     r = int(mask.sum())
     # dominant eigendirection first (stable within ties), so compressions of
     # diagonal metrics keep the natural coordinate order
@@ -100,34 +96,7 @@ def new_frame(a, rank_tol: float = DEFAULT_RANK_TOL) -> AFrame:
         rank=r,
         projector=projector,
         strictly_positive=(r == n),
-        rank_tol=rank_tol,
     )
-
-
-def a_inner(f: AFrame, x, y) -> complex:
-    """Semi-inner product <x, y>_A = <Ax, y>, conjugate-linear in y."""
-    x = as_cvector(x)
-    y = as_cvector(y)
-    if x.shape[0] != f.dim or y.shape[0] != f.dim:
-        raise DimensionMismatch(
-            f"vectors of length {x.shape[0]}, {y.shape[0]} on a dim-{f.dim} frame"
-        )
-    return complex(np.vdot(y, f.a @ x))
-
-
-def a_norm_vec(f: AFrame, x) -> float:
-    """Seminorm ||x||_A = ||A^{1/2} x||; zero exactly on the null space of A."""
-    x = as_cvector(x)
-    if x.shape[0] != f.dim:
-        raise DimensionMismatch(f"vector of length {x.shape[0]} on a dim-{f.dim} frame")
-    return float(np.linalg.norm(f.sqrt_a @ x))
-
-
-def in_null_space(f: AFrame, x) -> bool:
-    """Scale-invariant numerical membership test for the null space of A."""
-    x = as_cvector(x, f.dim)
-    bound = f.rank_tol * (1.0 + float(np.linalg.norm(x)) * np.sqrt(spec_norm(f.a)))
-    return a_norm_vec(f, x) <= bound
 
 
 def direct_sum(f: AFrame) -> AFrame:
@@ -170,7 +139,6 @@ def direct_sum(f: AFrame) -> AFrame:
         rank=2 * f.rank,
         projector=proj2,
         strictly_positive=f.strictly_positive,
-        rank_tol=f.rank_tol,
     )
 
 

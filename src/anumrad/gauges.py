@@ -42,7 +42,7 @@ points are left unsolved and the gauge is bit for bit the full scan's.
 whose coarse values are flat to rounding are scanned in full.
 
 A-weighted gauges are classical gauges of the range compression (see
-adjoint.ReducedOp). ``oracle_gauge`` estimates the same quantities straight
+adjoint.reduced). ``oracle_gauge`` estimates the same quantities straight
 from their sup/inf definitions by seeded sampling with a hill-climb, and is
 the independent cross-check for the compression route.
 """
@@ -55,7 +55,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .adjoint import ReducedOp, admits_a_adjoint, is_a_positive, reduced, sharp
+from .adjoint import admits_a_adjoint, is_a_positive, reduced, sharp
 from .errors import EmptyRange, NoAdjoint, NotAPositive, UnsupportedExponent
 from .frame import AFrame
 from .matrixcore import as_cmatrix, herm_part, singular_values, spec_norm
@@ -388,7 +388,7 @@ def crawford_C(m, cfg: SweepConfig = DEFAULT_SWEEP) -> float:
 def _reduced_checked(f: AFrame, t) -> np.ndarray:
     if f.rank == 0:
         raise EmptyRange("metric has rank zero; A-gauges are undefined")
-    return reduced(f, t).mat
+    return reduced(f, t)
 
 
 def a_seminorm(f: AFrame, t) -> float:
@@ -544,8 +544,8 @@ def _integer_exponent(r: float) -> bool:
     return abs(r - round(r)) <= 1e-12
 
 
-def a_positive_power(f: AFrame, s, r: float) -> ReducedOp:
-    """Reduced operator of the r-th power of an A-positive operator.
+def a_positive_power(f: AFrame, s, r: float) -> np.ndarray:
+    """Range compression of the r-th power of an A-positive operator.
 
     Computed by eigendecomposition functional calculus on the (Hermitian PSD)
     range compression; for integer r this agrees with the plain matrix power.
@@ -564,4 +564,4 @@ def a_positive_power(f: AFrame, s, r: float) -> ReducedOp:
     lam, v = np.linalg.eigh(herm_part(k))
     lam = np.clip(lam, 0.0, None)
     mat = (v * lam ** float(r)) @ v.conj().T
-    return ReducedOp(herm_part(mat), f.dim)
+    return herm_part(mat)

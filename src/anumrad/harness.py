@@ -101,13 +101,12 @@ class Instance:
     note: str = ""
 
 
-def make_instance(n: int, rank: int, seed: int,
-                  names: Sequence[str] = OPERAND_NAMES) -> Instance:
+def make_instance(n: int, rank: int, seed: int) -> Instance:
     a = gen_psd(n, rank, splitmix64(seed, 0))
     f = new_frame(a)
     ops = {
         name: gen_compatible(f, splitmix64(seed, j + 1))
-        for j, name in enumerate(names)
+        for j, name in enumerate(OPERAND_NAMES)
     }
     return Instance(dim=n, a=a, operators=ops, seed=seed, note=f"n={n} rank={rank}")
 
@@ -135,8 +134,11 @@ def mat_to_wire(m) -> list:
 
 
 def mat_from_wire(obj) -> np.ndarray:
-    arr = np.asarray(obj, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[2] != 2:
+    try:
+        arr = np.asarray(obj, dtype=np.float64)
+    except TypeError:  # e.g. a JSON object where a matrix belongs
+        arr = None
+    if arr is None or arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError("matrix wire format must be rows of [re, im] pairs")
     return as_cmatrix(arr[:, :, 0] + 1j * arr[:, :, 1])
 
@@ -151,12 +153,25 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+def _int_field(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"instance field {key!r} must be an integer, got {value!r}") from None
+
+
 def instance_from_dict(d: dict) -> Instance:
-    dim = int(d["dim"])
+    """Parse the wire form; any malformed field raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"instance must be a JSON object, got {type(d).__name__}")
+    ops = d.get("operators", {})
+    if not isinstance(ops, dict):
+        raise ValueError("instance field 'operators' must map names to matrices")
+    dim = _int_field(d["dim"], "dim")
     a = mat_from_wire(d["A"])
-    ops = {str(k): mat_from_wire(v) for k, v in d.get("operators", {}).items()}
+    ops = {str(k): mat_from_wire(v) for k, v in ops.items()}
     return Instance(dim=dim, a=a, operators=ops,
-                    seed=int(d.get("seed", 0)), note=str(d.get("note", "")))
+                    seed=_int_field(d.get("seed", 0), "seed"), note=str(d.get("note", "")))
 
 
 def save_instance(inst: Instance, path) -> None:
@@ -192,6 +207,7 @@ class FuzzConfig:
             raise ValueError("need 1 <= n_min <= n_max")
         if self.rank_policy not in RANK_POLICIES:
             raise ValueError(f"rank_policy must be one of {RANK_POLICIES}")
+        catalog._check_tol(self.tol)
 
 
 @dataclass
@@ -327,7 +343,7 @@ def scan_sharpness(config: FuzzConfig, top: int = 10) -> Report:
 # Reference-value reproduction
 # --------------------------------------------------------------------------
 
-def repro_paper(cfg: SweepConfig = DEFAULT_SWEEP) -> Report:
+def repro_paper() -> Report:
     """Re-derive the hard-coded reference quantities and assert each one.
 
     Raises ReproMismatch naming every quantity that fails its 1e-9 window.
@@ -353,7 +369,7 @@ def repro_paper(cfg: SweepConfig = DEFAULT_SWEEP) -> Report:
     # 2. Refined fourth-power bound: rhs = 39/16, plain comparison = 49/16.
     f1 = new_frame(np.eye(3))
     t1 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
-    res = run_check("thm_refined_fourth", f1, {"T": t1}, cfg=cfg)
+    res = run_check("thm_refined_fourth", f1, {"T": t1})
     record(1, "repro_refined_rhs_39_16", res.rhs, 39.0 / 16.0,
            abs(res.rhs - 39.0 / 16.0) <= tol)
     comparison = float(res.metadata["comparison_rhs"])
@@ -364,7 +380,7 @@ def repro_paper(cfg: SweepConfig = DEFAULT_SWEEP) -> Report:
     #    while T^2 is nonzero.
     f2 = new_frame(np.eye(3))
     t2 = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    w = a_numerical_radius(f2, t2, cfg)
+    w = a_numerical_radius(f2, t2)
     record(2, "repro_w_equals_one", w, 1.0, abs(w - 1.0) <= tol)
     s = sharp(f2, t2)
     half_sqrt = 0.5 * math.sqrt(a_seminorm(f2, t2 @ s + s @ t2))

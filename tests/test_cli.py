@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from anumrad import make_instance, save_instance
+from anumrad import instance_to_dict, make_instance, save_instance
 from anumrad.harness import RANK_POLICIES, FuzzConfig
 
 
@@ -101,6 +101,23 @@ def test_check_command_input_errors(tmp_path):
     assert "adjoint" in proc.stderr.lower()
 
 
+@pytest.mark.parametrize("malformed", [
+    {"operators": None}, {"operators": [1, 2]}, "top-level list",
+    {"dim": None}, {"seed": None}, {"A": {}},
+], ids=["operators-null", "operators-list", "top-level-list", "dim-null", "seed-null",
+        "metric-object"])
+def test_check_command_rejects_malformed_instances(tmp_path, malformed):
+    # malformed input is a usage error (exit 2), never a violation (exit 1)
+    obj = json.loads(json.dumps(instance_to_dict(make_instance(2, 2, seed=1))))
+    obj = [obj] if malformed == "top-level list" else {**obj, **malformed}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    proc = run_cli("check", "--instance", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_check_command_rejects_unknown_operand_names(tmp_path):
     # a misspelled operand must be a usage error, not 40 theorem violations
     path = tmp_path / "inst.json"
@@ -132,7 +149,7 @@ def test_check_command_rejects_missing_operands(tmp_path, supplied, missing):
         assert "checks=2 violations=0" in proc.stdout
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     assert run_cli().returncode == 2
     assert run_cli("fuzz").returncode == 2  # --trials required
     assert run_cli("fuzz", "--trials", "-3").returncode == 2
@@ -141,6 +158,19 @@ def test_usage_errors():
                    "--top", "-2")
     assert proc.returncode == 2
     assert "top" in proc.stderr
+
+    # a tolerance must be finite and nonnegative; 0 is a valid (exact) one
+    path = tmp_path / "inst.json"
+    save_instance(make_instance(3, 3, seed=42), path)
+    fuzz_args = ("fuzz", "--trials", "2", "--seed", "3", "--check-id", "equiv_half")
+    check_args = ("check", "--instance", str(path), "--check-id", "equiv_half")
+    for args in (fuzz_args, check_args):
+        for tol in ("-1", "nan", "inf"):
+            proc = run_cli(*args, "--tol", tol)
+            assert proc.returncode == 2, (args, tol, proc.stderr)
+            assert proc.stderr.startswith("error:") and "tolerance" in proc.stderr
+        proc = run_cli(*args, "--tol", "0")
+        assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("explore", [False, True])

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from anumrad import (
-    a_inner,
-    a_norm_vec,
-    direct_sum,
-    gen_psd,
-    in_null_space,
-    new_frame,
-)
-from anumrad.errors import DimensionMismatch, NotHermitian, NotPSD
+from anumrad import direct_sum, gen_psd, new_frame
+from anumrad.errors import NotHermitian, NotPSD
 from anumrad.matrixcore import frob
 
 
@@ -82,58 +75,6 @@ def test_rank_zero_frame():
     assert f.range_u.shape == (3, 0) and f.null_u.shape == (3, 3)
     for m in (f.sqrt_a, f.pinv_sqrt_a, f.pinv_a, f.projector):
         np.testing.assert_allclose(m, 0.0, atol=0.0)
-
-
-def test_a_inner_examples():
-    assert a_inner(new_frame(np.eye(2)), [1, 0], [1, 0]) == pytest.approx(1.0)
-    assert a_inner(new_frame(np.diag([0.0, 1.0])), [1, 0], [1, 0]) == pytest.approx(0.0)
-    # <A(1,1), (1,0)> = <(4,1), (1,0)> = 4
-    assert a_inner(new_frame(np.diag([4.0, 1.0])), [1, 1], [1, 0]) == pytest.approx(4.0)
-
-
-def test_a_inner_conjugate_linear_in_second_argument():
-    f = new_frame(np.diag([2.0, 3.0]))
-    x, y = np.array([1.0, 1j]), np.array([0.5, -1j])
-    assert a_inner(f, x, 1j * y) == pytest.approx(-1j * a_inner(f, x, y))
-
-
-def test_a_inner_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        a_inner(new_frame(np.eye(2)), [1, 0, 0], [1, 0])
-
-
-def test_a_norm_examples():
-    assert a_norm_vec(new_frame(np.eye(2)), [3, 4]) == pytest.approx(5.0)
-    # seminorm degeneracy on the null space
-    assert a_norm_vec(new_frame(np.diag([0.0, 1.0])), [7, 0]) == pytest.approx(0.0, abs=1e-12)
-    assert a_norm_vec(new_frame(np.diag([4.0, 1.0])), [1, 1]) == pytest.approx(np.sqrt(5.0))
-
-
-def test_norm_matches_inner_product():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        n = int(rng.integers(1, 7))
-        f = new_frame(gen_psd(n, int(rng.integers(1, n + 1)), int(rng.integers(0, 2**63))))
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        ip = a_inner(f, x, x)
-        assert a_norm_vec(f, x) ** 2 == pytest.approx(ip.real, abs=1e-12 * (1 + np.linalg.norm(x) ** 2))
-        assert abs(ip.imag) <= 1e-12 * (1.0 + np.linalg.norm(x) ** 2)
-
-
-def test_cauchy_schwarz_semi_inner_product():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        n = int(rng.integers(1, 7))
-        f = new_frame(gen_psd(n, int(rng.integers(0, n + 1)), int(rng.integers(0, 2**63))))
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert abs(a_inner(f, x, y)) <= a_norm_vec(f, x) * a_norm_vec(f, y) + 1e-10
-
-
-def test_in_null_space():
-    f = new_frame(np.diag([0.0, 1.0]))
-    assert in_null_space(f, [5.0, 0.0])
-    assert not in_null_space(f, [0.0, 1e-3])
 
 
 def test_direct_sum_examples():

@@ -166,6 +166,9 @@ def test_fuzz_rank_policies():
         FuzzConfig(trials=1, rank_policy="bogus")
     with pytest.raises(ValueError):
         FuzzConfig(trials=-1)
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            FuzzConfig(trials=1, tol=tol)
 
 
 def test_fuzz_zero_trials_empty_report():
@@ -289,3 +292,15 @@ def test_repro_values_are_exact_fractions():
     assert by_id["repro_comparison_49_16"]["lhs"] == pytest.approx(3.0625, abs=1e-9)
     assert by_id["repro_w_equals_one"]["lhs"] == pytest.approx(1.0, abs=1e-9)
     assert math.isfinite(by_id["repro_t2_frobenius_one"]["lhs"])
+
+
+def test_package_all_is_sorted_and_complete():
+    import types
+
+    import anumrad
+
+    names = anumrad.__all__
+    assert names == sorted(names) and len(set(names)) == len(names)
+    public = {k for k, v in vars(anumrad).items()
+              if not k.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert set(names) == public
