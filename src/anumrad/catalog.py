@@ -33,7 +33,8 @@ from .gauges import (
     DEFAULT_SWEEP,
     SweepConfig,
     _integer_exponent,
-    a_positive_power,
+    a_positive_eig,
+    positive_power,
     sweep_gauges,
 )
 from .matrixcore import as_cmatrix, frob, singular_values, spec_norm
@@ -95,14 +96,19 @@ def resolve_ids(checks: Optional[Sequence[str]]) -> list[str]:
     return sorted(out)
 
 
+def operands_needed(ids: Sequence[str]) -> frozenset:
+    """The operands the resolved checks ``ids`` read: the union of their
+    ``CheckDef.roles``."""
+    return frozenset(role for cid in ids for role in REGISTRY[cid].roles)
+
+
 def missing_operands(operands, checks: Optional[Sequence[str]] = None) -> list[str]:
-    """Operands the selected checks need (``CheckDef.roles``) that neither
+    """Operands the selected checks need (``operands_needed``) that neither
     ``operands`` nor the fallbacks X = Y = T and P = Q = I supply."""
     have = set(operands or {}) | {"P", "Q"}
     if "T" in have:
         have |= {"X", "Y"}
-    need = {role for cid in resolve_ids(checks) for role in REGISTRY[cid].roles}
-    return sorted(need - have)
+    return sorted(operands_needed(resolve_ids(checks)) - have)
 
 
 class _Ctx:
@@ -123,6 +129,7 @@ class _Ctx:
         self._red: dict = {}
         self._sweep: dict = {}
         self._sv: dict = {}
+        self._eig: dict = {}
         self._bf: Optional[AFrame] = None
 
     @staticmethod
@@ -207,11 +214,18 @@ class _Ctx:
         s = self.sharp_of(t)
         return s @ t + t @ s
 
+    def _positive_eig(self, m: np.ndarray):
+        k = self._key(m)
+        if k not in self._eig:
+            self._eig[k] = a_positive_eig(self.f, m)
+        return self._eig[k]
+
     def power_norm(self, t: np.ndarray, r: float) -> float:
-        """||(T^sharp T)^r + (T T^sharp)^r||_A via the PSD functional calculus."""
+        """||(T^sharp T)^r + (T T^sharp)^r||_A via the PSD functional calculus;
+        each factor is decomposed once per instance, whatever the exponents."""
         s = self.sharp_of(t)
-        p1 = a_positive_power(self.f, s @ t, r)
-        p2 = a_positive_power(self.f, t @ s, r)
+        p1 = positive_power(self.f, self._positive_eig(s @ t), r)
+        p2 = positive_power(self.f, self._positive_eig(t @ s), r)
         return spec_norm(p1 + p2)
 
 

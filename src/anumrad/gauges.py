@@ -544,24 +544,40 @@ def _integer_exponent(r: float) -> bool:
     return abs(r - round(r)) <= 1e-12
 
 
-def a_positive_power(f: AFrame, s, r: float) -> np.ndarray:
-    """Range compression of the r-th power of an A-positive operator.
+def a_positive_eig(f: AFrame, s) -> tuple:
+    """Checked spectral decomposition (lam, v) of the range compression of an
+    A-positive operator, with lam clipped at 0; ``positive_power`` takes it
+    to any admissible power, so a caller can reuse it across exponents."""
+    if not is_a_positive(f, s):
+        raise NotAPositive("operand is not A-positive")
+    lam, v = np.linalg.eigh(herm_part(reduced(f, s)))
+    return np.clip(lam, 0.0, None), v
 
-    Computed by eigendecomposition functional calculus on the (Hermitian PSD)
-    range compression; for integer r this agrees with the plain matrix power.
+
+def positive_power(f: AFrame, eig: tuple, r: float) -> np.ndarray:
+    """The r-th power of a decomposition from ``a_positive_eig`` on ``f``.
+
     Non-integer exponents require a strictly positive metric: a fractional
     functional calculus on a degenerate frame is not offered.
     """
     if r < 1:
         raise ValueError("exponent must satisfy r >= 1")
-    if not is_a_positive(f, s):
-        raise NotAPositive("operand is not A-positive")
     if not _integer_exponent(r) and not f.strictly_positive:
         raise UnsupportedExponent(
             "non-integer exponent requires a strictly positive metric"
         )
-    k = _reduced_checked(f, s)
-    lam, v = np.linalg.eigh(herm_part(k))
-    lam = np.clip(lam, 0.0, None)
-    mat = (v * lam ** float(r)) @ v.conj().T
-    return herm_part(mat)
+    if f.rank == 0:
+        raise EmptyRange("metric has rank zero; A-gauges are undefined")
+    lam, v = eig
+    return herm_part((v * lam ** float(r)) @ v.conj().T)
+
+
+def a_positive_power(f: AFrame, s, r: float) -> np.ndarray:
+    """Range compression of the r-th power of an A-positive operator.
+
+    Computed by eigendecomposition functional calculus on the (Hermitian PSD)
+    range compression; for integer r this agrees with the plain matrix power.
+    """
+    if r < 1:
+        raise ValueError("exponent must satisfy r >= 1")
+    return positive_power(f, a_positive_eig(f, s), r)

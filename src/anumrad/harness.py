@@ -6,7 +6,10 @@ report serialization.
 Determinism contract: every random quantity flows from a per-trial child seed
 derived with ``seeding.splitmix64(master_seed, trial)``, so repeated runs
 produce identical reports, and a trial's rows do not depend on the trials
-before it. Floats are serialized at 12 significant digits; reports are
+before it. Within a trial each operand's stream is fixed by its name
+(``splitmix64(seed, OPERAND_NAMES.index(name) + 1)``), so a trial that draws
+only the operands its checks read gets the same matrices as a full draw.
+Floats are serialized at 12 significant digits; reports are
 byte-stable at that precision.
 
 Wire format: complex scalars are two-element ``[re, im]`` arrays; matrices
@@ -20,13 +23,13 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Collection, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import catalog
 from .adjoint import admits_a_adjoint, sharp
-from .catalog import CheckResult, resolve_ids, run_all, run_check
+from .catalog import CheckResult, operands_needed, resolve_ids, run_all, run_check
 from .errors import BadRank, NoAdjoint, ReproMismatch
 from .frame import AFrame, new_frame
 from .gauges import DEFAULT_SWEEP, SweepConfig, a_numerical_radius, a_seminorm
@@ -92,23 +95,34 @@ def gen_compatible(f: AFrame, seed: int) -> np.ndarray:
 
 @dataclass
 class Instance:
-    """Serializable problem instance: metric, named operators, seed, note."""
+    """Serializable problem instance: metric, named operators, seed, note.
+
+    ``frame`` is the metric's frame when the instance was generated here; it
+    is neither serialized nor compared, and a loaded instance has none."""
 
     dim: int
     a: np.ndarray
     operators: Dict[str, np.ndarray]
     seed: int
     note: str = ""
+    frame: Optional[AFrame] = field(default=None, repr=False, compare=False)
 
 
-def make_instance(n: int, rank: int, seed: int) -> Instance:
+def make_instance(n: int, rank: int, seed: int,
+                  names: Collection[str] = OPERAND_NAMES) -> Instance:
+    """Random instance with the operands ``names``, each drawn from its own
+    stream ``splitmix64(seed, OPERAND_NAMES.index(name) + 1)``."""
+    unknown = sorted(set(names) - set(OPERAND_NAMES))
+    if unknown:
+        raise ValueError(f"unknown operand(s) {unknown}; expected names from {OPERAND_NAMES}")
     a = gen_psd(n, rank, splitmix64(seed, 0))
     f = new_frame(a)
     ops = {
         name: gen_compatible(f, splitmix64(seed, j + 1))
-        for j, name in enumerate(OPERAND_NAMES)
+        for j, name in enumerate(OPERAND_NAMES) if name in names
     }
-    return Instance(dim=n, a=a, operators=ops, seed=seed, note=f"n={n} rank={rank}")
+    return Instance(dim=n, a=a, operators=ops, seed=seed, note=f"n={n} rank={rank}",
+                    frame=f)
 
 
 def validate_instance(inst: Instance) -> AFrame:
@@ -154,10 +168,9 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def _int_field(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, OverflowError):
-        raise ValueError(f"instance field {key!r} must be an integer, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"instance field {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def instance_from_dict(d: dict) -> Instance:
@@ -170,8 +183,11 @@ def instance_from_dict(d: dict) -> Instance:
     dim = _int_field(d["dim"], "dim")
     a = mat_from_wire(d["A"])
     ops = {str(k): mat_from_wire(v) for k, v in ops.items()}
+    note = d.get("note", "")
+    if not isinstance(note, str):
+        raise ValueError(f"instance field 'note' must be a string, got {note!r}")
     return Instance(dim=dim, a=a, operators=ops,
-                    seed=_int_field(d.get("seed", 0), "seed"), note=str(d.get("note", "")))
+                    seed=_int_field(d.get("seed", 0), "seed"), note=note)
 
 
 def save_instance(inst: Instance, path) -> None:
@@ -291,6 +307,9 @@ def _rank_for_policy(rng: np.random.Generator, n: int, policy: str) -> int:
 def fuzz(config: FuzzConfig, top: Optional[int] = None) -> Report:
     """Seeded random-instance sweep over the (filtered) check registry.
 
+    Each trial draws only the operands the selected checks read (the union of
+    their ``CheckDef.roles``) and builds its frame once, in ``make_instance``.
+
     Exit contract: zero violations expected; any violation indicates an
     implementation bug, since every registered statement is a theorem on its
     hypothesis domain.
@@ -298,6 +317,7 @@ def fuzz(config: FuzzConfig, top: Optional[int] = None) -> Report:
     if top is not None and top < 0:
         raise ValueError("top must be nonnegative")
     ids = resolve_ids(config.checks)
+    names = operands_needed(ids)
     rows: List[dict] = []
     trial_seeds: List[int] = []
     trial_errors: List[dict] = []
@@ -308,9 +328,8 @@ def fuzz(config: FuzzConfig, top: Optional[int] = None) -> Report:
         n = int(trng.integers(config.n_min, config.n_max + 1))
         rank = _rank_for_policy(trng, n, config.rank_policy)
         try:
-            inst = make_instance(n, rank, child)
-            f = new_frame(inst.a)
-            results = run_all(f, inst.operators, seed=child, cfg=config.sweep,
+            inst = make_instance(n, rank, child, names=names)
+            results = run_all(inst.frame, inst.operators, seed=child, cfg=config.sweep,
                               tol=config.tol, ids=ids)
             rows.extend(_row(trial, res) for res in results)
         except Exception as exc:  # noqa: BLE001 - never abort the sweep

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
+from anumrad import catalog
 from anumrad import (
     gen_compatible,
     gen_psd,
+    is_a_positive,
     new_frame,
+    reduced,
     registry_ids,
     resolve_ids,
     run_all,
     run_check,
+    sharp,
 )
-from anumrad.catalog import REGISTRY, _verdict, missing_operands
+from anumrad.catalog import REGISTRY, _Ctx, _verdict, missing_operands, operands_needed
+from anumrad.gauges import DEFAULT_SWEEP, a_positive_eig
+from anumrad.matrixcore import spec_norm
 from anumrad.errors import UnknownCheckId
 
 T39 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
@@ -210,18 +216,79 @@ def test_operand_defaults():
     assert res.rhs == pytest.approx(full.rhs, rel=1e-12)
 
 
+def _bits(res):
+    return (float(res.lhs).hex(), float(res.rhs).hex(), res.passed, res.skipped)
+
+
 def test_roles_name_every_operand_a_check_reads():
-    # missing_operands trusts CheckDef.roles, so a check given only its roles
-    # must evaluate without falling back to an operand it does not declare
-    f = new_frame(gen_psd(3, 3, 18))
-    ops = random_operands(f, np.random.default_rng(19))
-    for cid, cd in REGISTRY.items():
-        res = run_check(cid, f, {name: ops[name] for name in cd.roles})
-        assert res.passed or res.skipped, cid
+    # missing_operands and fuzz trust CheckDef.roles: a check given only its
+    # roles must give the same result, bit for bit, as with all five operands,
+    # so it cannot fall back to an operand it does not declare (X = T, P = I)
+    for n, rank, seed in ((3, 3, 18), (4, 2, 20)):
+        f = new_frame(gen_psd(n, rank, seed))
+        ops = random_operands(f, np.random.default_rng(seed + 1))
+        for cid, cd in REGISTRY.items():
+            res = run_check(cid, f, {name: ops[name] for name in cd.roles})
+            assert _bits(res) == _bits(run_check(cid, f, ops)), cid
+            assert res.passed or res.skipped, cid
     assert missing_operands(ops) == []
     assert missing_operands({"X": ops["X"], "Y": ops["Y"]}) == ["T"]
     assert missing_operands({"X": ops["X"]}) == ["T", "Y"]
     assert missing_operands({"X": ops["X"]}, ["thm_prod_particular"]) == []
+
+
+def test_operands_needed_is_the_role_union():
+    assert operands_needed(resolve_ids(["equiv_half"])) == {"T"}
+    assert operands_needed(resolve_ids(["thm_block_lower"])) == {"X", "Y"}
+    assert operands_needed(resolve_ids(["thm_prod"])) == {"P", "Q", "X", "Y"}
+    assert operands_needed(resolve_ids(["lem_pointwise", "cor_commutator"])) == {
+        "T", "Q", "X", "Y"}
+    assert operands_needed(registry_ids()) == set("TXYPQ")
+    assert operands_needed([]) == set()
+
+
+def _uncached_power_norm(f, t, r):
+    # the power term as a_positive_power computed it before the decomposition
+    # was split out: A-positivity check, compression, eigh and clip per call
+    s = sharp(f, t)
+    parts = []
+    for m in (s @ t, t @ s):
+        assert is_a_positive(f, m)
+        k = reduced(f, m)
+        lam, v = np.linalg.eigh(0.5 * (k + k.conj().T))
+        lam = np.clip(lam, 0.0, None)
+        p = (v * lam ** float(r)) @ v.conj().T
+        parts.append(0.5 * (p + p.conj().T))
+    return spec_norm(parts[0] + parts[1])
+
+
+@pytest.mark.parametrize("rank", [4, 2])
+def test_cached_power_norm_matches_uncached(rank):
+    # one decomposition per factor serves every exponent, bit for bit
+    rng = np.random.default_rng(67 + rank)
+    for _ in range(5):
+        f = new_frame(gen_psd(4, rank, int(rng.integers(0, 2**63))))
+        t = gen_compatible(f, int(rng.integers(0, 2**63)))
+        ctx = _Ctx(f, {"T": t}, 0, DEFAULT_SWEEP)
+        exponents = (1.0, 1.5, 2.0, 3.0) if rank == 4 else (1.0, 2.0, 3.0)
+        for r in exponents + exponents:
+            got = ctx.power_norm(t, r)
+            assert got.hex() == _uncached_power_norm(f, t, r).hex(), r
+
+
+def test_power_checks_decompose_each_factor_once(monkeypatch):
+    calls = []
+
+    def counting(f, m):
+        calls.append(m.tobytes())
+        return a_positive_eig(f, m)
+
+    monkeypatch.setattr(catalog, "a_positive_eig", counting)
+    f = new_frame(gen_psd(3, 3, 71))
+    t = gen_compatible(f, 72)
+    results = run_all(f, {"T": t}, checks=["thm_power_r"])
+    assert len(results) == 4 and all(r.passed for r in results)
+    assert len(calls) == 2 and len(set(calls)) == 2
 
 
 def test_improvement_orderings():

@@ -104,10 +104,14 @@ def test_check_command_input_errors(tmp_path):
 @pytest.mark.parametrize("malformed", [
     {"operators": None}, {"operators": [1, 2]}, "top-level list",
     {"dim": None}, {"seed": None}, {"A": {}},
+    {"seed": 1.9}, {"seed": "7"}, {"seed": True}, {"dim": 2.7}, {"dim": True},
+    {"note": None},
 ], ids=["operators-null", "operators-list", "top-level-list", "dim-null", "seed-null",
-        "metric-object"])
+        "metric-object", "seed-float", "seed-string", "seed-bool", "dim-float",
+        "dim-bool", "note-null"])
 def test_check_command_rejects_malformed_instances(tmp_path, malformed):
-    # malformed input is a usage error (exit 2), never a violation (exit 1)
+    # malformed input is a usage error (exit 2), never a violation (exit 1);
+    # dim and seed must be JSON integers and note a string, not coercible values
     obj = json.loads(json.dumps(instance_to_dict(make_instance(2, 2, seed=1))))
     obj = [obj] if malformed == "top-level list" else {**obj, **malformed}
     path = tmp_path / "inst.json"

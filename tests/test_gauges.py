@@ -459,6 +459,34 @@ def test_a_positive_power_validation():
     assert red.shape == (1, 1) and red[0, 0] == pytest.approx(4.0, abs=1e-10)
 
 
+def test_a_positive_power_error_order_and_split():
+    # the exponent is checked before A-positivity, A-positivity before the
+    # degenerate-frame exponent rule, as a_positive_power always did
+    f_sing = new_frame(np.diag([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        a_positive_power(f_sing, NILP, 0.5)
+    with pytest.raises(NotAPositive):
+        a_positive_power(f_sing, -np.eye(2), 1.5)
+    with pytest.raises(NotAPositive):
+        gauges.a_positive_eig(f_sing, -np.eye(2))
+    # the power step checks its exponent on every call, cached input or not
+    eig = gauges.a_positive_eig(f_sing, np.eye(2))
+    with pytest.raises(ValueError):
+        gauges.positive_power(f_sing, eig, 0.5)
+    with pytest.raises(UnsupportedExponent):
+        gauges.positive_power(f_sing, eig, 1.5)
+    f0 = new_frame(np.zeros((2, 2)))
+    with pytest.raises(UnsupportedExponent):
+        a_positive_power(f0, np.eye(2), 1.5)
+    with pytest.raises(EmptyRange):
+        a_positive_power(f0, np.eye(2), 2)
+    f = new_frame(np.diag([4.0, 1.0]))
+    s = np.diag([4.0, 9.0])
+    eig = gauges.a_positive_eig(f, s)
+    for r in (1, 1.5, 2, 3):
+        assert gauges.positive_power(f, eig, r).tobytes() == a_positive_power(f, s, r).tobytes()
+
+
 def test_integer_power_matches_matrix_product():
     rng = np.random.default_rng(35)
     for _ in range(10):

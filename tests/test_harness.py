@@ -99,6 +99,63 @@ def test_instance_roundtrip(tmp_path):
     validate_instance(loaded)
 
 
+def test_make_instance_draws_each_operand_from_its_own_stream():
+    # an operand's matrix depends on its name only, not on which others are drawn
+    full = make_instance(4, 2, 123)
+    assert set(full.operators) == {"T", "X", "Y", "P", "Q"}
+    for names in (("X",), ("Q", "T"), ("P", "Q", "X", "Y"), ()):
+        part = make_instance(4, 2, 123, names=names)
+        assert set(part.operators) == set(names)
+        assert part.a.tobytes() == full.a.tobytes()
+        for name in names:
+            assert part.operators[name].tobytes() == full.operators[name].tobytes()
+    with pytest.raises(ValueError):
+        make_instance(4, 2, 123, names=("X", "Z"))
+    # the frame rides along unserialized; a loaded instance has none
+    assert full.frame.range_u.tobytes() == new_frame(full.a).range_u.tobytes()
+    d = instance_to_dict(full)
+    assert "frame" not in d and instance_from_dict(d).frame is None
+
+
+def test_fuzz_builds_one_frame_and_draws_only_needed_operands(monkeypatch):
+    import anumrad.harness as harness
+
+    frames, drawn = [], []
+    real_new_frame, real_make_instance = harness.new_frame, harness.make_instance
+
+    def counting_new_frame(a):
+        frames.append(a)
+        return real_new_frame(a)
+
+    def recording_make_instance(*args, **kwargs):
+        inst = real_make_instance(*args, **kwargs)
+        drawn.append(frozenset(inst.operators))
+        return inst
+
+    monkeypatch.setattr(harness, "new_frame", counting_new_frame)
+    monkeypatch.setattr(harness, "make_instance", recording_make_instance)
+    for checks, names in ((["equiv_half"], {"T"}), (["thm_block_lower"], {"X", "Y"}),
+                          (None, {"T", "X", "Y", "P", "Q"})):
+        frames.clear()
+        drawn.clear()
+        fuzz(FuzzConfig(trials=6, master_seed=3, checks=checks))
+        assert len(frames) == 6
+        assert drawn == [names] * 6
+
+
+def _row_bits(row):
+    return tuple(float(v).hex() if isinstance(v, float) else v for v in row.values())
+
+
+def test_filtered_fuzz_rows_equal_full_run_rows():
+    # drawing only a check's operands must not change any of its rows
+    full = fuzz(FuzzConfig(trials=20, master_seed=7))
+    for cid in registry_ids():
+        rows = fuzz(FuzzConfig(trials=20, master_seed=7, checks=[cid])).rows
+        want = [_row_bits(r) for r in full.rows if r["check_id"] == cid]
+        assert [_row_bits(r) for r in rows if r["check_id"] == cid] == want, cid
+
+
 def test_validate_instance_rejects_bad_operator():
     inst = make_instance(2, 1, seed=3)
     inst.operators["T"] = np.array([[0.0, 1.0], [1.0, 0.0]])
