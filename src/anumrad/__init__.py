@@ -30,7 +30,6 @@ from .errors import (
     NotAPositive,
     NotHermitian,
     NotPSD,
-    ReproMismatch,
     RequiresStrictPositivity,
     UnknownCheckId,
     UnsupportedExponent,
@@ -57,6 +56,7 @@ from .harness import (
     Instance,
     Report,
     TOOL_VERSION,
+    check_instance,
     fuzz,
     gen_compatible,
     gen_psd,
@@ -96,7 +96,6 @@ __all__ = [
     "NotPSD",
     "REGISTRY",
     "Report",
-    "ReproMismatch",
     "RequiresStrictPositivity",
     "SweepConfig",
     "TOOL_VERSION",
@@ -113,6 +112,7 @@ __all__ = [
     "assemble",
     "b_sharp_blockwise_check",
     "block_gauge",
+    "check_instance",
     "crawford",
     "crawford_C",
     "direct_sum",

@@ -6,7 +6,9 @@ Every check compares a left-hand side against a right-hand side at a
 relative tolerance and reports a structured CheckResult. Multi-part
 statements are registered as atomic sub-checks (``_lower``/``_upper``,
 ``_plus``/``_minus``, roman numerals); the family name is a common prefix, so
-id filters accept either the exact id or a family prefix.
+id filters accept either the exact id or a family prefix that ends where an
+``_``-separated word of the id ends (``thm_block_lower_i`` is one id, not the
+four ``thm_block_lower_*``).
 
 Hypothesis gating: checks whose statement assumes a strictly positive metric
 are *skipped* (never failed) on degenerate frames; the same applies to the
@@ -30,8 +32,6 @@ from .blocks import assemble
 from .errors import UnknownCheckId
 from .frame import AFrame, direct_sum
 from .gauges import (
-    DEFAULT_SWEEP,
-    SweepConfig,
     _integer_exponent,
     a_positive_eig,
     positive_power,
@@ -84,12 +84,13 @@ def registry_ids() -> list[str]:
 
 
 def resolve_ids(checks: Optional[Sequence[str]]) -> list[str]:
-    """Expand exact ids and family prefixes into sorted registry ids."""
+    """Expand exact ids and family prefixes into sorted registry ids; a
+    prefix matches whole ``_``-separated words only."""
     if not checks:
         return registry_ids()
     out = set()
     for pat in checks:
-        hits = [cid for cid in REGISTRY if cid == pat or cid.startswith(pat)]
+        hits = [cid for cid in REGISTRY if cid == pat or cid.startswith(pat + "_")]
         if not hits:
             raise UnknownCheckId(pat)
         out.update(hits)
@@ -112,7 +113,7 @@ def missing_operands(operands, checks: Optional[Sequence[str]] = None) -> list[s
 
 
 class _Ctx:
-    """Per-instance evaluation context: frame, sweep config and gauge caches.
+    """Per-instance evaluation context: frame, operands and gauge caches.
 
     Gauges are memoized by matrix bytes so that checks sharing intermediate
     operators (the same T^2, the same assembled block, ...) pay for each
@@ -120,9 +121,8 @@ class _Ctx:
     operators on H + H alike; the size of a matrix picks its frame.
     """
 
-    def __init__(self, f: AFrame, operands, seed: int, cfg: SweepConfig):
+    def __init__(self, f: AFrame, operands, seed: int):
         self.f = f
-        self.cfg = cfg
         self.seed = int(seed)
         self._ops = {k: as_cmatrix(v) for k, v in dict(operands or {}).items()}
         self._sharp: dict = {}
@@ -169,7 +169,7 @@ class _Ctx:
     def _gauges(self, m: np.ndarray):
         k = self._key(m)
         if k not in self._sweep:
-            self._sweep[k] = sweep_gauges(self.red(m), self.cfg)
+            self._sweep[k] = sweep_gauges(self.red(m))
         return self._sweep[k]
 
     def _singvals(self, m: np.ndarray) -> np.ndarray:
@@ -731,6 +731,11 @@ def _unevaluated(check_id: str, passed: bool, hypothesis_met: bool,
     return CheckResult(check_id, nan, nan, nan, passed, hypothesis_met, metadata)
 
 
+def errored_result(check_id: str, error: str) -> CheckResult:
+    """A check that raised ``error``: failed, not skipped, never evaluated."""
+    return _unevaluated(check_id, False, True, {"error": error})
+
+
 def _run_one(cd: CheckDef, ctx: _Ctx, tol: float) -> CheckResult:
     if not _hypothesis_state(cd, ctx):
         return _unevaluated(cd.check_id, True, False, {"skip_reason": cd.hypothesis})
@@ -749,7 +754,7 @@ def _run_one(cd: CheckDef, ctx: _Ctx, tol: float) -> CheckResult:
 
 
 def run_check(check_id: str, f: AFrame, operands, *, seed: int = 0,
-              cfg: SweepConfig = DEFAULT_SWEEP, tol: float = DEFAULT_TOL) -> CheckResult:
+              tol: float = DEFAULT_TOL) -> CheckResult:
     """Evaluate a single registry check; errors propagate to the caller.
 
     ``seed`` seeds the checks that sample (``lem_pointwise``)."""
@@ -757,12 +762,12 @@ def run_check(check_id: str, f: AFrame, operands, *, seed: int = 0,
     cd = REGISTRY.get(check_id)
     if cd is None:
         raise UnknownCheckId(check_id)
-    ctx = _Ctx(f, operands, seed, cfg)
+    ctx = _Ctx(f, operands, seed)
     return _run_one(cd, ctx, tol)
 
 
-def run_all(f: AFrame, operands, *, seed: int = 0, cfg: SweepConfig = DEFAULT_SWEEP,
-            tol: float = DEFAULT_TOL, checks: Optional[Sequence[str]] = None,
+def run_all(f: AFrame, operands, *, seed: int = 0, tol: float = DEFAULT_TOL,
+            checks: Optional[Sequence[str]] = None,
             ids: Optional[Sequence[str]] = None) -> list[CheckResult]:
     """Evaluate a filtered batch of checks on one instance.
 
@@ -777,13 +782,12 @@ def run_all(f: AFrame, operands, *, seed: int = 0, cfg: SweepConfig = DEFAULT_SW
         ids = resolve_ids(checks)
     elif checks is not None:
         raise ValueError("pass checks or ids, not both")
-    ctx = _Ctx(f, operands, seed, cfg)
+    ctx = _Ctx(f, operands, seed)
     results = []
     for cid in ids:
         cd = REGISTRY[cid]
         try:
             results.append(_run_one(cd, ctx, tol))
         except Exception as exc:  # noqa: BLE001 - fold into the report
-            error = {"error": f"{type(exc).__name__}: {exc}"}
-            results.append(_unevaluated(cid, False, True, error))
+            results.append(errored_result(cid, f"{type(exc).__name__}: {exc}"))
     return results

@@ -10,6 +10,10 @@ Subcommands:
 
 Exit codes: 0 all pass/skip, 1 at least one violation, 2 usage or input
 error, 3 reference mismatch.
+
+Every report comes from ``harness`` (``check_instance``, ``fuzz``,
+``scan_sharpness``, ``repro_paper``); this module only prints it, writes it
+out and maps it to an exit code.
 """
 
 from __future__ import annotations
@@ -17,16 +21,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .catalog import DEFAULT_TOL, missing_operands, registry_ids, run_all
-from .errors import AnumradError, ReproMismatch
-from .gauges import DEFAULT_SWEEP, SweepConfig
+from .catalog import DEFAULT_TOL, registry_ids
+from .errors import AnumradError
 from .harness import (
     RANK_POLICIES,
-    TOOL_VERSION,
     FuzzConfig,
-    Report,
-    _row,
-    _summarize,
+    check_instance,
     exit_code_for,
     fuzz,
     load_instance,
@@ -34,12 +34,10 @@ from .harness import (
     report_to_json,
     repro_paper,
     scan_sharpness,
-    validate_instance,
     violation_count,
 )
 
 EXIT_OK = 0
-EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_REPRO = 3
 
@@ -68,8 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank-policy", default="mixed", choices=RANK_POLICIES)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--grid", type=int, default=DEFAULT_SWEEP.grid_points,
-                       help="theta grid points per gauge sweep (even, at least 16)")
         p.add_argument("--json", help="write the report as JSON to this path")
         p.add_argument("--csv", help="write the rows as CSV to this path")
 
@@ -102,7 +98,7 @@ def _print_rows(rows) -> None:
         print(f"{row['check_id']:34s} {lhs:>16s} {rhs:>16s} {slack:>12s} {status:>8s}")
 
 
-def _print_summary(report: Report) -> None:
+def _print_summary(report) -> None:
     checks = report.summary["checks"]
     print(f"{'check_id':34s} {'eval':>6s} {'skip':>6s} {'viol':>6s} {'min_slack':>12s}")
     for cid in sorted(checks):
@@ -115,7 +111,7 @@ def _print_summary(report: Report) -> None:
           f"violations={report.summary['violations']}")
 
 
-def _write_outputs(report: Report, json_path, csv_path=None) -> None:
+def _write_outputs(report, json_path, csv_path=None) -> None:
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(report_to_json(report))
@@ -125,38 +121,24 @@ def _write_outputs(report: Report, json_path, csv_path=None) -> None:
 
 
 def _cmd_repro(_args) -> int:
-    try:
-        report = repro_paper()
-    except ReproMismatch as exc:
-        report = getattr(exc, "report", None)
-        if report is not None:
-            _print_rows(report.rows)
-        print(f"REPRO MISMATCH: {exc}", file=sys.stderr)
-        return EXIT_REPRO
+    report = repro_paper()
     _print_rows(report.rows)
+    failed = [row["check_id"] for row in report.rows if not row["pass"]]
+    if failed:
+        print(f"REPRO MISMATCH: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_REPRO
     print("repro: all reference quantities reproduced")
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
     inst = load_instance(args.instance)
-    f = validate_instance(inst)
     checks = None if args.check_id == "all" else [args.check_id]
-    missing = missing_operands(inst.operators, checks)
-    if missing:
-        raise ValueError(f"instance lacks operand(s) {', '.join(missing)} "
-                         "needed by the selected checks")
-    results = run_all(f, inst.operators, seed=inst.seed,
-                      tol=args.tol, checks=checks)
-    rows = [_row(0, r) for r in results]
-    _print_rows(rows)
-    violations = sum(1 for r in results if not r.passed and not r.skipped)
-    if args.json:
-        report = Report(TOOL_VERSION, inst.seed, 1, rows,
-                        _summarize(rows, [inst.seed], [r.check_id for r in results]))
-        _write_outputs(report, args.json)
-    print(f"checks={len(results)} violations={violations}")
-    return EXIT_VIOLATION if violations else EXIT_OK
+    report = check_instance(inst, checks, tol=args.tol)
+    _print_rows(report.rows)
+    _write_outputs(report, args.json)
+    print(f"checks={len(report.rows)} violations={violation_count(report)}")
+    return exit_code_for(report)
 
 
 def _fuzz_config(args, checks) -> FuzzConfig:
@@ -168,7 +150,6 @@ def _fuzz_config(args, checks) -> FuzzConfig:
         rank_policy=args.rank_policy,
         tol=args.tol,
         checks=checks,
-        sweep=SweepConfig(grid_points=args.grid),
     )
 
 
@@ -213,9 +194,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ReproMismatch as exc:
-        print(f"REPRO MISMATCH: {exc}", file=sys.stderr)
-        return EXIT_REPRO
     except (AnumradError, OSError, ValueError, KeyError) as exc:
         # JSONDecodeError is a ValueError subclass, so malformed input files
         # land here as well.

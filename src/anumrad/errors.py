@@ -53,7 +53,3 @@ class UnknownCheckId(AnumradError):
 
 class BadRank(AnumradError):
     """Requested rank is out of range for the matrix dimension."""
-
-
-class ReproMismatch(AnumradError):
-    """A hard-coded reference quantity did not reproduce. Names the quantity."""

@@ -3,6 +3,11 @@
 """Instance generation, seeded fuzzing, reference-value reproduction and
 report serialization.
 
+Every report is assembled here: ``check_instance`` (one instance),
+``fuzz``/``scan_sharpness`` (seeded random trials) and ``repro_paper`` (the
+reference quantities) build their rows with ``_row`` and their summary with
+``_summarize``, so the CLI only prints, writes and picks an exit code.
+
 Determinism contract: every random quantity flows from a per-trial child seed
 derived with ``seeding.splitmix64(master_seed, trial)``, so repeated runs
 produce identical reports, and a trial's rows do not depend on the trials
@@ -29,10 +34,11 @@ import numpy as np
 
 from . import catalog
 from .adjoint import admits_a_adjoint, sharp
-from .catalog import CheckResult, operands_needed, resolve_ids, run_all, run_check
-from .errors import BadRank, NoAdjoint, ReproMismatch
+from .catalog import (CheckResult, errored_result, missing_operands, operands_needed,
+                      resolve_ids, run_all, run_check)
+from .errors import BadRank, NoAdjoint
 from .frame import AFrame, new_frame
-from .gauges import DEFAULT_SWEEP, SweepConfig, a_numerical_radius, a_seminorm
+from .gauges import a_numerical_radius, a_seminorm
 from .matrixcore import as_cmatrix, frob, herm_part
 from .seeding import splitmix64
 
@@ -214,7 +220,6 @@ class FuzzConfig:
     rank_policy: str = "mixed"
     tol: float = catalog.DEFAULT_TOL
     checks: Optional[Sequence[str]] = None
-    sweep: SweepConfig = field(default_factory=lambda: DEFAULT_SWEEP)
 
     def __post_init__(self):
         if self.trials < 0:
@@ -236,6 +241,7 @@ class Report:
 
 
 def _row(trial: int, res: CheckResult) -> dict:
+    """The report row of ``res``; every report row is built here."""
     return {
         "trial": trial,
         "check_id": res.check_id,
@@ -253,18 +259,11 @@ def _isnan(x) -> bool:
 
 def _summarize(rows: List[dict], trial_seeds: List[int], ids: Sequence[str],
                top: Optional[int] = None) -> dict:
-    per: Dict[str, dict] = {}
-    for cid in ids:
-        per[cid] = {
-            "evaluated": 0,
-            "skipped": 0,
-            "violations": 0,
-            "min_slack": None,
-            "min_rel_slack": None,
-            "sharpest_seed": None,
-        }
-        if top is not None:
-            per[cid]["top"] = []
+    """Per-check counts plus, from one list of (rel_slack, slack, seed)
+    candidates per check, the minimum slacks, the sharpest seed and (with
+    ``top``) the ``top`` sharpest trials. The sort is stable, so the first
+    trial wins a tie."""
+    per = {cid: {"evaluated": 0, "skipped": 0, "violations": 0} for cid in ids}
     candidates: Dict[str, list] = {cid: [] for cid in ids}
     for row in rows:
         entry = per[row["check_id"]]
@@ -272,26 +271,19 @@ def _summarize(rows: List[dict], trial_seeds: List[int], ids: Sequence[str],
             entry["skipped"] += 1
             continue
         entry["evaluated"] += 1
-        if not row["pass"]:
-            entry["violations"] += 1
+        entry["violations"] += not row["pass"]
         slack = row["slack"]
-        if _isnan(slack):
-            continue
-        rel = slack / (1.0 + abs(row["rhs"]))
-        seed = trial_seeds[row["trial"]]
-        candidates[row["check_id"]].append((rel, slack, seed))
-        if entry["min_slack"] is None or slack < entry["min_slack"]:
-            entry["min_slack"] = slack
-        if entry["min_rel_slack"] is None or rel < entry["min_rel_slack"]:
-            entry["min_rel_slack"] = rel
-            entry["sharpest_seed"] = seed
-    if top is not None:
-        for cid, cand in candidates.items():
-            cand.sort(key=lambda t: t[0])
-            per[cid]["top"] = [
-                {"seed": seed, "rel_slack": rel, "slack": slack}
-                for rel, slack, seed in cand[:top]
-            ]
+        if not _isnan(slack):
+            rel = slack / (1.0 + abs(row["rhs"]))
+            candidates[row["check_id"]].append((rel, slack, trial_seeds[row["trial"]]))
+    for cid, entry in per.items():
+        cand = sorted(candidates[cid], key=lambda c: c[0])
+        entry["min_slack"] = min((slack for _, slack, _ in cand), default=None)
+        best = cand[0] if cand else (None, None, None)
+        entry["min_rel_slack"], entry["sharpest_seed"] = best[0], best[2]
+        if top is not None:
+            entry["top"] = [{"seed": seed, "rel_slack": rel, "slack": slack}
+                            for rel, slack, seed in cand[:top]]
     violations = sum(e["violations"] for e in per.values())
     return {"rows": len(rows), "violations": violations, "checks": per}
 
@@ -329,27 +321,17 @@ def fuzz(config: FuzzConfig, top: Optional[int] = None) -> Report:
         rank = _rank_for_policy(trng, n, config.rank_policy)
         try:
             inst = make_instance(n, rank, child, names=names)
-            results = run_all(inst.frame, inst.operators, seed=child, cfg=config.sweep,
-                              tol=config.tol, ids=ids)
-            rows.extend(_row(trial, res) for res in results)
+            results = run_all(inst.frame, inst.operators, seed=child, tol=config.tol,
+                              ids=ids)
         except Exception as exc:  # noqa: BLE001 - never abort the sweep
-            nan = float("nan")
-            for cid in ids:
-                rows.append({
-                    "trial": trial, "check_id": cid, "lhs": nan, "rhs": nan,
-                    "slack": nan, "pass": False, "skipped": False,
-                })
-            trial_errors.append({"trial": trial, "error": f"{type(exc).__name__}: {exc}"})
+            error = f"{type(exc).__name__}: {exc}"
+            results = [errored_result(cid, error) for cid in ids]
+            trial_errors.append({"trial": trial, "error": error})
+        rows.extend(_row(trial, res) for res in results)
     summary = _summarize(rows, trial_seeds, ids, top=top)
     if trial_errors:
         summary["trial_errors"] = trial_errors
-    return Report(
-        tool_version=TOOL_VERSION,
-        master_seed=config.master_seed,
-        trials=config.trials,
-        rows=rows,
-        summary=summary,
-    )
+    return Report(TOOL_VERSION, config.master_seed, config.trials, rows, summary)
 
 
 def scan_sharpness(config: FuzzConfig, top: int = 10) -> Report:
@@ -358,69 +340,62 @@ def scan_sharpness(config: FuzzConfig, top: int = 10) -> Report:
     return fuzz(config, top=top)
 
 
+def check_instance(inst: Instance, checks: Optional[Sequence[str]] = None,
+                   tol: float = catalog.DEFAULT_TOL) -> Report:
+    """One-trial report of ``checks`` (ids or family prefixes, default all)
+    on ``inst``, seeded by ``inst.seed``. An inadmissible instance, or one
+    lacking an operand a selected check reads, raises instead (NoAdjoint or
+    ValueError), so bad input is never reported as a violation."""
+    f = validate_instance(inst)
+    missing = missing_operands(inst.operators, checks)
+    if missing:
+        raise ValueError(f"instance lacks operand(s) {', '.join(missing)} "
+                         "needed by the selected checks")
+    results = run_all(f, inst.operators, seed=inst.seed, tol=tol, checks=checks)
+    rows = [_row(0, res) for res in results]
+    return Report(TOOL_VERSION, inst.seed, 1, rows,
+                  _summarize(rows, [inst.seed], [res.check_id for res in results]))
+
+
 # --------------------------------------------------------------------------
 # Reference-value reproduction
 # --------------------------------------------------------------------------
 
 def repro_paper() -> Report:
-    """Re-derive the hard-coded reference quantities and assert each one.
-
-    Raises ReproMismatch naming every quantity that fails its 1e-9 window.
-    """
-    tol = 1e-9
+    """Re-derive the hard-coded reference quantities, one row each (lhs the
+    derived value, rhs the reference); a value more than 1e-9 off its
+    reference is a failed row."""
     rows: List[dict] = []
-    failures: List[str] = []
 
-    def record(trial: int, name: str, lhs: float, rhs: float, ok: bool) -> None:
-        rows.append({
-            "trial": trial, "check_id": name, "lhs": float(lhs), "rhs": float(rhs),
-            "slack": float(rhs - lhs), "pass": bool(ok), "skipped": False,
-        })
-        if not ok:
-            failures.append(name)
+    def record(trial: int, name: str, value: float, reference: float) -> None:
+        lhs, rhs = float(value), float(reference)
+        passed = abs(rhs - lhs) <= 1e-9
+        rows.append(_row(trial, CheckResult(name, lhs, rhs, rhs - lhs, passed, True)))
 
     # 1. The classic 2x2 pair where the adjoint does not exist.
     f0 = new_frame(np.array([[0.0, 0.0], [0.0, 1.0]]))
     t0 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    admits = admits_a_adjoint(f0, t0)
-    record(0, "repro_no_adjoint", 1.0 if admits else 0.0, 0.0, not admits)
+    record(0, "repro_no_adjoint", 1.0 if admits_a_adjoint(f0, t0) else 0.0, 0.0)
 
     # 2. Refined fourth-power bound: rhs = 39/16, plain comparison = 49/16.
     f1 = new_frame(np.eye(3))
     t1 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
     res = run_check("thm_refined_fourth", f1, {"T": t1})
-    record(1, "repro_refined_rhs_39_16", res.rhs, 39.0 / 16.0,
-           abs(res.rhs - 39.0 / 16.0) <= tol)
-    comparison = float(res.metadata["comparison_rhs"])
-    record(1, "repro_comparison_49_16", comparison, 49.0 / 16.0,
-           abs(comparison - 49.0 / 16.0) <= tol)
+    record(1, "repro_refined_rhs_39_16", res.rhs, 39.0 / 16.0)
+    record(1, "repro_comparison_49_16", res.metadata["comparison_rhs"], 49.0 / 16.0)
 
     # 3. Equality without nilpotency: w_A(T) = sqrt(||TT#+T#T||_A)/2 = 1
-    #    while T^2 is nonzero.
+    #    while T^2 is nonzero (its Frobenius norm is 1).
     f2 = new_frame(np.eye(3))
     t2 = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    w = a_numerical_radius(f2, t2)
-    record(2, "repro_w_equals_one", w, 1.0, abs(w - 1.0) <= tol)
+    record(2, "repro_w_equals_one", a_numerical_radius(f2, t2), 1.0)
     s = sharp(f2, t2)
-    half_sqrt = 0.5 * math.sqrt(a_seminorm(f2, t2 @ s + s @ t2))
-    record(2, "repro_half_sqrt_norm_one", half_sqrt, 1.0,
-           abs(half_sqrt - 1.0) <= tol)
-    t2_sq = frob(t2 @ t2)
-    record(2, "repro_t2_frobenius_one", t2_sq, 1.0,
-           abs(t2_sq - 1.0) <= tol and t2_sq > 0.0)
+    record(2, "repro_half_sqrt_norm_one",
+           0.5 * math.sqrt(a_seminorm(f2, t2 @ s + s @ t2)), 1.0)
+    record(2, "repro_t2_frobenius_one", frob(t2 @ t2), 1.0)
 
-    report = Report(
-        tool_version=TOOL_VERSION,
-        master_seed=0,
-        trials=3,
-        rows=rows,
-        summary=_summarize(rows, [0, 1, 2], [r["check_id"] for r in rows]),
-    )
-    if failures:
-        exc = ReproMismatch("reference mismatch: " + ", ".join(failures))
-        exc.report = report
-        raise exc
-    return report
+    return Report(TOOL_VERSION, 0, 3, rows,
+                  _summarize(rows, [0, 1, 2], [r["check_id"] for r in rows]))
 
 
 # --------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def _gauss(rng, shape):
 
 def test_criterion_1_reference_reproduction():
     t0 = time.perf_counter()
-    report = repro_paper()  # raises ReproMismatch on any failure
+    report = repro_paper()  # a quantity outside its window is a failed row
     elapsed = time.perf_counter() - t0
 
     by_id = {r["check_id"]: r for r in report.rows}

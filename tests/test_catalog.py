@@ -15,7 +15,7 @@ from anumrad import (
     sharp,
 )
 from anumrad.catalog import REGISTRY, _Ctx, _verdict, missing_operands, operands_needed
-from anumrad.gauges import DEFAULT_SWEEP, a_positive_eig
+from anumrad.gauges import a_positive_eig
 from anumrad.matrixcore import spec_norm
 from anumrad.errors import UnknownCheckId
 
@@ -52,9 +52,15 @@ def test_resolve_ids_prefix_families():
         "thm_cubic_cube_zero",
         "thm_cubic_sq_zero",
     ]
+    # a prefix ends at a word boundary: a full id selects itself, not the
+    # longer ids it is a string prefix of
+    assert resolve_ids(["thm_block_lower_i"]) == ["thm_block_lower_i"]
+    assert resolve_ids(["thm_block_lower_ii"]) == ["thm_block_lower_ii"]
+    assert resolve_ids(["thm_power_r_1"]) == ["thm_power_r_1"]
     assert resolve_ids(None) == registry_ids()
-    with pytest.raises(UnknownCheckId):
-        resolve_ids(["no_such_check"])
+    for pat in ("no_such_check", "thm_pro"):
+        with pytest.raises(UnknownCheckId):
+            resolve_ids([pat])
 
 
 def test_run_all_takes_resolved_ids():
@@ -269,7 +275,7 @@ def test_cached_power_norm_matches_uncached(rank):
     for _ in range(5):
         f = new_frame(gen_psd(4, rank, int(rng.integers(0, 2**63))))
         t = gen_compatible(f, int(rng.integers(0, 2**63)))
-        ctx = _Ctx(f, {"T": t}, 0, DEFAULT_SWEEP)
+        ctx = _Ctx(f, {"T": t}, 0)
         exponents = (1.0, 1.5, 2.0, 3.0) if rank == 4 else (1.0, 2.0, 3.0)
         for r in exponents + exponents:
             got = ctx.power_norm(t, r)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -157,7 +158,6 @@ def test_usage_errors(tmp_path):
     assert run_cli().returncode == 2
     assert run_cli("fuzz").returncode == 2  # --trials required
     assert run_cli("fuzz", "--trials", "-3").returncode == 2
-    assert run_cli("fuzz", "--trials", "1", "--grid", "1023").returncode == 2
     proc = run_cli("scan-sharpness", "--trials", "1", "--check-id", "equiv_half",
                    "--top", "-2")
     assert proc.returncode == 2
@@ -207,13 +207,50 @@ def test_scan_sharpness_command():
     assert "seed=" in proc.stdout
 
 
-def test_repro_mismatch_exit_code(monkeypatch):
-    # exercised in-process: a reference failure must map to exit code 3
-    from anumrad import cli
-    from anumrad.errors import ReproMismatch
+def test_repro_mismatch_exit_code(monkeypatch, capsys):
+    # exercised in-process: a quantity outside its window is a failed row of
+    # the report, and a failed row maps to exit code 3 with the rows printed
+    from anumrad import cli, harness
 
-    def broken():
-        raise ReproMismatch("reference mismatch: repro_w_equals_one")
+    monkeypatch.setattr(harness, "a_numerical_radius", lambda f, t: 1.5)
+    report = harness.repro_paper()
+    assert [r["check_id"] for r in report.rows if not r["pass"]] == ["repro_w_equals_one"]
+    assert report.summary["violations"] == 1
 
-    monkeypatch.setattr(cli, "repro_paper", broken)
     assert cli.main(["repro"]) == 3
+    out, err = capsys.readouterr()
+    assert err == "REPRO MISMATCH: repro_w_equals_one\n"
+    assert "repro_refined_rhs_39_16" in out and "FAIL" in out
+    assert "reproduced" not in out
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("args,json_digest,stdout_digest", [
+    ((5, 5, 7), "34659d3b6b37692b19fc2e8ce66315f757c983612f81755239ed6d96dc4d20f7",
+     "2c3d4a4f2d7afecbd691192c372f6cdd87bfc4462ea7d9077378270afcaafc8e"),
+    ((4, 2, 9), "ad12f226d6929823749b4dcc085179ca689c8517fbc67d1be84a987a2e79716d",
+     "ac869a27a8f414d6929eab1238acc30ffd3e5296556bb8dd2a374bdb4ade3a46"),
+], ids=["full-rank", "rank-2"])
+def test_check_output_golden_digests(tmp_path, args, json_digest, stdout_digest):
+    # the check report and table are pinned byte for byte
+    inst_path, json_path = tmp_path / "inst.json", tmp_path / "report.json"
+    save_instance(make_instance(*args), inst_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "anumrad", "check", "--instance", str(inst_path),
+         "--json", str(json_path)],
+        capture_output=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _sha256(json_path.read_bytes()) == json_digest
+    assert _sha256(proc.stdout) == stdout_digest
+
+
+def test_repro_output_golden_digest():
+    proc = subprocess.run([sys.executable, "-m", "anumrad", "repro"],
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert _sha256(proc.stdout) == (
+        "44d8c1790d5237d8c8ab75f4945ba0e13602e9fa8018f2adcb0fd366eb0a83d4")

@@ -7,7 +7,9 @@ import pytest
 
 from anumrad import (
     FuzzConfig,
+    Instance,
     admits_a_adjoint,
+    check_instance,
     fuzz,
     gen_compatible,
     gen_psd,
@@ -20,6 +22,7 @@ from anumrad import (
     report_to_csv,
     report_to_json,
     repro_paper,
+    run_all,
     save_instance,
     scan_sharpness,
     splitmix64,
@@ -163,6 +166,54 @@ def test_validate_instance_rejects_bad_operator():
     if not admits_a_adjoint(f, inst.operators["T"]):
         with pytest.raises(NoAdjoint):
             validate_instance(inst)
+
+
+@pytest.mark.parametrize("args", [(5, 5, 7), (4, 2, 9)])
+def test_check_instance_is_a_one_trial_report_of_run_all(args):
+    inst = make_instance(*args)
+    report = check_instance(inst)
+    assert report.trials == 1 and report.master_seed == inst.seed
+    results = run_all(new_frame(inst.a), inst.operators, seed=inst.seed)
+    want = [(0, r.check_id, r.lhs.hex(), r.rhs.hex(), r.slack.hex(), r.passed, r.skipped)
+            for r in results]
+    assert [_row_bits(row) for row in report.rows] == want
+    assert report.summary["rows"] == len(results)
+    assert sorted(report.summary["checks"]) == registry_ids()
+    assert [r["check_id"] for r in check_instance(inst, ["thm_block_lower_i"]).rows] == [
+        "thm_block_lower_i"]
+
+
+def test_check_instance_rejects_missing_operands():
+    inst = make_instance(3, 3, seed=42)
+    lacking = Instance(dim=inst.dim, a=inst.a, operators={"X": inst.operators["X"]},
+                       seed=inst.seed)
+    with pytest.raises(ValueError, match=r"lacks operand\(s\) T, Y"):
+        check_instance(lacking)
+    # checks that read only X, P and Q still run
+    assert len(check_instance(lacking, ["thm_prod_particular"]).rows) == 2
+
+
+def test_fuzz_trial_error_rows(monkeypatch):
+    # a trial that raises becomes one failed, unevaluated row per check
+    import anumrad.harness as harness
+
+    real = harness.make_instance
+
+    def flaky(n, rank, seed, names):
+        if seed == splitmix64(3, 1):
+            raise RuntimeError("boom")
+        return real(n, rank, seed, names=names)
+
+    monkeypatch.setattr(harness, "make_instance", flaky)
+    report = fuzz(FuzzConfig(trials=2, master_seed=3, checks=["equiv_half"]))
+    assert report.summary["trial_errors"] == [{"trial": 1, "error": "RuntimeError: boom"}]
+    errored = [r for r in report.rows if r["trial"] == 1]
+    assert [r["check_id"] for r in errored] == ["equiv_half_lower", "equiv_half_upper"]
+    for r in errored:
+        assert all(math.isnan(r[k]) for k in ("lhs", "rhs", "slack"))
+        assert r["pass"] is False and r["skipped"] is False
+    assert report.summary["violations"] == 2
+    assert '"lhs": null' in report_to_json(report)
 
 
 def test_fuzz_small_run_clean():
