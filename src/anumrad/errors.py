@@ -50,6 +50,10 @@ class RequiresStrictPositivity(AnumradError):
 class UnknownCheckId(AnumradError):
     """No check with this id exists in the registry."""
 
+    def __init__(self, check_id: str):
+        super().__init__(
+            f"unknown check id {check_id!r}; `anumrad list-checks` prints the ids")
+
 
 class BadRank(AnumradError):
     """Requested rank is out of range for the matrix dimension."""

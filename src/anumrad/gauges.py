@@ -34,12 +34,26 @@ every coarse cell [a, b] between two solved points:
   * the Lipschitz bound (f_a + f_b - ||M|| (b - a)) / 2 bounds either
     profile from below (for c and C).
 
-A cell whose bound stays more than ||M|| delta (the grid step) beyond the
-coarse extremum holds neither the grid extremum nor a refinement candidate,
-and it cannot change the 3-point test of a neighbouring candidate. So its
-points are left unsolved and the gauge is bit for bit the full scan's.
-1x1 matrices, grids whose coarse cells would span pi/2 or more, and profiles
-whose coarse values are flat to rounding are scanned in full.
+Refinement from a grid point stays within one grid step delta of it, where
+the outer polygon bounds lambda_max by v / cos(delta / 2) from a local
+maximum v. So a w read refines only the maxima that can still win: those
+whose bound reaches the grid maximum. It skips a cell when the same test,
+applied to the cell's own outer bound, fails against the coarse maximum. A
+c or C read skips a cell whose Lipschitz bound stays more than ||M|| delta
+above the coarse minimum. A skipped cell holds neither the grid extremum nor
+a refinement candidate, and it cannot change the 3-point test of a
+neighbouring candidate. So its points are left unsolved and the gauge is bit
+for bit the full scan's. 1x1 matrices, grids whose coarse cells would span
+pi/2 or more, and profiles whose coarse values are flat to rounding are
+scanned in full.
+
+A c read first tries a sign certificate. If the Lipschitz bound keeps
+lambda_max positive between every pair of adjacent solved points, on the
+coarse cells and then on the solved fine ones, 0 lies inside the numerical
+range and c = 0 without refinement. Every eigenvalue the full scan and its
+refinement would compute is then positive as well, so theirs is 0 too.
+Each test clears its threshold by _PRUNE_MARGIN ||M||, far above eigvalsh
+rounding.
 
 A-weighted gauges are classical gauges of the range compression (see
 adjoint.reduced). ``oracle_gauge`` estimates the same quantities straight
@@ -68,9 +82,9 @@ _REFINE_TOL = 1e-12
 _REFINE_MAX_ITER = 200
 # The lazy scan solves every _COARSE_STRIDE-th grid point first.
 _COARSE_STRIDE = 16
-# A cell is skipped only if its bound clears the prune threshold by this much
-# times ||M||: far above eigvalsh rounding (a few ulps of ||M|| per
-# dimension), far below the ||M|| delta the threshold already allows.
+# Every pruning test (a skipped cell, a dropped refinement candidate, the sign
+# certificate for c) clears its threshold by this much times ||M||: far above
+# eigvalsh rounding (a few ulps of ||M|| per dimension).
 _PRUNE_MARGIN = 1e-10
 
 
@@ -219,6 +233,17 @@ def _newton(fn, x: float, delta: float, find_max: bool) -> float:
     return sign * best
 
 
+def _can_win(v, best, grid_points: int, lipschitz: float):
+    """Whether refining a local maximum v of the lambda_max grid can reach best.
+
+    Refinement stays within one grid step delta of the maximum, where the
+    outer polygon bounds the profile by v / cos(delta / 2) if v >= 0 and by
+    v otherwise. Monotone in v, so it also applies to an upper bound on v.
+    """
+    cos_half = math.cos(math.pi / grid_points)
+    return np.maximum(v, v / cos_half) + _PRUNE_MARGIN * lipschitz >= best
+
+
 def _refine(thetas, vals, fn, find_max, lipschitz, flat_tol) -> float:
     """Grid extremum improved by refining every bracket that could still win.
 
@@ -233,7 +258,7 @@ def _refine(thetas, vals, fn, find_max, lipschitz, flat_tol) -> float:
     nxt = np.roll(vals, -1)
     if find_max:
         cand = np.nonzero((vals >= prev) & (vals >= nxt))[0]
-        cand = cand[vals[cand] + lipschitz * delta >= grid_best]
+        cand = cand[_can_win(vals[cand], grid_best, vals.shape[0], lipschitz)]
     else:
         cand = np.nonzero((vals <= prev) & (vals <= nxt))[0]
         cand = cand[vals[cand] - lipschitz * delta <= grid_best]
@@ -289,7 +314,10 @@ class GaugeSweep:
     Construction solves the coarse grid points. Each of ``w``, ``crawford``
     and ``crawford_c`` is refined only when it is first read, after solving
     the fine points of the cells its bound cannot rule out; the points any
-    read solved are kept for the others.
+    read solved are kept for the others. ``w`` refines only the maxima that
+    can still win (``_can_win``). ``crawford`` returns 0 without refining
+    when the sign certificate (``_zero_inside``) holds on the coarse cells,
+    or on the fine ones once they are solved.
     """
 
     def __init__(self, m: np.ndarray, cfg: SweepConfig):
@@ -322,27 +350,49 @@ class GaugeSweep:
     def _cells_needed(self, grid, find_max: bool) -> np.ndarray:
         """Per coarse cell: whether its fine points can still matter.
 
-        Coarse values that spread by less than ``reach`` keep every cell, so
-        a profile flat to rounding is scanned in full and _refine's flat
+        Coarse values that spread by less than the margin keep every cell,
+        so a profile flat to rounding is scanned in full and _refine's flat
         test sees the same grid as before.
         """
         cells, lip = self._cells, self._lipschitz
         lo, hi = grid[cells.points], grid[cells.ends]
-        reach = lip * (2.0 * np.pi / grid.shape[0] + _PRUNE_MARGIN)
         if find_max:
             top = np.maximum(lo, hi)
             # outer polygon: top / cos(span / 2) if top >= 0, else top
-            bound = np.maximum(top, top / cells.cos_half)
-            return bound >= lo.max() - reach
+            outer = np.maximum(top, top / cells.cos_half)
+            # the cell's points read at most outer, up to eigvalsh rounding
+            return _can_win(outer + _PRUNE_MARGIN * lip, lo.max(), grid.shape[0], lip)
+        reach = lip * (2.0 * np.pi / grid.shape[0] + _PRUNE_MARGIN)
         bound = 0.5 * (lo + hi - lip * cells.span)  # Lipschitz
         return bound <= lo.min() + reach
 
-    def _refined(self, grid, fn, find_max: bool) -> float:
+    def _solve_cells(self, grid, find_max: bool) -> None:
+        """Solve the fine points of the cells a read cannot rule out."""
         if not self._solved.all():
             fine = (self._cells.cell_of >= 0) & self._cells_needed(grid, find_max)[
                 self._cells.cell_of]
             half = self._solved.size // 2
             self._solve(fine[:half] | fine[half:])
+
+    def _zero_inside(self) -> bool:
+        """The sign certificate for c: whether lambda_max provably stays above
+        _PRUNE_MARGIN ||M|| all round the circle, so that 0 lies inside the
+        numerical range.
+
+        Between adjacent solved points a and b, (h_a + h_b - ||M|| (b - a)) / 2
+        bounds the profile from below. Every eigenvalue of the profile that
+        the full scan or its refinement computes then lies a few ulps of ||M||
+        from a value above the margin, so it is positive, and c is 0.
+        """
+        solved = np.nonzero(self._solved)[0]
+        steps = np.diff(solved, append=solved[0] + self._solved.size)
+        h = self._lam_max_grid
+        floor = 0.5 * (h[solved] + h[np.roll(solved, -1)]
+                       - self._lipschitz * (2.0 * np.pi / self._solved.size) * steps)
+        return bool(floor.min() > _PRUNE_MARGIN * self._lipschitz)
+
+    def _refined(self, grid, fn, find_max: bool) -> float:
+        """The read's extremum, refined from the points solved so far."""
         if not self._solved.all():
             # an unsolved point can be no candidate and loses every 3-point test
             grid = np.where(self._solved, grid, -np.inf if find_max else np.inf)
@@ -351,16 +401,23 @@ class GaugeSweep:
     @cached_property
     def w(self) -> float:
         """Numerical radius: max over theta of lambda_max(Re(e^{i theta} M))."""
+        self._solve_cells(self._lam_max_grid, True)
         return max(0.0, self._refined(self._lam_max_grid, self._lam_max, True))
 
     @cached_property
     def crawford(self) -> float:
         """Crawford number: max(0, -min over theta of lambda_max)."""
+        if self._zero_inside():
+            return 0.0
+        self._solve_cells(self._lam_max_grid, False)
+        if self._zero_inside():
+            return 0.0
         return max(0.0, -self._refined(self._lam_max_grid, self._lam_max, False))
 
     @cached_property
     def crawford_c(self) -> float:
         """C: min over theta of sigma_min(Re(e^{i theta} M))."""
+        self._solve_cells(self._min_abs_grid, False)
         return max(0.0, self._refined(self._min_abs_grid, self._min_abs, False))
 
 

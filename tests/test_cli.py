@@ -177,6 +177,19 @@ def test_usage_errors(tmp_path):
         assert proc.returncode == 0, proc.stderr
 
 
+def test_unknown_check_id_names_itself_and_the_list(tmp_path):
+    # "all" is check's default for every id, but no id for fuzz or scan-sharpness
+    path = tmp_path / "inst.json"
+    save_instance(make_instance(3, 3, seed=42), path)
+    for args, cid in ((("fuzz", "--trials", "2"), "all"),
+                      (("scan-sharpness", "--trials", "2"), "all"),
+                      (("check", "--instance", str(path)), "thm_pro")):
+        proc = run_cli(*args, "--check-id", cid)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stderr == (
+            f"error: unknown check id '{cid}'; `anumrad list-checks` prints the ids\n")
+
+
 @pytest.mark.parametrize("explore", [False, True])
 def test_fuzz_explore_flag(explore):
     # --explore was removed: a plain run still works, the old flag is a usage error

@@ -169,9 +169,12 @@ def test_newton_needs_few_evaluations_per_bracket(monkeypatch):
     rng = np.random.default_rng(48)
     for gauge in (numerical_radius, crawford, crawford_C):
         count.update(evals=0, brackets=0)
+        # 0 lies inside W of a random 3x3 or 4x4 matrix, so c is certified 0
+        # without refinement; the shift moves 0 outside W
+        shift = 3.0 if gauge is crawford else 0.0
         for n in (3, 4):
             for _ in range(5):
-                gauge(rand_complex(rng, (n, n)))
+                gauge(rand_complex(rng, (n, n)) + shift * np.eye(n))
         assert count["brackets"] > 0
         assert count["evals"] <= 6 * count["brackets"], gauge.__name__
 
@@ -228,12 +231,29 @@ def test_half_circle_scan_matches_full_circle():
         np.testing.assert_allclose(eigs, full, rtol=0, atol=1e-13)
 
 
+def _shifted_across_boundary(m, rng):
+    """M shifted by multiples of I that put 0 at the centroid of W(M),
+    1e-9 ||M|| inside and outside its boundary, and 3 ||M|| outside it."""
+    n = m.shape[0]
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    ph = np.exp(1j * theta)
+    v = np.linalg.eigh(0.5 * (ph * m + ph.conj() * m.conj().T))[1][:, -1]
+    base = m - (v.conj() @ m @ v) * np.eye(n)  # 0 is the support point at theta
+    size = spec_norm(base)
+    # W(base + s e^{-i theta} I) is W(base) moved by s along its outer normal
+    # at 0, so s > 0 puts 0 inside it and s < 0 puts 0 at distance |s|
+    out = [m - np.trace(m) / n * np.eye(n)]  # the centroid of W to 0
+    out += [base + s * size * ph.conj() * np.eye(n) for s in (1e-9, -1e-9, -3.0)]
+    return out
+
+
 def _structured(n, rng):
-    """Matrices whose profiles are generic, symmetric, flat or tiny."""
+    """Matrices whose profiles are generic, symmetric, flat or tiny, and
+    matrices whose W has 0 inside, near its boundary or outside."""
     jordan = np.diag(np.ones(n - 1), 1)
     u, _ = np.linalg.qr(rand_complex(rng, (n, n)))
     h = rand_complex(rng, (n, n))
-    return [
+    return _shifted_across_boundary(rand_complex(rng, (n, n)), rng) + [
         rand_complex(rng, (n, n)),
         u @ np.diag(rand_complex(rng, n)) @ u.conj().T,  # normal
         h + h.conj().T,  # Hermitian
@@ -246,15 +266,42 @@ def _structured(n, rng):
     ]
 
 
+def _reference_refine(thetas, vals, fn, find_max, lipschitz, flat_tol):
+    """The grid extremum refined from every local extremum within ||M|| delta
+    of it, at most 64 of them: the candidate rule that the sweep's tighter
+    rules must reproduce bit for bit."""
+    grid_best = float(vals.max() if find_max else vals.min())
+    if float(vals.max() - vals.min()) <= flat_tol:
+        return grid_best
+    delta = 2.0 * np.pi / thetas.shape[0]
+    prev = np.roll(vals, 1)
+    nxt = np.roll(vals, -1)
+    if find_max:
+        cand = np.nonzero((vals >= prev) & (vals >= nxt))[0]
+        cand = cand[vals[cand] + lipschitz * delta >= grid_best]
+    else:
+        cand = np.nonzero((vals <= prev) & (vals <= nxt))[0]
+        cand = cand[vals[cand] - lipschitz * delta <= grid_best]
+    if cand.size > 64:
+        order = np.argsort(vals[cand])
+        cand = cand[order[-64:] if find_max else order[:64]]
+    best = grid_best
+    for i in cand:
+        v = gauges._newton(fn, float(thetas[i]), delta, find_max)
+        best = max(best, v) if find_max else min(best, v)
+    return best
+
+
 def _full_scan_gauges(m, cfg):
-    """w, c and C from the full theta scan, refined by the same _refine."""
+    """w, c and C from the full theta scan, every local extremum within
+    ||M|| delta of the grid's refined, and no sign certificate."""
     thetas, eigs = gauges._theta_scan(m, cfg)
     lam_max, min_abs = gauges._make_pointwise(m)
     lip = spec_norm(m)
     flat_tol = 4.0 * m.shape[0] * np.finfo(float).eps * lip
 
     def refined(grid, fn, find_max):
-        return gauges._refine(thetas, grid, fn, find_max, lip, flat_tol)
+        return _reference_refine(thetas, grid, fn, find_max, lip, flat_tol)
 
     return (max(0.0, refined(eigs[:, -1], lam_max, True)),
             max(0.0, -refined(eigs[:, -1], lam_max, False)),
@@ -290,17 +337,58 @@ def test_outer_polygon_keeps_a_peak_between_coarse_points():
     assert numerical_radius(m, cfg).hex() == _full_scan_gauges(m, cfg)[0].hex()
 
 
-def test_w_read_prunes_most_of_the_scan(monkeypatch):
-    # fails if pruning is silently disabled: the full scan solves 512 rows
+def _count_scan_rows(monkeypatch):
     solved = []
     scan = gauges._theta_scan
     monkeypatch.setattr(gauges, "_theta_scan", lambda m, cfg, rows=None: solved.append(
         cfg.grid_points // 2 if rows is None else len(rows)) or scan(m, cfg, rows))
+    return solved
+
+
+def test_w_read_prunes_most_of_the_scan(monkeypatch):
+    # the full scan solves 512 rows; the 32 coarse rows and at most three
+    # cells of 15 fine rows are left once a cell must be able to win, while
+    # the looser ||M|| delta reach keeps up to six cells here
+    solved = _count_scan_rows(monkeypatch)
     rng = np.random.default_rng(49)
     for _ in range(10):
         solved.clear()
         gauges.sweep_gauges(rand_complex(rng, (4, 4))).w
-        assert 0 < sum(solved) <= gauges.DEFAULT_SWEEP.grid_points // 6
+        assert 0 < sum(solved) <= 32 + 3 * 15
+
+
+def test_crawford_certified_zero_solves_only_the_coarse_rows(monkeypatch):
+    # 0 is the centroid of the triangle W(diag(1, omega, omega^2)), 1/2 from
+    # its boundary: the coarse cells alone prove lambda_max > 0, so c = 0
+    # with no fine row and no pointwise evaluation
+    solved = _count_scan_rows(monkeypatch)
+    evals = []
+    pointwise = gauges._make_pointwise
+    monkeypatch.setattr(gauges, "_make_pointwise", lambda m: tuple(
+        (lambda theta, fn=fn: evals.append(theta) or fn(theta)) for fn in pointwise(m)))
+    u, _ = np.linalg.qr(rand_complex(np.random.default_rng(51), (3, 3)))
+    m = u @ np.diag(np.exp(2j * np.pi * np.arange(3) / 3)) @ u.conj().T
+    assert gauges.sweep_gauges(m).crawford == 0.0
+    assert solved == [gauges.DEFAULT_SWEEP.grid_points // 2 // 16]
+    assert evals == []
+    assert _full_scan_gauges(m, gauges.DEFAULT_SWEEP)[1] == 0.0
+
+
+def test_w_refines_only_the_peak_that_can_win(monkeypatch):
+    # two peaks 1e-3 apart: the lower one is within ||M|| delta of the grid
+    # maximum but below it even after the outer-polygon factor, so only the
+    # higher one is refined
+    brackets = []
+    newton = gauges._newton
+    monkeypatch.setattr(gauges, "_newton", lambda *a: brackets.append(a[1]) or newton(*a))
+    m = np.diag([1.0, 0.999 * np.exp(2j * np.pi / 3), 0.2])
+    thetas, eigs = gauges._theta_scan(m, gauges.DEFAULT_SWEEP)
+    want = _reference_refine(thetas, eigs[:, -1], gauges._make_pointwise(m)[0], True,
+                             spec_norm(m), 0.0)
+    assert len(brackets) == 2  # the looser rule refines both peaks
+    brackets.clear()
+    assert numerical_radius(m).hex() == want.hex()
+    assert len(brackets) == 1
 
 
 def test_row_subset_scan_matches_full_stack():
