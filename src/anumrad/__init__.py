@@ -36,9 +36,7 @@ from .errors import (
 )
 from .frame import AFrame, direct_sum, new_frame
 from .gauges import (
-    DEFAULT_SWEEP,
     GaugeSweep,
-    SweepConfig,
     a_crawford,
     a_crawford_C,
     a_min_modulus,
@@ -83,7 +81,6 @@ __all__ = [
     "BlockOp",
     "CheckDef",
     "CheckResult",
-    "DEFAULT_SWEEP",
     "DimensionMismatch",
     "EmptyRange",
     "FuzzConfig",
@@ -97,7 +94,6 @@ __all__ = [
     "REGISTRY",
     "Report",
     "RequiresStrictPositivity",
-    "SweepConfig",
     "TOOL_VERSION",
     "UnknownCheckId",
     "UnsupportedExponent",

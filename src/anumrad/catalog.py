@@ -68,11 +68,11 @@ class CheckDef:
 
     check_id: str
     mode: str  # 'le' (lhs <= rhs) or 'eq' (lhs == rhs)
-    hypothesis: str  # 'always' | 'strict' | 'strict_nonzero_t' | 'nilpotent2' | 'nilpotent3' | 'power'
+    # 'always' | 'strict' | 'strict_nonzero_t' | 'nilpotent2' | 'nilpotent3'
+    hypothesis: str
     roles: Tuple[str, ...]
     evaluate: Callable[["_Ctx"], Tuple[float, float, Dict[str, object]]]
     abs_tol: Optional[float] = None
-    param_r: Optional[float] = None
     description: str = ""
 
 
@@ -247,8 +247,6 @@ def _hypothesis_state(cd: CheckDef, ctx: _Ctx) -> bool:
         return _nilpotency_defect(ctx.op("T"), 2) <= 1e-12
     if cd.hypothesis == "nilpotent3":
         return _nilpotency_defect(ctx.op("T"), 3) <= 1e-12
-    if cd.hypothesis == "power":
-        return _integer_exponent(cd.param_r) or ctx.f.strictly_positive
     raise AssertionError(f"unknown hypothesis kind {cd.hypothesis!r}")
 
 
@@ -266,7 +264,7 @@ def _verdict(lhs: float, rhs: float, mode: str, tol: float, abs_tol: Optional[fl
 
 
 def _register(check_id, *, mode="le", hypothesis="always", roles=("T",),
-              abs_tol=None, param_r=None, description=""):
+              abs_tol=None, description=""):
     def deco(fn):
         if check_id in REGISTRY:
             raise AssertionError(f"duplicate check id {check_id}")
@@ -277,7 +275,6 @@ def _register(check_id, *, mode="le", hypothesis="always", roles=("T",),
             roles=tuple(roles),
             evaluate=fn,
             abs_tol=abs_tol,
-            param_r=param_r,
             description=description,
         )
         return fn
@@ -500,8 +497,8 @@ def _power_evaluator(r: float):
 for _r, _suffix in ((1.0, "1"), (1.5, "1p5"), (2.0, "2"), (3.0, "3")):
     _register(
         f"thm_power_r_{_suffix}",
-        hypothesis="power",
-        param_r=_r,
+        # a fractional power needs a strictly positive metric (positive_power)
+        hypothesis="always" if _integer_exponent(_r) else "strict",
         description=f"w_A(T)^(2r) <= w_A(T^2)^r/2 + ||(T#T)^r+(TT#)^r||_A/4 at r={_r}",
     )(_power_evaluator(_r))
 

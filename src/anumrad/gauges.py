@@ -12,14 +12,15 @@ Re(e^{i theta} M): its largest eigenvalue is the support function of the
   C(M) = min_phi sigma_min(Re(e^{i phi} M))
 
 Re(e^{i(theta + pi)} M) = -Re(e^{i theta} M), so the profiles are sampled on
-a uniform grid by solving only the first half of it and mirroring the rest.
+one uniform 1024-point grid by solving only the first half of it and
+mirroring the rest.
 Local extrema are bracketed with a 3-point stencil and refined by safeguarded
 Newton steps: one eigendecomposition at theta gives the tracked eigenvalue
 and, by first- and second-order eigenvalue perturbation, its slope and
 curvature. Where the tracked eigenvalue is (nearly) multiple it has no
 derivatives and golden-section search takes over. The profiles are Lipschitz
-in theta with constant ||M||_2, which both guarantees bracketing at the
-default grid density and lets non-competitive brackets be pruned.
+in theta with constant ||M||_2, which both guarantees bracketing at this
+grid density and lets non-competitive brackets be pruned.
 
 ``sweep_gauges`` returns a ``GaugeSweep`` that refines each gauge only when
 it is first read, and solves only the grid points a gauge can still use. It
@@ -43,9 +44,8 @@ c or C read skips a cell whose Lipschitz bound stays more than ||M|| delta
 above the coarse minimum. A skipped cell holds neither the grid extremum nor
 a refinement candidate, and it cannot change the 3-point test of a
 neighbouring candidate. So its points are left unsolved and the gauge is bit
-for bit the full scan's. 1x1 matrices, grids whose coarse cells would span
-pi/2 or more, and profiles whose coarse values are flat to rounding are
-scanned in full.
+for bit the full scan's. 1x1 matrices and profiles whose coarse values
+are flat to rounding are scanned in full.
 
 A c read first tries a sign certificate. If the Lipschitz bound keeps
 lambda_max positive between every pair of adjacent solved points, on the
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -88,22 +88,6 @@ _COARSE_STRIDE = 16
 _PRUNE_MARGIN = 1e-10
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Discretization of the sup-over-theta gauge formulas."""
-
-    grid_points: int = 1024
-
-    def __post_init__(self):
-        if self.grid_points < 16:
-            raise ValueError("grid_points must be at least 16")
-        if self.grid_points % 2:
-            raise ValueError("grid_points must be even (the scan mirrors theta + pi)")
-
-
-DEFAULT_SWEEP = SweepConfig()
-
-
 def _square(m) -> np.ndarray:
     m = as_cmatrix(m)
     if m.shape[0] != m.shape[1]:
@@ -111,16 +95,47 @@ def _square(m) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=None)
-def _grid(grid_points: int):
-    """The uniform theta grid and e^{i theta} on its first half."""
+@dataclass(frozen=True)
+class _Grid:
+    """The uniform theta grid every gauge samples, and the lazy scan's cells.
+
+    The coarse points are every _COARSE_STRIDE-th row of the first half and
+    their mirrors; cell k runs from points[k] to the next coarse point.
+    """
+
+    grid_points: int
+    thetas: np.ndarray
+    phases: np.ndarray  # e^{i theta} on the first half
+    coarse_rows: np.ndarray  # first-half rows of the coarse points, as a mask
+    points: np.ndarray  # coarse grid indices, ascending
+    ends: np.ndarray  # grid index of each cell's far end (mod N)
+    span: np.ndarray  # angular length of each cell
+    cos_half: np.ndarray  # cos(span / 2)
+    cell_of: np.ndarray  # per grid index: its cell, or -1 at a coarse point
+
+
+def _uniform_grid(grid_points: int) -> _Grid:
     thetas = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
-    phases = np.exp(1j * thetas[: grid_points // 2])
-    thetas.flags.writeable = phases.flags.writeable = False
-    return thetas, phases
+    rows = np.zeros(grid_points // 2, dtype=bool)
+    rows[::_COARSE_STRIDE] = True
+    points = np.nonzero(np.tile(rows, 2))[0]
+    length = np.diff(np.append(points, grid_points))
+    span = length * (2.0 * np.pi / grid_points)
+    cell_of = np.repeat(np.arange(points.size), length)
+    cell_of[points] = -1
+    grid = _Grid(grid_points, thetas, np.exp(1j * thetas[: grid_points // 2]), rows,
+                 points, np.roll(points, -1), span, np.cos(0.5 * span), cell_of)
+    for arr in vars(grid).values():  # shared by every sweep
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return grid
 
 
-def _theta_scan(m: np.ndarray, cfg: SweepConfig, rows=None):
+# Cells span pi/32, well short of the pi that the outer-polygon bound needs.
+_GRID = _uniform_grid(1024)
+
+
+def _theta_scan(m: np.ndarray, grid: _Grid, rows=None):
     """Ascending eigenvalues of Re(e^{i theta} M) on the uniform theta grid;
     the second half of the grid is the first half negated and reversed.
 
@@ -129,49 +144,13 @@ def _theta_scan(m: np.ndarray, cfg: SweepConfig, rows=None):
     eigenvalues agree bit for bit; for n = 1 numpy coalesces the loop and
     rounds differently, so 1x1 callers ask for every row.
     """
-    thetas, ph = _grid(cfg.grid_points)
-    if rows is not None:
-        ph = ph[rows]
+    # grid is always _GRID; bench/tracing.py reads its grid_points per call
+    ph = grid.phases if rows is None else grid.phases[rows]
     ph = ph[:, None, None]
     eigs = np.linalg.eigvalsh(0.5 * (ph * m + ph.conj() * m.conj().T))
     if rows is not None:
-        return thetas, eigs
-    return thetas, np.concatenate((eigs, -eigs[:, ::-1]))
-
-
-@dataclass(frozen=True)
-class _Cells:
-    """Coarse cells of the lazy scan on a grid of N points.
-
-    The coarse points are every _COARSE_STRIDE-th row of the first half and
-    their mirrors; cell k runs from points[k] to the next coarse point.
-    """
-
-    rows: np.ndarray  # first-half rows of the coarse points, as a mask
-    points: np.ndarray  # coarse grid indices, ascending
-    ends: np.ndarray  # grid index of each cell's far end (mod N)
-    span: np.ndarray  # angular length of each cell
-    cos_half: np.ndarray  # cos(span / 2)
-    cell_of: np.ndarray  # per grid index: its cell, or -1 at a coarse point
-
-
-@lru_cache(maxsize=None)
-def _coarse_cells(grid_points: int):
-    """The lazy scan's cells, or None if one would span pi/2 or more: the
-    outer-polygon bound needs cells well short of pi."""
-    rows = np.zeros(grid_points // 2, dtype=bool)
-    rows[::_COARSE_STRIDE] = True
-    points = np.nonzero(np.tile(rows, 2))[0]
-    length = np.diff(np.append(points, grid_points))
-    span = length * (2.0 * np.pi / grid_points)
-    if span.max() >= 0.5 * np.pi:
-        return None
-    cell_of = np.repeat(np.arange(points.size), length)
-    cell_of[points] = -1
-    cells = _Cells(rows, points, np.roll(points, -1), span, np.cos(0.5 * span), cell_of)
-    for arr in vars(cells).values():  # shared by every sweep on this grid
-        arr.flags.writeable = False
-    return cells
+        return grid.thetas, eigs
+    return grid.thetas, np.concatenate((eigs, -eigs[:, ::-1]))
 
 
 def _golden(fn, a: float, b: float, tol: float, max_iter: int, find_max: bool) -> float:
@@ -320,19 +299,17 @@ class GaugeSweep:
     or on the fine ones once they are solved.
     """
 
-    def __init__(self, m: np.ndarray, cfg: SweepConfig):
-        self._m, self._cfg = m, cfg
-        self._thetas = _grid(cfg.grid_points)[0]
-        self._lam_max_grid = np.full(cfg.grid_points, np.nan)
-        self._min_abs_grid = np.full(cfg.grid_points, np.nan)
-        self._solved = np.zeros(cfg.grid_points, dtype=bool)  # mirrored halves
+    def __init__(self, m: np.ndarray):
+        self._m = m
+        self._lam_max_grid = np.full(_GRID.grid_points, np.nan)
+        self._min_abs_grid = np.full(_GRID.grid_points, np.nan)
+        self._solved = np.zeros(_GRID.grid_points, dtype=bool)  # mirrored halves
         self._lam_max, self._min_abs = _make_pointwise(m)
         self._lipschitz = spec_norm(m)
         # eigvalsh rounding noise: a few ulps of ||M|| per dimension
         self._flat_tol = 4.0 * m.shape[0] * np.finfo(float).eps * self._lipschitz
-        self._cells = _coarse_cells(cfg.grid_points) if m.shape[0] > 1 else None
-        half = cfg.grid_points // 2
-        self._solve(np.ones(half, dtype=bool) if self._cells is None else self._cells.rows)
+        # a 1x1 row subset rounds differently from the full stack (_theta_scan)
+        self._solve(np.ones_like(_GRID.coarse_rows) if m.shape[0] == 1 else _GRID.coarse_rows)
 
     def _solve(self, rows: np.ndarray) -> None:
         """Solve the first-half rows marked in ``rows`` that are not yet solved."""
@@ -340,7 +317,7 @@ class GaugeSweep:
         rows = np.nonzero(rows & ~self._solved[:half])[0]
         if rows.size == 0:
             return
-        eigs = _theta_scan(self._m, self._cfg, rows)[1]
+        eigs = _theta_scan(self._m, _GRID, rows)[1]
         self._lam_max_grid[rows] = eigs[:, -1]
         self._lam_max_grid[rows + half] = -eigs[:, 0]
         self._min_abs_grid[rows] = self._min_abs_grid[rows + half] = np.min(
@@ -354,23 +331,22 @@ class GaugeSweep:
         so a profile flat to rounding is scanned in full and _refine's flat
         test sees the same grid as before.
         """
-        cells, lip = self._cells, self._lipschitz
-        lo, hi = grid[cells.points], grid[cells.ends]
+        lip = self._lipschitz
+        lo, hi = grid[_GRID.points], grid[_GRID.ends]
         if find_max:
             top = np.maximum(lo, hi)
             # outer polygon: top / cos(span / 2) if top >= 0, else top
-            outer = np.maximum(top, top / cells.cos_half)
+            outer = np.maximum(top, top / _GRID.cos_half)
             # the cell's points read at most outer, up to eigvalsh rounding
             return _can_win(outer + _PRUNE_MARGIN * lip, lo.max(), grid.shape[0], lip)
         reach = lip * (2.0 * np.pi / grid.shape[0] + _PRUNE_MARGIN)
-        bound = 0.5 * (lo + hi - lip * cells.span)  # Lipschitz
+        bound = 0.5 * (lo + hi - lip * _GRID.span)  # Lipschitz
         return bound <= lo.min() + reach
 
     def _solve_cells(self, grid, find_max: bool) -> None:
         """Solve the fine points of the cells a read cannot rule out."""
         if not self._solved.all():
-            fine = (self._cells.cell_of >= 0) & self._cells_needed(grid, find_max)[
-                self._cells.cell_of]
+            fine = (_GRID.cell_of >= 0) & self._cells_needed(grid, find_max)[_GRID.cell_of]
             half = self._solved.size // 2
             self._solve(fine[:half] | fine[half:])
 
@@ -396,7 +372,7 @@ class GaugeSweep:
         if not self._solved.all():
             # an unsolved point can be no candidate and loses every 3-point test
             grid = np.where(self._solved, grid, -np.inf if find_max else np.inf)
-        return _refine(self._thetas, grid, fn, find_max, self._lipschitz, self._flat_tol)
+        return _refine(_GRID.thetas, grid, fn, find_max, self._lipschitz, self._flat_tol)
 
     @cached_property
     def w(self) -> float:
@@ -421,25 +397,25 @@ class GaugeSweep:
         return max(0.0, self._refined(self._min_abs_grid, self._min_abs, False))
 
 
-def sweep_gauges(m, cfg: SweepConfig = DEFAULT_SWEEP) -> GaugeSweep:
+def sweep_gauges(m) -> GaugeSweep:
     """Numerical radius, Crawford number and C of one matrix from one scan."""
-    return GaugeSweep(_square(m), cfg)
+    return GaugeSweep(_square(m))
 
 
-def numerical_radius(m, cfg: SweepConfig = DEFAULT_SWEEP) -> float:
+def numerical_radius(m) -> float:
     """Classical numerical radius w(M) = sup |<Mx, x>| over unit vectors."""
-    return sweep_gauges(m, cfg).w
+    return sweep_gauges(m).w
 
 
-def crawford(m, cfg: SweepConfig = DEFAULT_SWEEP) -> float:
+def crawford(m) -> float:
     """Distance from 0 to the numerical range of M (0 when 0 lies inside)."""
-    return sweep_gauges(m, cfg).crawford
+    return sweep_gauges(m).crawford
 
 
-def crawford_C(m, cfg: SweepConfig = DEFAULT_SWEEP) -> float:
+def crawford_C(m) -> float:
     """min over phi of sigma_min(Re(e^{i phi} M)): the inner infimum over unit
     vectors at fixed phi is exactly the smallest singular value."""
-    return sweep_gauges(m, cfg).crawford_c
+    return sweep_gauges(m).crawford_c
 
 
 def _reduced_checked(f: AFrame, t) -> np.ndarray:
@@ -458,16 +434,16 @@ def a_min_modulus(f: AFrame, t) -> float:
     return float(singular_values(_reduced_checked(f, t))[-1])
 
 
-def a_numerical_radius(f: AFrame, t, cfg: SweepConfig = DEFAULT_SWEEP) -> float:
-    return numerical_radius(_reduced_checked(f, t), cfg)
+def a_numerical_radius(f: AFrame, t) -> float:
+    return numerical_radius(_reduced_checked(f, t))
 
 
-def a_crawford(f: AFrame, t, cfg: SweepConfig = DEFAULT_SWEEP) -> float:
-    return crawford(_reduced_checked(f, t), cfg)
+def a_crawford(f: AFrame, t) -> float:
+    return crawford(_reduced_checked(f, t))
 
 
-def a_crawford_C(f: AFrame, t, cfg: SweepConfig = DEFAULT_SWEEP) -> float:
-    return crawford_C(_reduced_checked(f, t), cfg)
+def a_crawford_C(f: AFrame, t) -> float:
+    return crawford_C(_reduced_checked(f, t))
 
 
 ORACLE_KINDS = ("w", "c", "norm", "minmod", "C")

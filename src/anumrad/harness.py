@@ -36,7 +36,7 @@ from . import catalog
 from .adjoint import admits_a_adjoint, sharp
 from .catalog import (CheckResult, errored_result, missing_operands, operands_needed,
                       resolve_ids, run_all, run_check)
-from .errors import BadRank, NoAdjoint
+from .errors import BadRank, EmptyRange, NoAdjoint
 from .frame import AFrame, new_frame
 from .gauges import a_numerical_radius, a_seminorm
 from .matrixcore import as_cmatrix, frob, herm_part
@@ -132,10 +132,13 @@ def make_instance(n: int, rank: int, seed: int,
 
 
 def validate_instance(inst: Instance) -> AFrame:
-    """Frame construction plus admissibility of every operator."""
+    """Frame construction, a metric of nonzero rank and admissibility of every
+    operator."""
     f = new_frame(inst.a)
     if f.dim != inst.dim:
         raise ValueError(f"instance dim {inst.dim} does not match metric {f.dim}")
+    if f.rank == 0:
+        raise EmptyRange("metric has rank zero; A-gauges are undefined")
     for name, op in inst.operators.items():
         if name not in OPERAND_NAMES:
             raise ValueError(f"unknown operand {name!r}; expected names from {OPERAND_NAMES}")
@@ -186,6 +189,9 @@ def instance_from_dict(d: dict) -> Instance:
     ops = d.get("operators", {})
     if not isinstance(ops, dict):
         raise ValueError("instance field 'operators' must map names to matrices")
+    for key in ("dim", "A"):
+        if key not in d:
+            raise ValueError(f"instance field {key!r} is missing")
     dim = _int_field(d["dim"], "dim")
     a = mat_from_wire(d["A"])
     ops = {str(k): mat_from_wire(v) for k, v in ops.items()}

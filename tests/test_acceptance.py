@@ -89,8 +89,6 @@ def test_criterion_2_soundness_fuzz():
     for cid, cd in REGISTRY.items():
         if cd.hypothesis in ("strict", "strict_nonzero_t"):
             gated.add(cid)
-        if cd.hypothesis == "power" and abs(cd.param_r - round(cd.param_r)) > 1e-12:
-            gated.add(cid)
     nilpotent = {cid for cid, cd in REGISTRY.items()
                  if cd.hypothesis in ("nilpotent2", "nilpotent3")}
     accounting_ok = True

@@ -139,8 +139,6 @@ def test_singular_frame_skip_accounting():
     for cid, cd in REGISTRY.items():
         if cd.hypothesis in ("nilpotent2", "nilpotent3", "strict", "strict_nonzero_t"):
             expected.add(cid)
-        if cd.hypothesis == "power" and abs(cd.param_r - round(cd.param_r)) > 1e-12:
-            expected.add(cid)
     assert skipped == expected
     assert not any((not r.passed and not r.skipped) for r in results)
 

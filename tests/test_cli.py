@@ -106,13 +106,14 @@ def test_check_command_input_errors(tmp_path):
     {"operators": None}, {"operators": [1, 2]}, "top-level list",
     {"dim": None}, {"seed": None}, {"A": {}},
     {"seed": 1.9}, {"seed": "7"}, {"seed": True}, {"dim": 2.7}, {"dim": True},
-    {"note": None},
+    {"note": None}, {"A": [[[0.0, 0.0]] * 2] * 2},
 ], ids=["operators-null", "operators-list", "top-level-list", "dim-null", "seed-null",
         "metric-object", "seed-float", "seed-string", "seed-bool", "dim-float",
-        "dim-bool", "note-null"])
+        "dim-bool", "note-null", "metric-zero"])
 def test_check_command_rejects_malformed_instances(tmp_path, malformed):
     # malformed input is a usage error (exit 2), never a violation (exit 1);
-    # dim and seed must be JSON integers and note a string, not coercible values
+    # dim and seed must be JSON integers and note a string, not coercible values,
+    # and a rank-zero metric leaves every A-gauge undefined
     obj = json.loads(json.dumps(instance_to_dict(make_instance(2, 2, seed=1))))
     obj = [obj] if malformed == "top-level list" else {**obj, **malformed}
     path = tmp_path / "inst.json"
@@ -121,6 +122,17 @@ def test_check_command_rejects_malformed_instances(tmp_path, malformed):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("key", ["dim", "A"])
+def test_check_command_names_a_missing_field(tmp_path, key):
+    obj = json.loads(json.dumps(instance_to_dict(make_instance(2, 2, seed=1))))
+    del obj[key]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    proc = run_cli("check", "--instance", str(path))
+    assert proc.returncode == 2
+    assert f"instance field {key!r} is missing" in proc.stderr
 
 
 def test_check_command_rejects_unknown_operand_names(tmp_path):

@@ -1,6 +1,7 @@
-"""Every import in the package modules is used.
+"""Every import in the package modules is used, and every private name is read.
 
-The toolchain has no linter, so this stands in for its unused-import rule.
+The toolchain has no linter, so this stands in for its unused-import and
+dead-code rules.
 ``__init__.py`` is left out: its imports are re-exports, which
 ``test_package_all_is_sorted_and_complete`` pins.
 """
@@ -39,3 +40,32 @@ def test_no_unused_imports_in_package_modules():
     assert len(modules) >= 10
     unused = [hit for path in modules for hit in _unused_imports(path)]
     assert unused == []
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Undecorated module-level ``_name`` definitions, by name and line."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.decorator_list:
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return {name: line for name, line in out.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_dead_private_names_in_package_modules():
+    # the @_register check bodies are decorated, so only the registry reads them
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = [f"{name}:{line} {private}" for name, tree in trees.items()
+            for private, line in sorted(_private_definitions(tree).items())
+            if private not in read]
+    assert dead == []
