@@ -41,7 +41,6 @@ from .gauges import (
     a_crawford_C,
     a_min_modulus,
     a_numerical_radius,
-    a_positive_power,
     a_seminorm,
     crawford,
     crawford_C,
@@ -101,7 +100,6 @@ __all__ = [
     "a_crawford_C",
     "a_min_modulus",
     "a_numerical_radius",
-    "a_positive_power",
     "a_seminorm",
     "admits_a_adjoint",
     "as_cmatrix",

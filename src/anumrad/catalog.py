@@ -17,6 +17,11 @@ the operator seminorm.
 
 Operands a check names but the caller omits fall back to X = Y = T and
 P = Q = I.
+
+Check bodies work in compressed coordinates (see ``_Ctx``): each operand is
+compressed to the range of A once, and every derived operator (T^2,
+T#T + TT#, PXQ# +- QYP#, the antidiagonal block under diag(A, A)) is built
+from those r x r matrices.
 """
 
 from __future__ import annotations
@@ -28,16 +33,10 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .adjoint import reduced, sharp
-from .blocks import assemble
 from .errors import UnknownCheckId
-from .frame import AFrame, direct_sum
-from .gauges import (
-    _integer_exponent,
-    a_positive_eig,
-    positive_power,
-    sweep_gauges,
-)
-from .matrixcore import as_cmatrix, frob, singular_values, spec_norm
+from .frame import AFrame
+from .gauges import _integer_exponent, positive_power, sweep_gauges
+from .matrixcore import as_cmatrix, frob, herm_part, singular_values, spec_norm
 from .seeding import label_seed
 
 DEFAULT_TOL = 1e-8
@@ -115,67 +114,70 @@ def missing_operands(operands, checks: Optional[Sequence[str]] = None) -> list[s
 class _Ctx:
     """Per-instance evaluation context: frame, operands and gauge caches.
 
-    Gauges are memoized by matrix bytes so that checks sharing intermediate
-    operators (the same T^2, the same assembled block, ...) pay for each
-    sweep once per instance. One cache holds operators on H and 2x2 block
-    operators on H + H alike; the size of a matrix picks its frame.
+    Every A-gauge of an operator with an A-adjoint is the classical gauge of
+    its range compression K(T) = U* A^{1/2} T (A^{1/2})^dagger U
+    (``adjoint.reduced``), and on those operators K is a *-homomorphism:
+    K(ST) = K(S) K(T), K(S + T) = K(S) + K(T) and K(T#) = K(T)*. Under
+    diag(A, A) the antidiagonal block [[0, X], [Y, 0]] compresses to
+    [[0, K(X)], [K(Y), 0]]. So each operand is compressed once (``k``), and
+    check bodies build every derived operator from r x r matrices, with #
+    as the conjugate transpose and Re_A as the Hermitian part. Hypotheses
+    and ``lem_pointwise`` read the operands on H (``op``).
+
+    Gauges are memoized by matrix bytes so that checks sharing a derived
+    matrix (the same K(T)^2, the same antidiagonal, ...) pay for each sweep
+    once per instance.
     """
 
     def __init__(self, f: AFrame, operands, seed: int):
         self.f = f
         self.seed = int(seed)
         self._ops = {k: as_cmatrix(v) for k, v in dict(operands or {}).items()}
-        self._sharp: dict = {}
-        self._red: dict = {}
+        self._k: dict = {}
         self._sweep: dict = {}
         self._sv: dict = {}
         self._eig: dict = {}
-        self._bf: Optional[AFrame] = None
 
     @staticmethod
     def _key(m: np.ndarray):
         return (m.shape, m.tobytes())
 
     def op(self, name: str) -> np.ndarray:
+        """Operand ``name`` on H; X and Y fall back to T."""
         if name in self._ops:
             return self._ops[name]
         if name in ("X", "Y"):
             return self.op("T")
-        if name in ("P", "Q"):
-            eye = np.eye(self.f.dim, dtype=np.complex128)
-            self._ops[name] = eye
-            return eye
         raise KeyError(f"operand {name!r} not supplied")
+
+    def k(self, name: str) -> np.ndarray:
+        """Range compression of operand ``name``, computed once per instance;
+        the fallbacks are X = Y = K(T) and P = Q = I_r. ``reduced`` runs the
+        Douglas test, so an operand without an A-adjoint raises NoAdjoint."""
+        if name not in self._k:
+            if name in self._ops:
+                self._k[name] = reduced(self.f, self._ops[name])
+            elif name in ("X", "Y"):
+                self._k[name] = self.k("T")
+            elif name in ("P", "Q"):
+                self._k[name] = np.eye(self.f.rank, dtype=np.complex128)
+            else:
+                raise KeyError(f"operand {name!r} not supplied")
+        return self._k[name]
 
     def seed_for(self, label: str) -> int:
         return label_seed(self.seed, label)
 
-    def sharp_of(self, m: np.ndarray) -> np.ndarray:
-        k = self._key(m)
-        if k not in self._sharp:
-            self._sharp[k] = sharp(self.f, m)
-        return self._sharp[k]
-
-    def re_of(self, m: np.ndarray) -> np.ndarray:
-        return 0.5 * (m + self.sharp_of(m))
-
-    def red(self, m: np.ndarray) -> np.ndarray:
-        k = self._key(m)
-        if k not in self._red:
-            f = self.f if m.shape[0] == self.f.dim else self.bframe()
-            self._red[k] = reduced(f, m)
-        return self._red[k]
-
     def _gauges(self, m: np.ndarray):
         k = self._key(m)
         if k not in self._sweep:
-            self._sweep[k] = sweep_gauges(self.red(m))
+            self._sweep[k] = sweep_gauges(m)
         return self._sweep[k]
 
     def _singvals(self, m: np.ndarray) -> np.ndarray:
         k = self._key(m)
         if k not in self._sv:
-            self._sv[k] = singular_values(self.red(m))
+            self._sv[k] = singular_values(m)
         return self._sv[k]
 
     def w(self, m) -> float:
@@ -195,38 +197,44 @@ class _Ctx:
         sv = self._singvals(m)
         return float(sv[-1]) if sv.size else 0.0
 
-    def bframe(self) -> AFrame:
-        if self._bf is None:
-            self._bf = direct_sum(self.f)
-        return self._bf
-
     def antidiag(self) -> np.ndarray:
-        x, y = self.op("X"), self.op("Y")
-        zero = np.zeros_like(x)
-        return assemble(zero, x, y, zero).assembled
+        """Compression [[0, K(X)], [K(Y), 0]] of the antidiagonal block
+        operator under diag(A, A)."""
+        kx, ky = self.k("X"), self.k("Y")
+        zero = np.zeros_like(kx)
+        return np.block([[zero, kx], [ky, zero]])
 
     def wb(self, m2: np.ndarray) -> float:
-        """Numerical radius of a block operator under diag(A, A)."""
+        """Numerical radius of a block operator under diag(A, A), given its
+        compression."""
         return self._gauges(m2).w
 
-    def pm(self, t: np.ndarray) -> np.ndarray:
-        """T^sharp T + T T^sharp."""
-        s = self.sharp_of(t)
-        return s @ t + t @ s
+    @staticmethod
+    def pm(k: np.ndarray) -> np.ndarray:
+        """K*K + KK*, the compression of T#T + TT#."""
+        kh = k.conj().T
+        return kh @ k + k @ kh
 
     def _positive_eig(self, m: np.ndarray):
         k = self._key(m)
         if k not in self._eig:
-            self._eig[k] = a_positive_eig(self.f, m)
+            self._eig[k] = _psd_eig(m)
         return self._eig[k]
 
-    def power_norm(self, t: np.ndarray, r: float) -> float:
-        """||(T^sharp T)^r + (T T^sharp)^r||_A via the PSD functional calculus;
-        each factor is decomposed once per instance, whatever the exponents."""
-        s = self.sharp_of(t)
-        p1 = positive_power(self.f, self._positive_eig(s @ t), r)
-        p2 = positive_power(self.f, self._positive_eig(t @ s), r)
+    def power_norm(self, k: np.ndarray, r: float) -> float:
+        """||(K*K)^r + (KK*)^r|| for K = K(T), which is ||(T#T)^r + (TT#)^r||_A.
+        Both factors are PSD by construction; each is decomposed once per
+        instance, whatever the exponents."""
+        kh = k.conj().T
+        p1 = positive_power(self.f, self._positive_eig(kh @ k), r)
+        p2 = positive_power(self.f, self._positive_eig(k @ kh), r)
         return spec_norm(p1 + p2)
+
+
+def _psd_eig(m: np.ndarray) -> tuple:
+    """Eigendecomposition (lam, v) of a PSD matrix, lam clipped at 0."""
+    lam, v = np.linalg.eigh(herm_part(m))
+    return np.clip(lam, 0.0, None), v
 
 
 def _nilpotency_defect(t: np.ndarray, order: int) -> float:
@@ -241,7 +249,7 @@ def _hypothesis_state(cd: CheckDef, ctx: _Ctx) -> bool:
     if cd.hypothesis == "strict":
         return ctx.f.strictly_positive
     if cd.hypothesis == "strict_nonzero_t":
-        nt = ctx.nrm(ctx.op("T"))
+        nt = ctx.nrm(ctx.k("T"))
         return ctx.f.strictly_positive and nt > 1e-12 * (1.0 + frob(ctx.op("T")))
     if cd.hypothesis == "nilpotent2":
         return _nilpotency_defect(ctx.op("T"), 2) <= 1e-12
@@ -288,14 +296,14 @@ def _register(check_id, *, mode="le", hypothesis="always", roles=("T",),
 
 @_register("equiv_half_lower", description="||T||_A / 2 <= w_A(T)")
 def _equiv_half_lower(ctx):
-    t = ctx.op("T")
+    t = ctx.k("T")
     w, n = ctx.w(t), ctx.nrm(t)
     return 0.5 * n, w, {"w_T": w, "nrm_T": n}
 
 
 @_register("equiv_half_upper", description="w_A(T) <= ||T||_A")
 def _equiv_half_upper(ctx):
-    t = ctx.op("T")
+    t = ctx.k("T")
     w, n = ctx.w(t), ctx.nrm(t)
     return w, n, {"w_T": w, "nrm_T": n}
 
@@ -303,7 +311,7 @@ def _equiv_half_upper(ctx):
 @_register("lem_selfadj_eq", mode="eq",
             description="w_A(S) = ||S||_A for the A-selfadjoint S = Re_A(T)")
 def _lem_selfadj_eq(ctx):
-    s = ctx.re_of(ctx.op("T"))
+    s = herm_part(ctx.k("T"))
     w, n = ctx.w(s), ctx.nrm(s)
     return w, n, {"derived_operand": "re_a(T)"}
 
@@ -312,12 +320,10 @@ def _lem_selfadj_eq(ctx):
             description="sampled sup over theta of ||Re_A(e^{i theta} T)||_A "
                         "stays below w_A(T)")
 def _lem_sup_theta(ctx):
-    t = ctx.op("T")
-    k = ctx.red(t)
-    ksh = ctx.red(ctx.sharp_of(t))
+    t = ctx.k("T")
     thetas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     ph = np.exp(1j * thetas)[:, None, None]
-    stack = 0.5 * (ph * k + ph.conj() * ksh)
+    stack = 0.5 * (ph * t + ph.conj() * t.conj().T)
     sv = np.linalg.svd(stack, compute_uv=False)
     lhs = float(sv[:, 0].max())
     rhs = ctx.w(t)
@@ -328,9 +334,9 @@ def _lem_sup_theta(ctx):
             description="A-positive dominance X' >= Y' implies ||X'||_A >= ||Y'||_A "
                         "with X' = X#X + Y#Y, Y' = X#X")
 def _lem_positivity_mono(ctx):
-    x, y = ctx.op("X"), ctx.op("Y")
-    s1 = ctx.sharp_of(x) @ x
-    s2 = ctx.sharp_of(y) @ y
+    x, y = ctx.k("X"), ctx.k("Y")
+    s1 = x.conj().T @ x
+    s2 = y.conj().T @ y
     lhs = ctx.nrm(s1)
     rhs = ctx.nrm(s1 + s2)
     return lhs, rhs, {"derived": "X'=X#X+Y#Y, Y'=X#X"}
@@ -341,8 +347,8 @@ def _lem_positivity_mono(ctx):
 # --------------------------------------------------------------------------
 
 def _antidiag_ms(ctx):
-    x, y = ctx.op("X"), ctx.op("Y")
-    sx, sy = ctx.sharp_of(x), ctx.sharp_of(y)
+    x, y = ctx.k("X"), ctx.k("Y")
+    sx, sy = x.conj().T, y.conj().T
     m1 = x @ sx + sy @ y
     m2 = sx @ x + y @ sy
     return x, y, m1, m2
@@ -369,7 +375,7 @@ def _thm_antidiag_upper(ctx):
 @_register("cor_kittaneh_A_lower", hypothesis="strict",
             description="||TT#+T#T||_A / 4 <= w_A(T)^2")
 def _cor_kittaneh_lower(ctx):
-    t = ctx.op("T")
+    t = ctx.k("T")
     pm = ctx.pm(t)
     return 0.25 * ctx.nrm(pm), ctx.w(t) ** 2, {"nrm_P": ctx.nrm(pm)}
 
@@ -377,7 +383,7 @@ def _cor_kittaneh_lower(ctx):
 @_register("cor_kittaneh_A_upper", hypothesis="strict",
             description="w_A(T)^2 <= ||TT#+T#T||_A / 2")
 def _cor_kittaneh_upper(ctx):
-    t = ctx.op("T")
+    t = ctx.k("T")
     pm = ctx.pm(t)
     return ctx.w(t) ** 2, 0.5 * ctx.nrm(pm), {"nrm_P": ctx.nrm(pm)}
 
@@ -387,8 +393,8 @@ def _cor_kittaneh_upper(ctx):
                         "P=(XX#+Y#Y)^2+4 Re_A(XY)^2, Q=(X#X+YY#)^2+4 Re_A(YX)^2")
 def _thm_fourth_antidiag_lower(ctx):
     x, y, m1, m2 = _antidiag_ms(ctx)
-    rexy = ctx.re_of(x @ y)
-    reyx = ctx.re_of(y @ x)
+    rexy = herm_part(x @ y)
+    reyx = herm_part(y @ x)
     p = m1 @ m1 + 4.0 * rexy @ rexy
     q = m2 @ m2 + 4.0 * reyx @ reyx
     wb = ctx.wb(ctx.antidiag())
@@ -412,9 +418,9 @@ def _thm_fourth_antidiag_upper(ctx):
 @_register("cor_fourth_lower", hypothesis="strict",
             description="||(TT#+T#T)^2 + 4 Re_A(T^2)^2||_A / 16 <= w_A(T)^4")
 def _cor_fourth_lower(ctx):
-    t = ctx.op("T")
+    t = ctx.k("T")
     pm = ctx.pm(t)
-    ret2 = ctx.re_of(t @ t)
+    ret2 = herm_part(t @ t)
     inner = pm @ pm + 4.0 * ret2 @ ret2
     return ctx.nrm(inner) / 16.0, ctx.w(t) ** 4, {"nrm_inner": ctx.nrm(inner)}
 
@@ -422,7 +428,7 @@ def _cor_fourth_lower(ctx):
 @_register("cor_fourth_upper", hypothesis="strict",
             description="w_A(T)^4 <= ||TT#+T#T||_A^2 / 8 + w_A(T^2)^2 / 2")
 def _cor_fourth_upper(ctx):
-    t = ctx.op("T")
+    t = ctx.k("T")
     pm = ctx.pm(t)
     t2 = t @ t
     rhs = 0.125 * ctx.nrm(pm) ** 2 + 0.5 * ctx.w(t2) ** 2
@@ -437,7 +443,7 @@ def _cor_fourth_upper(ctx):
             description="w_A(T)^4 <= w_A(T^2)^2/4 + w_A(T^2 P + P T^2)/8 + "
                         "||P||_A^2/16 with P = T#T + TT#")
 def _thm_refined_fourth(ctx):
-    t = ctx.op("T")
+    t = ctx.k("T")
     pm = ctx.pm(t)
     t2 = t @ t
     g = t2 @ pm + pm @ t2
@@ -454,8 +460,8 @@ def _thm_refined_fourth(ctx):
     return ctx.w(t) ** 4, rhs, meta
 
 
-def _cubic_mixed(ctx, t):
-    s = ctx.sharp_of(t)
+def _cubic_mixed(t):
+    s = t.conj().T
     t2 = t @ t
     return t2 @ s + s @ t2 + t @ s @ t
 
@@ -463,30 +469,30 @@ def _cubic_mixed(ctx, t):
 @_register("thm_cubic", hypothesis="strict",
             description="w_A(T)^3 <= w_A(T^3)/4 + w_A(T^2 T# + T# T^2 + T T# T)/4")
 def _thm_cubic(ctx):
-    t = ctx.op("T")
-    rhs = 0.25 * ctx.w(t @ t @ t) + 0.25 * ctx.w(_cubic_mixed(ctx, t))
+    t = ctx.k("T")
+    rhs = 0.25 * ctx.w(t @ t @ t) + 0.25 * ctx.w(_cubic_mixed(t))
     return ctx.w(t) ** 3, rhs, {}
 
 
 @_register("thm_cubic_sq_zero", mode="eq", hypothesis="nilpotent2", abs_tol=1e-8,
             description="T^2 = 0 forces w_A(T) = sqrt(||TT#+T#T||_A)/2")
 def _thm_cubic_sq_zero(ctx):
-    t = ctx.op("T")
+    t = ctx.k("T")
     rhs = 0.5 * math.sqrt(ctx.nrm(ctx.pm(t)))
-    return ctx.w(t), rhs, {"nilpotency_defect": _nilpotency_defect(t, 2)}
+    return ctx.w(t), rhs, {"nilpotency_defect": _nilpotency_defect(ctx.op("T"), 2)}
 
 
 @_register("thm_cubic_cube_zero", mode="eq", hypothesis="nilpotent3", abs_tol=1e-7,
             description="T^3 = 0 forces w_A(T)^3 = w_A(T^2 T# + T# T^2 + T T# T)/4")
 def _thm_cubic_cube_zero(ctx):
-    t = ctx.op("T")
-    rhs = 0.25 * ctx.w(_cubic_mixed(ctx, t))
-    return ctx.w(t) ** 3, rhs, {"nilpotency_defect": _nilpotency_defect(t, 3)}
+    t = ctx.k("T")
+    rhs = 0.25 * ctx.w(_cubic_mixed(t))
+    return ctx.w(t) ** 3, rhs, {"nilpotency_defect": _nilpotency_defect(ctx.op("T"), 3)}
 
 
 def _power_evaluator(r: float):
     def _eval(ctx):
-        t = ctx.op("T")
+        t = ctx.k("T")
         term = ctx.power_norm(t, r)
         rhs = 0.5 * ctx.w(t @ t) ** r + 0.25 * term
         return ctx.w(t) ** (2.0 * r), rhs, {"r": r, "power_term": term}
@@ -507,7 +513,7 @@ for _r, _suffix in ((1.0, "1"), (1.5, "1p5"), (2.0, "2"), (3.0, "3")):
             description="C_A(T^2)^2/4 + c_A(T^2 P + P T^2)/8 + ||P||_A^2/16 "
                         "<= w_A(T)^4")
 def _thm_lower_fourth(ctx):
-    t = ctx.op("T")
+    t = ctx.k("T")
     pm = ctx.pm(t)
     t2 = t @ t
     g = t2 @ pm + pm @ t2
@@ -524,16 +530,16 @@ def _thm_lower_fourth(ctx):
 # --------------------------------------------------------------------------
 
 def _prod_sum(ctx, sign: float) -> np.ndarray:
-    p, q = ctx.op("P"), ctx.op("Q")
-    x, y = ctx.op("X"), ctx.op("Y")
-    return p @ x @ ctx.sharp_of(q) + sign * (q @ y @ ctx.sharp_of(p))
+    p, q = ctx.k("P"), ctx.k("Q")
+    x, y = ctx.k("X"), ctx.k("Y")
+    return p @ x @ q.conj().T + sign * (q @ y @ p.conj().T)
 
 
 @_register("thm_prod_pm_plus", roles=("P", "Q", "X", "Y"),
             description="w_A(PXQ# + QYP#) <= 2 ||P||_A ||Q||_A wB(antidiag(X,Y))")
 def _thm_prod_pm_plus(ctx):
     wb = ctx.wb(ctx.antidiag())
-    rhs = 2.0 * ctx.nrm(ctx.op("P")) * ctx.nrm(ctx.op("Q")) * wb
+    rhs = 2.0 * ctx.nrm(ctx.k("P")) * ctx.nrm(ctx.k("Q")) * wb
     return ctx.w(_prod_sum(ctx, +1.0)), rhs, {"wB": wb}
 
 
@@ -541,13 +547,13 @@ def _thm_prod_pm_plus(ctx):
             description="w_A(PXQ# - QYP#) <= 2 ||P||_A ||Q||_A wB(antidiag(X,Y))")
 def _thm_prod_pm_minus(ctx):
     wb = ctx.wb(ctx.antidiag())
-    rhs = 2.0 * ctx.nrm(ctx.op("P")) * ctx.nrm(ctx.op("Q")) * wb
+    rhs = 2.0 * ctx.nrm(ctx.k("P")) * ctx.nrm(ctx.k("Q")) * wb
     return ctx.w(_prod_sum(ctx, -1.0)), rhs, {"wB": wb}
 
 
 def _prod_particular(ctx, sign: float):
-    p, q, x = ctx.op("P"), ctx.op("Q"), ctx.op("X")
-    m = p @ x @ ctx.sharp_of(q) + sign * (q @ x @ ctx.sharp_of(p))
+    p, q, x = ctx.k("P"), ctx.k("Q"), ctx.k("X")
+    m = p @ x @ q.conj().T + sign * (q @ x @ p.conj().T)
     rhs = 2.0 * ctx.nrm(p) * ctx.nrm(q) * ctx.w(x)
     return ctx.w(m), rhs, {"w_X": ctx.w(x)}
 
@@ -565,8 +571,8 @@ def _thm_prod_particular_minus(ctx):
 
 
 def _commutator(ctx, sign: float):
-    t, q = ctx.op("T"), ctx.op("Q")
-    m = t @ ctx.sharp_of(q) + sign * (q @ t)
+    t, q = ctx.k("T"), ctx.k("Q")
+    m = t @ q.conj().T + sign * (q @ t)
     rhs = 2.0 * ctx.w(t) * ctx.nrm(q)
     return ctx.w(m), rhs, {"w_T": ctx.w(t), "nrm_Q": ctx.nrm(q)}
 
@@ -587,10 +593,11 @@ def _cor_commutator_minus(ctx):
             description="|<X#TYx,x>_A| + |<Y#TXx,x>_A| <= 2 w_A(T) ||Xx||_A ||Yx||_A "
                         "on sampled x (worst sample reported)")
 def _lem_pointwise(ctx):
+    # sampled on H from the definitions, not in compressed coordinates
     x_op, t, y_op = ctx.op("X"), ctx.op("T"), ctx.op("Y")
-    g1 = ctx.sharp_of(x_op) @ t @ y_op
-    g2 = ctx.sharp_of(y_op) @ t @ x_op
-    wt = ctx.w(t)
+    g1 = sharp(ctx.f, x_op) @ t @ y_op
+    g2 = sharp(ctx.f, y_op) @ t @ x_op
+    wt = ctx.w(ctx.k("T"))
     n = ctx.f.dim
     rng = np.random.default_rng(ctx.seed_for("lem_pointwise"))
     xs = rng.standard_normal((n, _POINTWISE_SAMPLES)) + 1j * rng.standard_normal(
@@ -610,9 +617,9 @@ def _lem_pointwise(ctx):
 
 
 def _crawford_prod(ctx):
-    x, t, y = ctx.op("X"), ctx.op("T"), ctx.op("Y")
-    g1 = ctx.sharp_of(x) @ t @ y
-    g2 = ctx.sharp_of(y) @ t @ x
+    x, t, y = ctx.k("X"), ctx.k("T"), ctx.k("Y")
+    g1 = x.conj().T @ t @ y
+    g2 = y.conj().T @ t @ x
     rhs = 2.0 * ctx.w(t) * ctx.nrm(x) * ctx.nrm(y)
     return g1, g2, rhs
 
@@ -634,18 +641,18 @@ def _thm_crawford_prod_wc(ctx):
 @_register("cor_prod_improved_1", hypothesis="strict", roles=("X", "Y"),
             description="w_A(XY) <= 2 w_A(X) ||Y||_A - c_A(Y#X)")
 def _cor_prod_improved_1(ctx):
-    x, y = ctx.op("X"), ctx.op("Y")
+    x, y = ctx.k("X"), ctx.k("Y")
     plain = 2.0 * ctx.w(x) * ctx.nrm(y)
-    rhs = plain - ctx.c(ctx.sharp_of(y) @ x)
+    rhs = plain - ctx.c(y.conj().T @ x)
     return ctx.w(x @ y), rhs, {"plain_rhs": plain}
 
 
 @_register("cor_prod_improved_2", hypothesis="strict", roles=("X", "Y"),
             description="w_A(XY) <= 2 w_A(Y) ||X||_A - c_A(YX#)")
 def _cor_prod_improved_2(ctx):
-    x, y = ctx.op("X"), ctx.op("Y")
+    x, y = ctx.k("X"), ctx.k("Y")
     plain = 2.0 * ctx.w(y) * ctx.nrm(x)
-    rhs = plain - ctx.c(y @ ctx.sharp_of(x))
+    rhs = plain - ctx.c(y @ x.conj().T)
     return ctx.w(x @ y), rhs, {"plain_rhs": plain}
 
 
@@ -654,7 +661,7 @@ def _cor_prod_improved_2(ctx):
 # --------------------------------------------------------------------------
 
 def _block_lower(ctx, use_x: bool, use_minmod: bool):
-    x, y = ctx.op("X"), ctx.op("Y")
+    x, y = ctx.k("X"), ctx.k("Y")
     wb = ctx.wb(ctx.antidiag())
     lead, prod = (x, y @ x) if use_x else (y, x @ y)
     gauge = ctx.mm(lead) ** 2 if use_minmod else ctx.nrm(lead) ** 2
@@ -691,7 +698,7 @@ def _thm_block_lower_iv(ctx):
 @_register("thm_wa_lower_1", hypothesis="strict_nonzero_t",
             description="||T||_A/2 + c_A(T^2)/(2||T||_A) <= w_A(T)")
 def _thm_wa_lower_1(ctx):
-    t = ctx.op("T")
+    t = ctx.k("T")
     nt = ctx.nrm(t)
     lhs = 0.5 * nt + ctx.c(t @ t) / (2.0 * nt)
     return lhs, ctx.w(t), {"nrm_T": nt, "c_T2": ctx.c(t @ t)}
@@ -700,7 +707,7 @@ def _thm_wa_lower_1(ctx):
 @_register("thm_wa_lower_2", hypothesis="strict_nonzero_t",
             description="m_A(T)^2/(2||T||_A) + w_A(T^2)/(2||T||_A) <= w_A(T)")
 def _thm_wa_lower_2(ctx):
-    t = ctx.op("T")
+    t = ctx.k("T")
     nt = ctx.nrm(t)
     lhs = (ctx.mm(t) ** 2 + ctx.w(t @ t)) / (2.0 * nt)
     return lhs, ctx.w(t), {"nrm_T": nt, "mm_T": ctx.mm(t)}
@@ -710,7 +717,7 @@ def _thm_wa_lower_2(ctx):
             description="max(||T||_A^2 + c_A(T^2), m_A(T)^2 + w_A(T^2)) / "
                         "(2||T||_A) <= w_A(T)")
 def _thm_wa_lower_max(ctx):
-    t = ctx.op("T")
+    t = ctx.k("T")
     nt = ctx.nrm(t)
     t2 = t @ t
     lhs = max(nt ** 2 + ctx.c(t2), ctx.mm(t) ** 2 + ctx.w(t2)) / (2.0 * nt)

@@ -69,8 +69,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .adjoint import admits_a_adjoint, is_a_positive, reduced, sharp
-from .errors import EmptyRange, NoAdjoint, NotAPositive, UnsupportedExponent
+from .adjoint import admits_a_adjoint, reduced, sharp
+from .errors import EmptyRange, NoAdjoint, UnsupportedExponent
 from .frame import AFrame
 from .matrixcore import as_cmatrix, herm_part, singular_values, spec_norm
 
@@ -577,18 +577,10 @@ def _integer_exponent(r: float) -> bool:
     return abs(r - round(r)) <= 1e-12
 
 
-def a_positive_eig(f: AFrame, s) -> tuple:
-    """Checked spectral decomposition (lam, v) of the range compression of an
-    A-positive operator, with lam clipped at 0; ``positive_power`` takes it
-    to any admissible power, so a caller can reuse it across exponents."""
-    if not is_a_positive(f, s):
-        raise NotAPositive("operand is not A-positive")
-    lam, v = np.linalg.eigh(herm_part(reduced(f, s)))
-    return np.clip(lam, 0.0, None), v
-
-
 def positive_power(f: AFrame, eig: tuple, r: float) -> np.ndarray:
-    """The r-th power of a decomposition from ``a_positive_eig`` on ``f``.
+    """The r-th power v diag(lam^r) v* of a PSD compression on ``f``, given
+    its eigendecomposition (lam, v) with lam >= 0; a caller can reuse one
+    decomposition across exponents.
 
     Non-integer exponents require a strictly positive metric: a fractional
     functional calculus on a degenerate frame is not offered.
@@ -603,14 +595,3 @@ def positive_power(f: AFrame, eig: tuple, r: float) -> np.ndarray:
         raise EmptyRange("metric has rank zero; A-gauges are undefined")
     lam, v = eig
     return herm_part((v * lam ** float(r)) @ v.conj().T)
-
-
-def a_positive_power(f: AFrame, s, r: float) -> np.ndarray:
-    """Range compression of the r-th power of an A-positive operator.
-
-    Computed by eigendecomposition functional calculus on the (Hermitian PSD)
-    range compression; for integer r this agrees with the plain matrix power.
-    """
-    if r < 1:
-        raise ValueError("exponent must satisfy r >= 1")
-    return positive_power(f, a_positive_eig(f, s), r)

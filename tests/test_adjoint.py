@@ -169,3 +169,23 @@ def test_admits_iff_null_space_invariant():
             null_image_norm = frob(f.sqrt_a @ t @ f.null_u)
             invariant = null_image_norm <= 1e-9 * (1.0 + frob(t))
             assert admits_a_adjoint(f, t) == invariant
+
+
+def test_compression_is_a_star_homomorphism_on_every_rank():
+    # the identities that let the checks run in compressed coordinates:
+    # K(T#) = K(T)*, K(XY) = K(X) K(Y), and under diag(A, A) the antidiagonal
+    # block compresses to [[0, K(X)], [K(Y), 0]]
+    rng = np.random.default_rng(30)
+    for n in range(2, 7):
+        for rank in range(1, n + 1):
+            f = new_frame(gen_psd(n, rank, int(rng.integers(0, 2**63))))
+            t, x, y = (gen_compatible(f, int(rng.integers(0, 2**63))) for _ in range(3))
+            kt, kx, ky = reduced(f, t), reduced(f, x), reduced(f, y)
+            tol = 1e-12 * (1.0 + frob(kt) + frob(kx) * frob(ky))
+            assert frob(reduced(f, sharp(f, t)) - kt.conj().T) <= tol, (n, rank)
+            assert frob(reduced(f, x @ y) - kx @ ky) <= tol, (n, rank)
+            zero = np.zeros((n, n))
+            anti = np.block([[zero, x], [y, zero]])
+            kz = np.zeros((rank, rank))
+            want = np.block([[kz, kx], [ky, kz]])
+            assert frob(reduced(direct_sum(f), anti) - want) <= tol, (n, rank)

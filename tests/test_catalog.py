@@ -15,7 +15,6 @@ from anumrad import (
     sharp,
 )
 from anumrad.catalog import REGISTRY, _Ctx, _verdict, missing_operands, operands_needed
-from anumrad.gauges import a_positive_eig
 from anumrad.matrixcore import spec_norm
 from anumrad.errors import UnknownCheckId
 
@@ -252,8 +251,9 @@ def test_operands_needed_is_the_role_union():
 
 
 def _uncached_power_norm(f, t, r):
-    # the power term as a_positive_power computed it before the decomposition
-    # was split out: A-positivity check, compression, eigh and clip per call
+    # the power term on the full-space route the checks took before they ran
+    # in compressed coordinates: A-adjoint, A-positivity check, compression,
+    # eigh and clip of T#T and TT# per call
     s = sharp(f, t)
     parts = []
     for m in (s @ t, t @ s):
@@ -268,7 +268,8 @@ def _uncached_power_norm(f, t, r):
 
 @pytest.mark.parametrize("rank", [4, 2])
 def test_cached_power_norm_matches_uncached(rank):
-    # one decomposition per factor serves every exponent, bit for bit
+    # one decomposition per factor serves every exponent, bit for bit against
+    # a fresh context, and K*K, KK* agree with the full-space T#T, TT#
     rng = np.random.default_rng(67 + rank)
     for _ in range(5):
         f = new_frame(gen_psd(4, rank, int(rng.integers(0, 2**63))))
@@ -276,18 +277,22 @@ def test_cached_power_norm_matches_uncached(rank):
         ctx = _Ctx(f, {"T": t}, 0)
         exponents = (1.0, 1.5, 2.0, 3.0) if rank == 4 else (1.0, 2.0, 3.0)
         for r in exponents + exponents:
-            got = ctx.power_norm(t, r)
-            assert got.hex() == _uncached_power_norm(f, t, r).hex(), r
+            got = ctx.power_norm(ctx.k("T"), r)
+            fresh = _Ctx(f, {"T": t}, 0)
+            assert got.hex() == fresh.power_norm(fresh.k("T"), r).hex(), r
+            want = _uncached_power_norm(f, t, r)
+            assert abs(got - want) <= 1e-12 * abs(want), r
 
 
 def test_power_checks_decompose_each_factor_once(monkeypatch):
     calls = []
+    psd_eig = catalog._psd_eig
 
-    def counting(f, m):
+    def counting(m):
         calls.append(m.tobytes())
-        return a_positive_eig(f, m)
+        return psd_eig(m)
 
-    monkeypatch.setattr(catalog, "a_positive_eig", counting)
+    monkeypatch.setattr(catalog, "_psd_eig", counting)
     f = new_frame(gen_psd(3, 3, 71))
     t = gen_compatible(f, 72)
     results = run_all(f, {"T": t}, checks=["thm_power_r"])
@@ -348,3 +353,28 @@ def test_sharpness_equalities():
     # lower bound equality at T = I
     res = run_check("thm_wa_lower_1", f, {"T": np.eye(2)})
     assert abs(res.slack) <= 1e-9
+
+
+def _ill_conditioned_metric(n, ratio, rng):
+    # A = Q diag(ratio, ..., 1) Q* with a Haar-like unitary Q and the inner
+    # eigenvalues log-uniform between the two ends
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(g)
+    lam = np.concatenate(([ratio], ratio ** rng.uniform(0.0, 1.0, n - 2), [1.0]))
+    return (q * lam) @ q.conj().T
+
+
+@pytest.mark.parametrize("ratio", [1e-7, 1e-8, 1e-9])
+def test_ill_conditioned_metrics_report_no_violation(ratio):
+    # lambda_min / lambda_max far below gen_psd's clamp: T#T and TT# are
+    # A-positive by construction, and the compressed route keeps every check
+    # sound where forming them on H loses the ~cond(A) eps of A A^dagger
+    rng = np.random.default_rng(int(round(-np.log10(ratio))))
+    for i in range(20):
+        f = new_frame(_ill_conditioned_metric(2 + i % 4, ratio, rng))
+        assert f.strictly_positive
+        results = run_all(f, random_operands(f, rng), seed=i)
+        assert len(results) == 40
+        bad = [(r.check_id, r.lhs, r.rhs, r.metadata.get("error")) for r in results
+               if "error" in r.metadata or not (r.passed or r.skipped)]
+        assert bad == [], (i, f.dim)

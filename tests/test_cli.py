@@ -4,9 +4,17 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from anumrad import instance_to_dict, make_instance, save_instance
+from anumrad import (
+    Instance,
+    gen_compatible,
+    instance_to_dict,
+    make_instance,
+    new_frame,
+    save_instance,
+)
 from anumrad.harness import RANK_POLICIES, FuzzConfig
 
 
@@ -254,13 +262,14 @@ def _sha256(data: bytes) -> str:
 
 
 @pytest.mark.parametrize("args,json_digest,stdout_digest", [
-    ((5, 5, 7), "34659d3b6b37692b19fc2e8ce66315f757c983612f81755239ed6d96dc4d20f7",
-     "2c3d4a4f2d7afecbd691192c372f6cdd87bfc4462ea7d9077378270afcaafc8e"),
-    ((4, 2, 9), "ad12f226d6929823749b4dcc085179ca689c8517fbc67d1be84a987a2e79716d",
-     "ac869a27a8f414d6929eab1238acc30ffd3e5296556bb8dd2a374bdb4ade3a46"),
+    ((5, 5, 7), "3959f1c29c29a95f387a41bf9f5f86da00aedb906aa8dba42b8dcda7ba5f8cee",
+     "f7c4eff591503304f4f8f74674f32a5e27a03d4399f91f13e548e928126d768a"),
+    ((4, 2, 9), "e5f9169b0f2759d7fa0220250f47f97f95219adb01a3f6d2a623f380aaa40bd5",
+     "ec27251e69820046a4276d7c3aa6d60c43ffa42a02391dbf075b86601d8e1b27"),
 ], ids=["full-rank", "rank-2"])
 def test_check_output_golden_digests(tmp_path, args, json_digest, stdout_digest):
-    # the check report and table are pinned byte for byte
+    # the check report and table are pinned byte for byte (re-captured when
+    # the checks moved to compressed coordinates)
     inst_path, json_path = tmp_path / "inst.json", tmp_path / "report.json"
     save_instance(make_instance(*args), inst_path)
     proc = subprocess.run(
@@ -279,3 +288,17 @@ def test_repro_output_golden_digest():
     assert proc.returncode == 0, proc.stderr
     assert _sha256(proc.stdout) == (
         "44d8c1790d5237d8c8ab75f4945ba0e13602e9fa8018f2adcb0fd366eb0a83d4")
+
+
+def test_check_passes_on_an_ill_conditioned_metric(tmp_path):
+    # a strictly positive metric with lambda_min / lambda_max = 1e-8: forming
+    # T#T on H and testing it for A-positivity reported four nan FAIL rows here
+    rng = np.random.default_rng(1)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    a = (q * np.array([1e-8, 0.3, 1.0])) @ q.conj().T
+    t = gen_compatible(new_frame(a), 5)
+    path = tmp_path / "inst.json"
+    save_instance(Instance(dim=3, a=a, operators={"T": t}, seed=0), path)
+    proc = run_cli("check", "--instance", str(path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "violations=0" in proc.stdout

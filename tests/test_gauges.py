@@ -7,7 +7,6 @@ from anumrad import (
     a_crawford_C,
     a_min_modulus,
     a_numerical_radius,
-    a_positive_power,
     a_seminorm,
     crawford,
     crawford_C,
@@ -16,12 +15,13 @@ from anumrad import (
     new_frame,
     numerical_radius,
     oracle_gauge,
+    reduced,
     sharp,
 )
+from anumrad.catalog import _psd_eig
 from anumrad.errors import (
     EmptyRange,
     NoAdjoint,
-    NotAPositive,
     UnsupportedExponent,
 )
 from anumrad.matrixcore import frob, spec_norm
@@ -245,13 +245,29 @@ def _shifted_across_boundary(m, rng):
     return out
 
 
+def _apex_mid_cell(u, n):
+    """A normal matrix whose two outer eigenvalues have near-equal modulus.
+
+    1 has its apex at the fine point 5 delta; 1 + 2e-6 has its apex at
+    24.5 delta, mid-cell and mid-step, where every grid point reads below 1.
+    So only the outer-polygon factors 1 / cos(span / 2) (for the cell) and
+    1 / cos(delta / 2) (for the candidate) keep the higher apex in play.
+    """
+    delta = 2.0 * np.pi / 1024
+    inner = 0.5 * np.exp(1j * (0.3 + np.linspace(0.0, 2.0 * np.pi, n - 2, endpoint=False)))
+    lam = np.concatenate(([np.exp(-5j * delta), (1.0 + 2e-6) * np.exp(-24.5j * delta)], inner))
+    return u @ np.diag(lam) @ u.conj().T
+
+
 def _structured(n, rng):
-    """Matrices whose profiles are generic, symmetric, flat or tiny, and
-    matrices whose W has 0 inside, near its boundary or outside."""
+    """Matrices whose profiles are generic, symmetric, flat or tiny,
+    matrices whose W has 0 inside, near its boundary or outside, and (for
+    n >= 2) one whose highest apex sits between the coarse points."""
     jordan = np.diag(np.ones(n - 1), 1)
     u, _ = np.linalg.qr(rand_complex(rng, (n, n)))
     h = rand_complex(rng, (n, n))
-    return _shifted_across_boundary(rand_complex(rng, (n, n)), rng) + [
+    apex = [_apex_mid_cell(u, n)] if n >= 2 else []
+    return apex + _shifted_across_boundary(rand_complex(rng, (n, n)), rng) + [
         rand_complex(rng, (n, n)),
         u @ np.diag(rand_complex(rng, n)) @ u.conj().T,  # normal
         h + h.conj().T,  # Hermitian
@@ -520,54 +536,37 @@ def test_oracle_golden_values(rank):
         assert got == _ORACLE_GOLDEN[(rank, kind)], kind
 
 
-def test_a_positive_power_examples():
+def test_positive_power_examples():
     f = new_frame(np.eye(2))
-    np.testing.assert_allclose(a_positive_power(f, np.eye(2), 3.7), np.eye(2), atol=1e-12)
-    s = np.diag([4.0, 9.0])
-    np.testing.assert_allclose(a_positive_power(f, s, 2), np.diag([16.0, 81.0]), atol=1e-10)
-    np.testing.assert_allclose(a_positive_power(f, s, 1.5), np.diag([8.0, 27.0]), atol=1e-10)
+    got = gauges.positive_power(f, _psd_eig(np.eye(2)), 3.7)
+    np.testing.assert_allclose(got, np.eye(2), atol=1e-12)
+    eig = _psd_eig(np.diag([4.0, 9.0]))
+    np.testing.assert_allclose(gauges.positive_power(f, eig, 2), np.diag([16.0, 81.0]),
+                               atol=1e-10)
+    np.testing.assert_allclose(gauges.positive_power(f, eig, 1.5), np.diag([8.0, 27.0]),
+                               atol=1e-10)
 
 
-def test_a_positive_power_validation():
+def test_positive_power_validation():
+    # the exponent is checked on every call, before the degenerate-frame rule
     f = new_frame(np.eye(2))
     with pytest.raises(ValueError):
-        a_positive_power(f, np.eye(2), 0.5)
-    with pytest.raises(NotAPositive):
-        a_positive_power(f, NILP, 2)
+        gauges.positive_power(f, _psd_eig(np.eye(2)), 0.5)
     f_sing = new_frame(np.diag([0.0, 1.0]))
-    with pytest.raises(UnsupportedExponent):
-        a_positive_power(f_sing, np.eye(2), 1.5)
-    # integer powers on a degenerate frame match the plain reduced product
-    red = a_positive_power(f_sing, np.diag([3.0, 2.0]), 2)
-    assert red.shape == (1, 1) and red[0, 0] == pytest.approx(4.0, abs=1e-10)
-
-
-def test_a_positive_power_error_order_and_split():
-    # the exponent is checked before A-positivity, A-positivity before the
-    # degenerate-frame exponent rule, as a_positive_power always did
-    f_sing = new_frame(np.diag([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        a_positive_power(f_sing, NILP, 0.5)
-    with pytest.raises(NotAPositive):
-        a_positive_power(f_sing, -np.eye(2), 1.5)
-    with pytest.raises(NotAPositive):
-        gauges.a_positive_eig(f_sing, -np.eye(2))
-    # the power step checks its exponent on every call, cached input or not
-    eig = gauges.a_positive_eig(f_sing, np.eye(2))
+    eig = _psd_eig(reduced(f_sing, np.diag([3.0, 2.0])))
     with pytest.raises(ValueError):
         gauges.positive_power(f_sing, eig, 0.5)
     with pytest.raises(UnsupportedExponent):
         gauges.positive_power(f_sing, eig, 1.5)
+    # integer powers on a degenerate frame match the plain reduced product
+    red = gauges.positive_power(f_sing, eig, 2)
+    assert red.shape == (1, 1) and red[0, 0] == pytest.approx(4.0, abs=1e-10)
     f0 = new_frame(np.zeros((2, 2)))
+    empty = (np.zeros(0), np.zeros((0, 0), dtype=complex))
     with pytest.raises(UnsupportedExponent):
-        a_positive_power(f0, np.eye(2), 1.5)
+        gauges.positive_power(f0, empty, 1.5)
     with pytest.raises(EmptyRange):
-        a_positive_power(f0, np.eye(2), 2)
-    f = new_frame(np.diag([4.0, 1.0]))
-    s = np.diag([4.0, 9.0])
-    eig = gauges.a_positive_eig(f, s)
-    for r in (1, 1.5, 2, 3):
-        assert gauges.positive_power(f, eig, r).tobytes() == a_positive_power(f, s, r).tobytes()
+        gauges.positive_power(f0, empty, 2)
 
 
 def test_integer_power_matches_matrix_product():
@@ -575,11 +574,8 @@ def test_integer_power_matches_matrix_product():
     for _ in range(10):
         f = random_frame(rng)
         t = gen_compatible(f, int(rng.integers(0, 2**63)))
-        s = sharp(f, t) @ t
-        from anumrad import reduced
-
-        k = reduced(f, s)
-        p2 = a_positive_power(f, s, 2)
+        k = reduced(f, sharp(f, t) @ t)
+        p2 = gauges.positive_power(f, _psd_eig(k), 2)
         assert frob(p2 - k @ k) <= 1e-9 * (1.0 + frob(k) ** 2)
 
 

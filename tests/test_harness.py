@@ -305,25 +305,28 @@ def test_report_serialization_shapes():
 # captured with numpy 2.4.6 and OpenBLAS 0.3.31. Reports round floats to 12
 # significant digits, so these pin every row and summary value: a change
 # that should not move any report must keep them, and one that does must
-# edit them on purpose.
+# edit them on purpose. The fuzz digests were last re-captured when the
+# checks moved to compressed coordinates (K(T#T) computed as K*K, and so
+# on), which moves lhs and rhs by at most ~3e-13 relative.
 _GOLDEN_REPORT_SHA256 = {
-    "json": "bfd549b1cbe08a04ceaa3f16501776e899b077dd92ec2e010fcf53da9fd9c66d",
-    "csv": "00211a949293d783ee8bfba466ae46e2e3e8bc7f8fc3d13712c0aa0924874495",
+    "json": "55cde8bb6fcec2494becea872de8afcca126e50da3fddc323afdd2c40a2a238e",
+    "csv": "bbb355ba31820db6b7960bb745e006187d2e5f20ce0c65e58888656d96afbf0e",
 }
 
 # The same for the other rank policies and for a single-family sharpness
-# scan (the only run here whose summary carries top-k lists). Captured the
-# same way, from the full 1024-point theta scan, before the scan became
-# bound-pruned: the pruned scan must reproduce them bit for bit.
+# scan (the only run here whose summary carries top-k lists). The sharpness
+# scan reads only gauges of K(T) = reduced(f, T); its digests date from the
+# full 1024-point theta scan, before the scan became bound-pruned, and the
+# pruned scan must reproduce them bit for bit.
 _GOLDEN_RUNS = {
     "degenerate-heavy": (
         lambda: fuzz(FuzzConfig(trials=40, master_seed=11, rank_policy="degenerate-heavy")),
-        "6982cda33f3dd86f79e8060523ec949d9d8b2259528b14e20ae49e2d7101193e",
-        "a4069bebc7994a8acd232a0476bfae63481a53ed2aa46d2859e151819ae25eda"),
+        "0b970e2321ec61e6f2cc2a8070a0a391c4f7ad971ac78a8c6bf8c7ff7680840e",
+        "e2793f2863eba5c3530bb2d9d355bbfdf86b88960879b87f623f750a96073d71"),
     "full": (
         lambda: fuzz(FuzzConfig(trials=40, master_seed=11, rank_policy="full")),
-        "4a99015d351ebeb1716d26eff5fc96caa7a3c1030fbd40d0ae0ecf6365bd20cf",
-        "0e99f1ee3ef63446cd2c3becc25a7120554c9a811fa977249a64372a271bfd9b"),
+        "7927c5162ed763f39998ca07e7c14d1dd8742f8d6f71d480a3b5d973172398a4",
+        "fdde011e78a62bcdac9144a4ac4bb1181c9565010d7701fffabf8ce2f3e9efee"),
     "equiv_half-top10": (
         lambda: scan_sharpness(FuzzConfig(trials=100, master_seed=11, checks=["equiv_half"]),
                                top=10),
