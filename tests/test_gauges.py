@@ -547,26 +547,47 @@ def test_positive_power_examples():
                                atol=1e-10)
 
 
-def test_positive_power_validation():
-    # the exponent is checked on every call, before the degenerate-frame rule
+def test_a_positive_power_validation():
+    # the power of an A-positive operator is taken on its compression
     f = new_frame(np.eye(2))
     with pytest.raises(ValueError):
-        gauges.positive_power(f, _psd_eig(np.eye(2)), 0.5)
+        gauges.positive_power(f, _psd_eig(reduced(f, np.eye(2))), 0.5)
     f_sing = new_frame(np.diag([0.0, 1.0]))
     eig = _psd_eig(reduced(f_sing, np.diag([3.0, 2.0])))
-    with pytest.raises(ValueError):
-        gauges.positive_power(f_sing, eig, 0.5)
     with pytest.raises(UnsupportedExponent):
         gauges.positive_power(f_sing, eig, 1.5)
     # integer powers on a degenerate frame match the plain reduced product
     red = gauges.positive_power(f_sing, eig, 2)
     assert red.shape == (1, 1) and red[0, 0] == pytest.approx(4.0, abs=1e-10)
+
+
+def test_a_positive_power_error_order_and_split():
+    # the exponent is checked on every call, before the degenerate-frame rule
+    f_sing = new_frame(np.diag([0.0, 1.0]))
+    eig = _psd_eig(reduced(f_sing, np.eye(2)))
+    with pytest.raises(ValueError):
+        gauges.positive_power(f_sing, eig, 0.5)
+    with pytest.raises(UnsupportedExponent):
+        gauges.positive_power(f_sing, eig, 1.5)
     f0 = new_frame(np.zeros((2, 2)))
     empty = (np.zeros(0), np.zeros((0, 0), dtype=complex))
+    with pytest.raises(ValueError):
+        gauges.positive_power(f0, empty, 0.5)
     with pytest.raises(UnsupportedExponent):
         gauges.positive_power(f0, empty, 1.5)
     with pytest.raises(EmptyRange):
         gauges.positive_power(f0, empty, 2)
+    # one decomposition serves every exponent: reusing it gives the same
+    # bytes as a fresh one, and S^r compresses to K(S)^r when S commutes with A
+    f = new_frame(np.diag([4.0, 1.0]))
+    s = np.diag([4.0, 9.0])
+    eig = _psd_eig(reduced(f, s))
+    for r in (1, 1.5, 2, 3):
+        got = gauges.positive_power(f, eig, r)
+        fresh = gauges.positive_power(f, _psd_eig(reduced(f, s)), r)
+        assert got.tobytes() == fresh.tobytes()
+        want = reduced(f, np.diag([4.0 ** r, 9.0 ** r]))
+        assert frob(got - want) <= 1e-10 * (1.0 + frob(want))
 
 
 def test_integer_power_matches_matrix_product():
