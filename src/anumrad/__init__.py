@@ -27,7 +27,6 @@ from .errors import (
     EmptyRange,
     NoAdjoint,
     NoConvergence,
-    NotAPositive,
     NotHermitian,
     NotPSD,
     RequiresStrictPositivity,
@@ -87,7 +86,6 @@ __all__ = [
     "Instance",
     "NoAdjoint",
     "NoConvergence",
-    "NotAPositive",
     "NotHermitian",
     "NotPSD",
     "REGISTRY",

@@ -13,15 +13,17 @@ four ``thm_block_lower_*``).
 Hypothesis gating: checks whose statement assumes a strictly positive metric
 are *skipped* (never failed) on degenerate frames; the same applies to the
 nilpotency-conditional equality checks and to the lower bounds that divide by
-the operator seminorm.
+the operator seminorm. Hypotheses are tested on K(T) as well, so the
+nilpotency hypothesis reads K(T)^k = K(T^k) = 0, that is A T^k = 0: every
+term of the equalities it gates is a gauge of K(T).
 
 Operands a check names but the caller omits fall back to X = Y = T and
 P = Q = I.
 
-Check bodies work in compressed coordinates (see ``_Ctx``): each operand is
+Checks work in compressed coordinates only (see ``_Ctx``): each operand is
 compressed to the range of A once, and every derived operator (T^2,
 T#T + TT#, PXQ# +- QYP#, the antidiagonal block under diag(A, A)) is built
-from those r x r matrices.
+from those r x r matrices. Nothing here reads an operand on H.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adjoint import reduced, sharp
+from .adjoint import reduced
 from .errors import UnknownCheckId
 from .frame import AFrame
 from .gauges import _integer_exponent, positive_power, sweep_gauges
@@ -120,9 +122,8 @@ class _Ctx:
     K(ST) = K(S) K(T), K(S + T) = K(S) + K(T) and K(T#) = K(T)*. Under
     diag(A, A) the antidiagonal block [[0, X], [Y, 0]] compresses to
     [[0, K(X)], [K(Y), 0]]. So each operand is compressed once (``k``), and
-    check bodies build every derived operator from r x r matrices, with #
-    as the conjugate transpose and Re_A as the Hermitian part. Hypotheses
-    and ``lem_pointwise`` read the operands on H (``op``).
+    hypotheses and check bodies read only those r x r matrices, with # as
+    the conjugate transpose and Re_A as the Hermitian part.
 
     Gauges are memoized by matrix bytes so that checks sharing a derived
     matrix (the same K(T)^2, the same antidiagonal, ...) pay for each sweep
@@ -141,14 +142,6 @@ class _Ctx:
     @staticmethod
     def _key(m: np.ndarray):
         return (m.shape, m.tobytes())
-
-    def op(self, name: str) -> np.ndarray:
-        """Operand ``name`` on H; X and Y fall back to T."""
-        if name in self._ops:
-            return self._ops[name]
-        if name in ("X", "Y"):
-            return self.op("T")
-        raise KeyError(f"operand {name!r} not supplied")
 
     def k(self, name: str) -> np.ndarray:
         """Range compression of operand ``name``, computed once per instance;
@@ -237,9 +230,10 @@ def _psd_eig(m: np.ndarray) -> tuple:
     return np.clip(lam, 0.0, None), v
 
 
-def _nilpotency_defect(t: np.ndarray, order: int) -> float:
-    p = np.linalg.matrix_power(t, order)
-    return frob(p) / (1.0 + frob(t) ** order)
+def _nilpotency_defect(k: np.ndarray, order: int) -> float:
+    """Relative size of K^order for K = K(T); it vanishes when A T^order = 0."""
+    p = np.linalg.matrix_power(k, order)
+    return frob(p) / (1.0 + frob(k) ** order)
 
 
 def _hypothesis_state(cd: CheckDef, ctx: _Ctx) -> bool:
@@ -248,13 +242,14 @@ def _hypothesis_state(cd: CheckDef, ctx: _Ctx) -> bool:
         return True
     if cd.hypothesis == "strict":
         return ctx.f.strictly_positive
+    t = ctx.k("T")
     if cd.hypothesis == "strict_nonzero_t":
-        nt = ctx.nrm(ctx.k("T"))
-        return ctx.f.strictly_positive and nt > 1e-12 * (1.0 + frob(ctx.op("T")))
+        nt = ctx.nrm(t)
+        return ctx.f.strictly_positive and nt > 1e-12 * (1.0 + frob(t))
     if cd.hypothesis == "nilpotent2":
-        return _nilpotency_defect(ctx.op("T"), 2) <= 1e-12
+        return _nilpotency_defect(t, 2) <= 1e-12
     if cd.hypothesis == "nilpotent3":
-        return _nilpotency_defect(ctx.op("T"), 3) <= 1e-12
+        return _nilpotency_defect(t, 3) <= 1e-12
     raise AssertionError(f"unknown hypothesis kind {cd.hypothesis!r}")
 
 
@@ -475,19 +470,19 @@ def _thm_cubic(ctx):
 
 
 @_register("thm_cubic_sq_zero", mode="eq", hypothesis="nilpotent2", abs_tol=1e-8,
-            description="T^2 = 0 forces w_A(T) = sqrt(||TT#+T#T||_A)/2")
+            description="A T^2 = 0 forces w_A(T) = sqrt(||TT#+T#T||_A)/2")
 def _thm_cubic_sq_zero(ctx):
     t = ctx.k("T")
     rhs = 0.5 * math.sqrt(ctx.nrm(ctx.pm(t)))
-    return ctx.w(t), rhs, {"nilpotency_defect": _nilpotency_defect(ctx.op("T"), 2)}
+    return ctx.w(t), rhs, {"nilpotency_defect": _nilpotency_defect(t, 2)}
 
 
 @_register("thm_cubic_cube_zero", mode="eq", hypothesis="nilpotent3", abs_tol=1e-7,
-            description="T^3 = 0 forces w_A(T)^3 = w_A(T^2 T# + T# T^2 + T T# T)/4")
+            description="A T^3 = 0 forces w_A(T)^3 = w_A(T^2 T# + T# T^2 + T T# T)/4")
 def _thm_cubic_cube_zero(ctx):
     t = ctx.k("T")
     rhs = 0.25 * ctx.w(_cubic_mixed(t))
-    return ctx.w(t) ** 3, rhs, {"nilpotency_defect": _nilpotency_defect(ctx.op("T"), 3)}
+    return ctx.w(t) ** 3, rhs, {"nilpotency_defect": _nilpotency_defect(t, 3)}
 
 
 def _power_evaluator(r: float):
@@ -593,22 +588,23 @@ def _cor_commutator_minus(ctx):
             description="|<X#TYx,x>_A| + |<Y#TXx,x>_A| <= 2 w_A(T) ||Xx||_A ||Yx||_A "
                         "on sampled x (worst sample reported)")
 def _lem_pointwise(ctx):
-    # sampled on H from the definitions, not in compressed coordinates
-    x_op, t, y_op = ctx.op("X"), ctx.op("T"), ctx.op("Y")
-    g1 = sharp(ctx.f, x_op) @ t @ y_op
-    g2 = sharp(ctx.f, y_op) @ t @ x_op
-    wt = ctx.w(ctx.k("T"))
+    # unit vectors x are drawn on H and mapped once to y = U* A^{1/2} x; then
+    # <X#TYx, x>_A = y* K_X* K_T K_Y y and ||Xx||_A = ||K_X y||
+    x, t, y = ctx.k("X"), ctx.k("T"), ctx.k("Y")
+    g1 = x.conj().T @ t @ y
+    g2 = y.conj().T @ t @ x
+    wt = ctx.w(t)
     n = ctx.f.dim
     rng = np.random.default_rng(ctx.seed_for("lem_pointwise"))
     xs = rng.standard_normal((n, _POINTWISE_SAMPLES)) + 1j * rng.standard_normal(
         (n, _POINTWISE_SAMPLES)
     )
     xs /= np.linalg.norm(xs, axis=0)
-    a = ctx.f.a
-    quad1 = np.abs(np.einsum("ij,ij->j", xs.conj(), a @ g1 @ xs))
-    quad2 = np.abs(np.einsum("ij,ij->j", xs.conj(), a @ g2 @ xs))
-    nx = np.linalg.norm(ctx.f.sqrt_a @ x_op @ xs, axis=0)
-    ny = np.linalg.norm(ctx.f.sqrt_a @ y_op @ xs, axis=0)
+    ys = ctx.f.range_u.conj().T @ (ctx.f.sqrt_a @ xs)
+    quad1 = np.abs(np.einsum("ij,ij->j", ys.conj(), g1 @ ys))
+    quad2 = np.abs(np.einsum("ij,ij->j", ys.conj(), g2 @ ys))
+    nx = np.linalg.norm(x @ ys, axis=0)
+    ny = np.linalg.norm(y @ ys, axis=0)
     lhs_all = quad1 + quad2
     rhs_all = 2.0 * wt * nx * ny
     worst = int(np.argmax((lhs_all - rhs_all) / (1.0 + np.abs(rhs_all))))

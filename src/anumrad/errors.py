@@ -31,10 +31,6 @@ class NoAdjoint(AnumradError):
     """The operator does not admit an adjoint with respect to the metric A."""
 
 
-class NotAPositive(AnumradError):
-    """The operator is not A-positive."""
-
-
 class UnsupportedExponent(AnumradError):
     """Non-integer operator power requested on a degenerate (singular A) frame."""
 

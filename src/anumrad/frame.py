@@ -105,19 +105,12 @@ def direct_sum(f: AFrame) -> AFrame:
     Derived matrices are assembled blockwise from the parent frame, so the
     block structure of every artifact is exact.
     """
-    n = f.dim
 
     def blk(m: np.ndarray) -> np.ndarray:
-        out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        out[:n, :n] = m
-        out[n:, n:] = m
-        return out
-
-    def stack_basis(u: np.ndarray) -> np.ndarray:
-        k = u.shape[1]
-        out = np.zeros((2 * n, 2 * k), dtype=np.complex128)
-        out[:n, :k] = u
-        out[n:, k:] = u
+        rows, cols = m.shape
+        out = np.zeros((2 * rows, 2 * cols), dtype=m.dtype)
+        out[:rows, :cols] = m
+        out[rows:, cols:] = m
         return out
 
     a2 = blk(f.a)
@@ -125,11 +118,11 @@ def direct_sum(f: AFrame) -> AFrame:
     pinv_sqrt2 = blk(f.pinv_sqrt_a)
     pinv2 = blk(f.pinv_a)
     proj2 = blk(f.projector)
-    u2 = stack_basis(f.range_u)
-    un2 = stack_basis(f.null_u)
+    u2 = blk(f.range_u)
+    un2 = blk(f.null_u)
     _freeze(a2, sqrt2, pinv_sqrt2, pinv2, proj2, u2, un2)
     return AFrame(
-        dim=2 * n,
+        dim=2 * f.dim,
         a=a2,
         sqrt_a=sqrt2,
         pinv_sqrt_a=pinv_sqrt2,

@@ -1,22 +1,29 @@
+import sys
+
 import numpy as np
 import pytest
 
-from anumrad import catalog
+import anumrad
+from anumrad import adjoint, catalog
 from anumrad import (
+    a_numerical_radius,
     gen_compatible,
     gen_psd,
     is_a_positive,
+    make_instance,
     new_frame,
     reduced,
     registry_ids,
+    repro_paper,
     resolve_ids,
     run_all,
     run_check,
     sharp,
 )
 from anumrad.catalog import REGISTRY, _Ctx, _verdict, missing_operands, operands_needed
-from anumrad.matrixcore import spec_norm
+from anumrad.matrixcore import frob, spec_norm
 from anumrad.errors import UnknownCheckId
+from anumrad.seeding import label_seed
 
 T39 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
 
@@ -165,6 +172,35 @@ def test_nilpotent_equality_checks():
     res3 = run_check("thm_cubic_cube_zero", f3, {"T": t3})
     assert res3.hypothesis_met and res3.passed
     assert abs(res3.slack) <= 1e-7
+
+
+def _a_nilpotent_not_nilpotent(n, rank, r_block, seed):
+    # T = basis [[R, 0], [S, N]] basis* in the basis [range | null] of A: the
+    # zero block keeps the null space invariant, and A T^k = 0 exactly when
+    # R^k = 0, whatever S and N are
+    f = new_frame(gen_psd(n, rank, seed))
+    basis = np.hstack([f.range_u, f.null_u])
+    g = np.zeros((n, n), dtype=complex)
+    g[:rank, :rank] = r_block
+    g[rank:, :rank] = 1.0
+    g[rank:, rank:] = 2.0 * np.eye(n - rank)
+    return f, basis @ g @ basis.conj().T
+
+
+@pytest.mark.parametrize("cid,order,n,rank,r_block", [
+    ("thm_cubic_sq_zero", 2, 3, 2, np.array([[0.0, 1.0], [0.0, 0.0]])),
+    ("thm_cubic_cube_zero", 3, 4, 3, np.eye(3, k=1)),
+], ids=["sq", "cube"])
+def test_nilpotency_hypothesis_reads_the_compression(cid, order, n, rank, r_block):
+    # the equalities hold whenever A T^k = 0 (then K(T)^k = K(T^k) = 0), even
+    # though T^k itself is far from zero; a test of T^k on H skipped these
+    f, t = _a_nilpotent_not_nilpotent(n, rank, r_block, 19)
+    tk = np.linalg.matrix_power(t, order)
+    assert frob(tk) > 1.0
+    assert frob(f.a @ tk) <= 1e-12
+    res = run_check(cid, f, {"T": t})
+    assert res.hypothesis_met and res.passed, res
+    assert res.metadata["nilpotency_defect"] <= 1e-12
 
 
 def test_power_check_dynamic_exponent():
@@ -378,3 +414,64 @@ def test_ill_conditioned_metrics_report_no_violation(ratio):
         bad = [(r.check_id, r.lhs, r.rhs, r.metadata.get("error")) for r in results
                if "error" in r.metadata or not (r.passed or r.skipped)]
         assert bad == [], (i, f.dim)
+
+
+def _pointwise_on_h(f, ops, seed):
+    # lem_pointwise as it sampled on H from the definitions before it moved
+    # to compressed coordinates: A-adjoints, A and A^{1/2} on the full space
+    x_op, t, y_op = ops["X"], ops["T"], ops["Y"]
+    g1 = sharp(f, x_op) @ t @ y_op
+    g2 = sharp(f, y_op) @ t @ x_op
+    wt = a_numerical_radius(f, t)
+    n, samples = f.dim, catalog._POINTWISE_SAMPLES
+    rng = np.random.default_rng(label_seed(seed, "lem_pointwise"))
+    xs = rng.standard_normal((n, samples)) + 1j * rng.standard_normal((n, samples))
+    xs /= np.linalg.norm(xs, axis=0)
+    quad1 = np.abs(np.einsum("ij,ij->j", xs.conj(), f.a @ g1 @ xs))
+    quad2 = np.abs(np.einsum("ij,ij->j", xs.conj(), f.a @ g2 @ xs))
+    nx = np.linalg.norm(f.sqrt_a @ x_op @ xs, axis=0)
+    ny = np.linalg.norm(f.sqrt_a @ y_op @ xs, axis=0)
+    lhs_all = quad1 + quad2
+    rhs_all = 2.0 * wt * nx * ny
+    worst = int(np.argmax((lhs_all - rhs_all) / (1.0 + np.abs(rhs_all))))
+    return float(lhs_all[worst]), float(rhs_all[worst])
+
+
+def test_pointwise_matches_the_full_space_route():
+    # the full-space route forms A^dagger X* A, so it carries an error of about
+    # cond(A) eps on top of the compressed route's; on the worst instance here
+    # (cond(A) = 1.8e5) a 40-digit evaluation puts the compressed lhs 1.6e-16
+    # and the full-space lhs 2.3e-11 from the exact value
+    rng = np.random.default_rng(73)
+    for i in range(200):
+        n = 2 + i % 5
+        f = new_frame(gen_psd(n, n, int(rng.integers(0, 2**63))))
+        ops = {name: gen_compatible(f, int(rng.integers(0, 2**63))) for name in "XTY"}
+        res = run_check("lem_pointwise", f, ops, seed=i)
+        lhs, rhs = _pointwise_on_h(f, ops, i)
+        tol = 1e-11 + np.finfo(float).eps * np.linalg.cond(f.a)
+        assert abs(res.lhs - lhs) <= tol * abs(lhs), (i, res.lhs, lhs)
+        assert abs(res.rhs - rhs) <= tol * abs(rhs), (i, res.rhs, rhs)
+
+
+def test_checks_and_repro_never_call_sharp(monkeypatch):
+    # every A-quantity of a check or of repro comes from compressions, so an
+    # A-adjoint formed on H is never needed
+    def no_sharp(f, t):
+        raise AssertionError("sharp called")
+
+    orig = adjoint.sharp
+    for name, module in list(sys.modules.items()):
+        if name == "anumrad" or name.startswith("anumrad."):
+            for attr, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, attr, no_sharp)
+    assert anumrad.sharp is no_sharp
+    for n, rank, seed in ((4, 4, 31), (5, 2, 32), (3, 3, 33)):
+        inst = make_instance(n, rank, seed)
+        results = run_all(inst.frame, inst.operators, seed=seed)
+        assert len(results) == 40
+        assert [r.check_id for r in results if "error" in r.metadata] == []
+        assert all(r.passed for r in results)
+    report = repro_paper()
+    assert [r["check_id"] for r in report.rows if not r["pass"]] == []

@@ -9,10 +9,13 @@ import pytest
 
 from anumrad import (
     Instance,
+    a_seminorm,
+    check_instance,
     gen_compatible,
     instance_to_dict,
     make_instance,
     new_frame,
+    registry_ids,
     save_instance,
 )
 from anumrad.harness import RANK_POLICIES, FuzzConfig
@@ -302,3 +305,28 @@ def test_check_passes_on_an_ill_conditioned_metric(tmp_path):
     proc = run_cli("check", "--instance", str(path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "violations=0" in proc.stdout
+
+
+def test_check_rejects_an_operand_that_would_overflow(tmp_path):
+    # w_A(T)^6 overflows once ||T||_A passes about 2.6e51: this instance was
+    # reported as a violation (thm_power_r_3 nan nan FAIL)
+    t = 1e52 * np.array([[1.0, 1.0], [0.0, 1.0]])
+    path = tmp_path / "inst.json"
+    save_instance(Instance(dim=2, a=np.eye(2), operators={"T": t}, seed=0), path)
+    proc = run_cli("check", "--instance", str(path))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "'T'" in proc.stderr and "A-seminorm" in proc.stderr
+    assert "FAIL" not in proc.stdout
+
+
+@pytest.mark.parametrize("n,rank,seed", [(3, 3, 5), (5, 2, 6)])
+def test_check_passes_at_the_largest_accepted_seminorm(n, rank, seed):
+    # every operand scaled to A-seminorm 1e50, less 1e-9 relative so that
+    # rounding cannot lift it past the limit
+    inst = make_instance(n, rank, seed)
+    f = inst.frame
+    inst.operators = {name: op * (1e50 * (1.0 - 1e-9) / a_seminorm(f, op))
+                      for name, op in inst.operators.items()}
+    report = check_instance(inst)
+    assert [row["check_id"] for row in report.rows] == registry_ids()
+    assert [row["check_id"] for row in report.rows if not row["pass"]] == []
