@@ -4,6 +4,9 @@
 distinguished adjoint A^dagger T* A, the A-positivity predicate, and the
 range compression through which every A-gauge becomes a classical matrix
 quantity.
+
+With A = U diag(lam) U* and N spanning the null space (``frame.AFrame``),
+the Douglas test and the compression both read U* T (``_range_rows``).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NoAdjoint
-from .frame import AFrame, frame_scale
+from .frame import AFrame
 from .matrixcore import DEFAULT_RANK_TOL, as_cmatrix, frob, herm_part, spec_norm
 
 # Relative tolerance of the A-positivity predicate (verdict tolerances are
@@ -26,11 +29,24 @@ def _check_square(f: AFrame, t) -> np.ndarray:
     return t
 
 
-def admits_a_adjoint(f: AFrame, t) -> bool:
-    """Douglas criterion: R(T* A) inside R(A), tested as a projector residual."""
+def _range_rows(f: AFrame, t):
+    """(U* T, whether T admits an A-adjoint).
+
+    Douglas criterion: R(T* A) lies in R(A) exactly when A T N = 0, tested as
+    ||diag(lam) U* T N||_F <= DEFAULT_RANK_TOL (1 + ||T||_F ||A||_F). T enters
+    the test divided by its largest entry modulus, which leaves the test
+    scale-free and keeps its norms from overflowing.
+    """
     t = _check_square(f, t)
-    residual = frob((np.eye(f.dim) - f.projector) @ (t.conj().T @ f.a))
-    return residual <= DEFAULT_RANK_TOL * frame_scale(f, t)
+    ut = f.range_u.conj().T @ t
+    peak = float(np.max(np.abs(t))) or 1.0
+    residual = frob(f.lam[:, None] * (ut @ f.null_u) / peak)
+    return ut, residual <= DEFAULT_RANK_TOL * (1.0 + frob(t / peak) * frob(f.a))
+
+
+def admits_a_adjoint(f: AFrame, t) -> bool:
+    """Douglas criterion: R(T* A) inside R(A), that is A T N = 0."""
+    return _range_rows(f, t)[1]
 
 
 def sharp(f: AFrame, t) -> np.ndarray:
@@ -38,7 +54,9 @@ def sharp(f: AFrame, t) -> np.ndarray:
     t = _check_square(f, t)
     if not admits_a_adjoint(f, t):
         raise NoAdjoint("operator does not satisfy the Douglas range condition")
-    return f.pinv_a @ t.conj().T @ f.a
+    u = f.range_u
+    pinv_a = herm_part((u / f.lam) @ u.conj().T)
+    return pinv_a @ t.conj().T @ f.a
 
 
 def is_a_positive(f: AFrame, t) -> bool:
@@ -52,7 +70,8 @@ def is_a_positive(f: AFrame, t) -> bool:
 
 
 def reduced(f: AFrame, t) -> np.ndarray:
-    """Range compression U* A^{1/2} T (A^{1/2})^dagger U of T, an r x r matrix.
+    """Range compression K(T) = U* A^{1/2} T (A^{1/2})^dagger U of T, an r x r
+    matrix, formed as diag(lam)^{1/2} (U* T U) diag(lam)^{-1/2}.
 
     Requires an A-adjoint (T must leave the null space of A invariant). Then
     every A-gauge of T equals the classical gauge of the compression: the
@@ -60,8 +79,8 @@ def reduced(f: AFrame, t) -> np.ndarray:
     the null space) onto ordinary unit vectors of the range, preserving
     <Tx, x>_A and ||Tx||_A.
     """
-    t = _check_square(f, t)
-    if not admits_a_adjoint(f, t):
+    ut, admits = _range_rows(f, t)
+    if not admits:
         raise NoAdjoint("operator does not satisfy the Douglas range condition")
-    u = f.range_u
-    return u.conj().T @ f.sqrt_a @ t @ f.pinv_sqrt_a @ u
+    root = np.sqrt(f.lam)
+    return root[:, None] * (ut @ f.range_u) / root

@@ -588,7 +588,8 @@ def _cor_commutator_minus(ctx):
             description="|<X#TYx,x>_A| + |<Y#TXx,x>_A| <= 2 w_A(T) ||Xx||_A ||Yx||_A "
                         "on sampled x (worst sample reported)")
 def _lem_pointwise(ctx):
-    # unit vectors x are drawn on H and mapped once to y = U* A^{1/2} x; then
+    # unit vectors x are drawn on H and mapped once to
+    # y = U* A^{1/2} x = diag(lam)^{1/2} U* x; then
     # <X#TYx, x>_A = y* K_X* K_T K_Y y and ||Xx||_A = ||K_X y||
     x, t, y = ctx.k("X"), ctx.k("T"), ctx.k("Y")
     g1 = x.conj().T @ t @ y
@@ -600,7 +601,7 @@ def _lem_pointwise(ctx):
         (n, _POINTWISE_SAMPLES)
     )
     xs /= np.linalg.norm(xs, axis=0)
-    ys = ctx.f.range_u.conj().T @ (ctx.f.sqrt_a @ xs)
+    ys = np.sqrt(ctx.f.lam)[:, None] * (ctx.f.range_u.conj().T @ xs)
     quad1 = np.abs(np.einsum("ij,ij->j", ys.conj(), g1 @ ys))
     quad2 = np.abs(np.einsum("ij,ij->j", ys.conj(), g2 @ ys))
     nx = np.linalg.norm(x @ ys, axis=0)

@@ -483,10 +483,11 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
     s = sharp(f, t) if kind == "C" else None
 
     u = f.range_u
-    w_map = f.sqrt_a @ u  # ||U z||_A = ||w_map z||_2
+    sqrt_a = herm_part((u * np.sqrt(f.lam)) @ u.conj().T)  # A^{1/2}, formed on H
+    w_map = sqrt_a @ u  # ||U z||_A = ||w_map z||_2
     at = f.a @ t
-    st = f.sqrt_a @ t
-    ss = f.sqrt_a @ s if s is not None else None
+    st = sqrt_a @ t
+    ss = sqrt_a @ s if s is not None else None
 
     rng = np.random.default_rng(seed)
     r = f.rank

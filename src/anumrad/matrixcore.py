@@ -1,8 +1,7 @@
 # src/anumrad/matrixcore.py
 
 """Dense complex matrix primitives: validation, norms and singular values.
-The metric's square root, pseudoinverses and range basis all come from one
-eigendecomposition in ``frame.new_frame``.
+The metric itself is kept as one eigendecomposition by ``frame.new_frame``.
 
 All routines work on plain ``numpy.ndarray`` values with dtype complex128.
 Matrices are desk-scale (n <= ~64); numpy/LAPACK is used throughout.

@@ -12,7 +12,7 @@ from anumrad import (
     sharp,
 )
 from anumrad.errors import NoAdjoint
-from anumrad.matrixcore import frob
+from anumrad.matrixcore import frob, herm_part
 
 
 def rand_complex(rng, shape):
@@ -100,9 +100,10 @@ def test_swap_is_unitary_on_doubled_frame():
         ])
         # U#U = U##U# = P: the swap is A-unitary on the doubled frame
         us = sharp(bf, swap)
-        tol = 1e-9 * (1.0 + frob(bf.projector))
-        assert frob(us @ swap - bf.projector) <= tol
-        assert frob(sharp(bf, us) @ us - bf.projector) <= tol
+        proj = bf.range_u @ bf.range_u.conj().T
+        tol = 1e-9 * (1.0 + frob(proj))
+        assert frob(us @ swap - proj) <= tol
+        assert frob(sharp(bf, us) @ us - proj) <= tol
 
 
 def test_reduced_examples():
@@ -136,9 +137,8 @@ def test_reduced_calculus_invariants():
         assert frob(reduced(f, sharp(f, t)) - kt.conj().T) <= 1e-10 * scale
         # involution up to the range projector
         assert frob(reduced(f, sharp(f, sharp(f, t))) - kt) <= 1e-10 * scale
-        assert frob(sharp(f, sharp(f, t)) - f.projector @ t @ f.projector) <= 1e-10 * (
-            1.0 + frob(t)
-        )
+        proj = f.range_u @ f.range_u.conj().T
+        assert frob(sharp(f, sharp(f, t)) - proj @ t @ proj) <= 1e-10 * (1.0 + frob(t))
         # multiplicativity
         assert frob(
             reduced(f, s @ t) - reduced(f, s) @ kt
@@ -166,9 +166,52 @@ def test_admits_iff_null_space_invariant():
         t_good = gen_compatible(f, int(rng.integers(0, 2**63)))
         t_bad = rand_complex(rng, (4, 4))
         for t in (t_good, t_bad):
-            null_image_norm = frob(f.sqrt_a @ t @ f.null_u)
-            invariant = null_image_norm <= 1e-9 * (1.0 + frob(t))
+            # T N stays in span N exactly when its range part U* T N vanishes
+            invariant = frob(f.range_u.conj().T @ t @ f.null_u) <= 1e-9 * (1.0 + frob(t))
             assert admits_a_adjoint(f, t) == invariant
+
+
+def test_douglas_test_is_scale_free():
+    # the test divides T by its largest entry first: at 1e155 the unscaled
+    # norms overflowed to inf and every operand was accepted
+    f = new_frame(np.diag([0.0, 1.0]))
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rng = np.random.default_rng(31)
+    g = random_frame(rng, n=4, rank=2)
+    t_good = gen_compatible(g, int(rng.integers(0, 2**63)))
+    t_bad = rand_complex(rng, (4, 4))
+    for c in (1e-300, 1e-155, 1e-8, 1.0, 1e8, 1e155, 1e300):
+        assert not admits_a_adjoint(f, c * swap), c
+        assert admits_a_adjoint(f, c * np.diag([5.0, 7.0])), c
+        assert admits_a_adjoint(g, c * t_good), c
+        assert not admits_a_adjoint(g, c * t_bad), c
+    assert admits_a_adjoint(g, np.zeros((4, 4)))
+
+
+def _four_product_route(f, t):
+    # U* A^{1/2} T (A^{1/2})^dagger U with both square roots formed on H
+    u, root = f.range_u, np.sqrt(f.lam)
+    sqrt_a = herm_part((u * root) @ u.conj().T)
+    pinv_sqrt_a = herm_part((u / root) @ u.conj().T)
+    return u.conj().T @ sqrt_a @ t @ pinv_sqrt_a @ u
+
+
+def test_reduced_matches_the_four_product_route():
+    rng = np.random.default_rng(32)
+    cases = [(n, rank, gen_psd(n, rank, int(rng.integers(0, 2**63))))
+             for n in range(1, 7) for rank in range(n + 1)]
+    q, _ = np.linalg.qr(rand_complex(rng, (4, 4)))
+    cases.append((4, 4, (q * np.array([1e-9, 1e-6, 1e-3, 1.0])) @ q.conj().T))
+    for n, rank, a in cases:
+        f = new_frame(a)
+        assert f.rank == rank
+        cond = f.lam[0] / f.lam[-1] if rank else 1.0
+        for _ in range(3):
+            t = gen_compatible(f, int(rng.integers(0, 2**63)))
+            k = reduced(f, t)
+            assert k.shape == (rank, rank)
+            tol = 1e-13 * np.sqrt(cond) * (1.0 + frob(t))
+            assert frob(k - _four_product_route(f, t)) <= tol, (n, rank)
 
 
 def test_compression_is_a_star_homomorphism_on_every_rank():

@@ -429,8 +429,9 @@ def _pointwise_on_h(f, ops, seed):
     xs /= np.linalg.norm(xs, axis=0)
     quad1 = np.abs(np.einsum("ij,ij->j", xs.conj(), f.a @ g1 @ xs))
     quad2 = np.abs(np.einsum("ij,ij->j", xs.conj(), f.a @ g2 @ xs))
-    nx = np.linalg.norm(f.sqrt_a @ x_op @ xs, axis=0)
-    ny = np.linalg.norm(f.sqrt_a @ y_op @ xs, axis=0)
+    sqrt_a = (f.range_u * np.sqrt(f.lam)) @ f.range_u.conj().T
+    nx = np.linalg.norm(sqrt_a @ x_op @ xs, axis=0)
+    ny = np.linalg.norm(sqrt_a @ y_op @ xs, axis=0)
     lhs_all = quad1 + quad2
     rhs_all = 2.0 * wt * nx * ny
     worst = int(np.argmax((lhs_all - rhs_all) / (1.0 + np.abs(rhs_all))))

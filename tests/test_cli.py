@@ -18,6 +18,7 @@ from anumrad import (
     registry_ids,
     save_instance,
 )
+from anumrad import harness
 from anumrad.harness import RANK_POLICIES, FuzzConfig
 
 
@@ -265,14 +266,15 @@ def _sha256(data: bytes) -> str:
 
 
 @pytest.mark.parametrize("args,json_digest,stdout_digest", [
-    ((5, 5, 7), "3959f1c29c29a95f387a41bf9f5f86da00aedb906aa8dba42b8dcda7ba5f8cee",
-     "f7c4eff591503304f4f8f74674f32a5e27a03d4399f91f13e548e928126d768a"),
-    ((4, 2, 9), "e5f9169b0f2759d7fa0220250f47f97f95219adb01a3f6d2a623f380aaa40bd5",
+    ((5, 5, 7), "11c1d51cb230fdae4513840f7c5da60bb460d2fcdffe82dc636780021e0168fd",
+     "467f0e2378247246e1b38536b9d0f9fadcf0b67ede28658fa2c3b4ac382d052b"),
+    ((4, 2, 9), "19ded09fc8f3a4b2f3bb24c3c9dfd5033b8b216b21ebff913bee7f64e4167c2c",
      "ec27251e69820046a4276d7c3aa6d60c43ffa42a02391dbf075b86601d8e1b27"),
 ], ids=["full-rank", "rank-2"])
 def test_check_output_golden_digests(tmp_path, args, json_digest, stdout_digest):
     # the check report and table are pinned byte for byte (re-captured when
-    # the checks moved to compressed coordinates)
+    # K(T) began to be formed from the frame's eigendecomposition, which moves
+    # lhs and rhs by at most ~2.5e-13 relative; the rank-2 table did not move)
     inst_path, json_path = tmp_path / "inst.json", tmp_path / "report.json"
     save_instance(make_instance(*args), inst_path)
     proc = subprocess.run(
@@ -319,13 +321,26 @@ def test_check_rejects_an_operand_that_would_overflow(tmp_path):
     assert "FAIL" not in proc.stdout
 
 
+def test_check_rejects_an_operand_without_adjoint_at_any_scale(tmp_path):
+    # at 1e155 the Douglas test's norms overflowed to inf and accepted the
+    # operand, so check printed pass rows and exited 0
+    t = 1e155 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    path = tmp_path / "inst.json"
+    save_instance(Instance(dim=2, a=np.diag([0.0, 1.0]), operators={"T": t}, seed=0), path)
+    proc = run_cli("check", "--instance", str(path))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "'T' does not admit an A-adjoint" in proc.stderr
+    assert "pass" not in proc.stdout
+
+
 @pytest.mark.parametrize("n,rank,seed", [(3, 3, 5), (5, 2, 6)])
 def test_check_passes_at_the_largest_accepted_seminorm(n, rank, seed):
-    # every operand scaled to A-seminorm 1e50, less 1e-9 relative so that
-    # rounding cannot lift it past the limit
+    # every operand scaled to the largest accepted A-seminorm, less 1e-9
+    # relative so that rounding cannot lift it past the limit
     inst = make_instance(n, rank, seed)
     f = inst.frame
-    inst.operators = {name: op * (1e50 * (1.0 - 1e-9) / a_seminorm(f, op))
+    top = harness._MAX_SEMINORM * (1.0 - 1e-9)
+    inst.operators = {name: op * (top / a_seminorm(f, op))
                       for name, op in inst.operators.items()}
     report = check_instance(inst)
     assert [row["check_id"] for row in report.rows] == registry_ids()

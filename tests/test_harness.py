@@ -305,36 +305,33 @@ def test_report_serialization_shapes():
 # captured with numpy 2.4.6 and OpenBLAS 0.3.31. Reports round floats to 12
 # significant digits, so these pin every row and summary value: a change
 # that should not move any report must keep them, and one that does must
-# edit them on purpose. The fuzz digests were re-captured when the checks
-# moved to compressed coordinates (K(T#T) computed as K*K, and so on), which
-# moves lhs and rhs by at most ~3e-13 relative. The `mixed` and `full`
-# digests were re-captured again when lem_pointwise began to sample y* K y
-# with y = U* A^{1/2} x instead of <Gx, x>_A on H, which moves its lhs and
-# rhs by at most ~1e-12 relative; no other row moved.
+# edit them on purpose. All fuzz digests here were last re-captured when
+# K(T) began to be formed as diag(lam)^{1/2} (U* T U) diag(lam)^{-1/2} from
+# the frame's eigendecomposition instead of through A^{1/2} and its
+# pseudoinverse on H; that moves lhs and rhs by at most ~2.5e-13 relative,
+# with identical pass/skip flags (200-trial fuzz, seed 11, every rank policy).
 _GOLDEN_REPORT_SHA256 = {
-    "json": "f29c50c26350fccac9c45b062ad91c678dda5bdb0820df67c5fba691152a9426",
-    "csv": "d64103f5c3275954d466f946d3a450c5cc09bff079d15659e9e02111aed81a05",
+    "json": "642f67ee72b36678ab1fd1e2ad2bf6361e22444b8480ac7155db8b961d5bbe10",
+    "csv": "7e4d78ba25ac08e647b707ab9284e453e44283343872ebe2024dafeede8002d1",
 }
 
 # The same for the other rank policies and for a single-family sharpness
-# scan (the only run here whose summary carries top-k lists). The sharpness
-# scan reads only gauges of K(T) = reduced(f, T); its digests date from the
-# full 1024-point theta scan, before the scan became bound-pruned, and the
-# pruned scan must reproduce them bit for bit.
+# scan (the only run here whose summary carries top-k lists), which reads
+# only gauges of K(T) = reduced(f, T).
 _GOLDEN_RUNS = {
     "degenerate-heavy": (
         lambda: fuzz(FuzzConfig(trials=40, master_seed=11, rank_policy="degenerate-heavy")),
-        "0b970e2321ec61e6f2cc2a8070a0a391c4f7ad971ac78a8c6bf8c7ff7680840e",
-        "e2793f2863eba5c3530bb2d9d355bbfdf86b88960879b87f623f750a96073d71"),
+        "34e8f08eeebc82a42d504a95c285b3372db44416393bd55ac1f7b0a21bb8dcaf",
+        "7825d1446a5576cce136fdf87ff2bbf51dde38270237d2269e9857e549464ce0"),
     "full": (
         lambda: fuzz(FuzzConfig(trials=40, master_seed=11, rank_policy="full")),
-        "b3692abc7be750e2b40368589dac1d17f6e0b7b21f06ef8092a99aa080f6fc60",
-        "f619d1799a63a54df5571190ee5e2c2db2501dce9a7a051cf39246f8446ca307"),
+        "92d7f9d2fc15b99cdba9b0a05743f9e2090513bc6cc12502476cb7ed530f05e4",
+        "d52735644bcd0e103bc027d2bf505273eb878acb5b68369c6db7e0b1a05eecde"),
     "equiv_half-top10": (
         lambda: scan_sharpness(FuzzConfig(trials=100, master_seed=11, checks=["equiv_half"]),
                                top=10),
-        "5e1df72bd023fda78b4b7c959e3dc5cbc0cb4ebcb103d8a801de8839b503c443",
-        "76df0fefd1cb7d2a7b0fb677f1eec71357100aeecb7d212fa1691e704a310132"),
+        "d0d5ddc456b3debd146038fe21a010d398e7a6f3410bc40f1126e6229cd3991d",
+        "80ef2eefd82f6daa7ae928d77157e998f418479d8c79f8965aa44096996da8b7"),
 }
 
 
