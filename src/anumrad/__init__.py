@@ -9,7 +9,7 @@ Core objects: metric frames (``new_frame``), the A-adjoint calculus
 tolerance-aware inequality checks, and a seeded fuzzing harness with a CLI.
 """
 
-from .adjoint import admits_a_adjoint, is_a_positive, reduced, sharp
+from .adjoint import admits_a_adjoint, reduced, sharp
 from .blocks import BlockOp, assemble, b_sharp_blockwise_check, block_gauge
 from .catalog import (
     CheckDef,
@@ -31,7 +31,6 @@ from .errors import (
     NotPSD,
     RequiresStrictPositivity,
     UnknownCheckId,
-    UnsupportedExponent,
 )
 from .frame import AFrame, direct_sum, new_frame
 from .gauges import (
@@ -93,7 +92,6 @@ __all__ = [
     "RequiresStrictPositivity",
     "TOOL_VERSION",
     "UnknownCheckId",
-    "UnsupportedExponent",
     "a_crawford",
     "a_crawford_C",
     "a_min_modulus",
@@ -113,7 +111,6 @@ __all__ = [
     "gen_psd",
     "instance_from_dict",
     "instance_to_dict",
-    "is_a_positive",
     "load_instance",
     "make_instance",
     "new_frame",

@@ -1,9 +1,10 @@
 # src/anumrad/adjoint.py
 
 """The A-adjoint calculus: existence test (Douglas range condition), the
-distinguished adjoint A^dagger T* A, the A-positivity predicate, and the
-range compression through which every A-gauge becomes a classical matrix
-quantity.
+distinguished adjoint A^dagger T* A, and the range compression through which
+every A-gauge becomes a classical matrix quantity. A-positivity needs no
+predicate of its own: T is A-positive (A T Hermitian PSD) exactly when it
+admits an A-adjoint and K(T) is Hermitian PSD.
 
 With A = U diag(lam) U* and N spanning the null space (``frame.AFrame``),
 the Douglas test and the compression both read U* T (``_range_rows``).
@@ -15,11 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoAdjoint
 from .frame import AFrame
-from .matrixcore import DEFAULT_RANK_TOL, as_cmatrix, frob, herm_part, spec_norm
-
-# Relative tolerance of the A-positivity predicate (verdict tolerances are
-# catalog.DEFAULT_TOL).
-PREDICATE_TOL = 1e-9
+from .matrixcore import DEFAULT_RANK_TOL, as_cmatrix, frob, herm_part
 
 
 def _check_square(f: AFrame, t) -> np.ndarray:
@@ -33,15 +30,19 @@ def _range_rows(f: AFrame, t):
     """(U* T, whether T admits an A-adjoint).
 
     Douglas criterion: R(T* A) lies in R(A) exactly when A T N = 0, tested as
-    ||diag(lam) U* T N||_F <= DEFAULT_RANK_TOL (1 + ||T||_F ||A||_F). T enters
-    the test divided by its largest entry modulus, which leaves the test
-    scale-free and keeps its norms from overflowing.
+    ||diag(lam) U* T N||_F <= DEFAULT_RANK_TOL (1 + ||T||_F ||lam||_2), where
+    ||lam||_2 is ||A||_F up to the eigenvalues below the rank tolerance. T
+    enters the test divided by its largest entry modulus and lam divided by
+    lambda_max, which leaves the test scale-free in both and keeps its norms
+    from overflowing.
     """
     t = _check_square(f, t)
     ut = f.range_u.conj().T @ t
     peak = float(np.max(np.abs(t))) or 1.0
-    residual = frob(f.lam[:, None] * (ut @ f.null_u) / peak)
-    return ut, residual <= DEFAULT_RANK_TOL * (1.0 + frob(t / peak) * frob(f.a))
+    lam = f.lam / (f.lam[0] if f.rank else 1.0)
+    residual = frob(lam[:, None] * (ut @ f.null_u) / peak)
+    scale = frob(t / peak) * float(np.linalg.norm(lam))
+    return ut, residual <= DEFAULT_RANK_TOL * (1.0 + scale)
 
 
 def admits_a_adjoint(f: AFrame, t) -> bool:
@@ -57,16 +58,6 @@ def sharp(f: AFrame, t) -> np.ndarray:
     u = f.range_u
     pinv_a = herm_part((u / f.lam) @ u.conj().T)
     return pinv_a @ t.conj().T @ f.a
-
-
-def is_a_positive(f: AFrame, t) -> bool:
-    """True when A T is Hermitian PSD within PREDICATE_TOL (relative)."""
-    t = _check_square(f, t)
-    at = f.a @ t
-    if frob(at - at.conj().T) > PREDICATE_TOL * (1.0 + frob(at)):
-        return False
-    lam = np.linalg.eigvalsh(herm_part(at))
-    return float(lam[0]) >= -PREDICATE_TOL * (1.0 + spec_norm(at))
 
 
 def reduced(f: AFrame, t) -> np.ndarray:

@@ -23,7 +23,8 @@ P = Q = I.
 Checks work in compressed coordinates only (see ``_Ctx``): each operand is
 compressed to the range of A once, and every derived operator (T^2,
 T#T + TT#, PXQ# +- QYP#, the antidiagonal block under diag(A, A)) is built
-from those r x r matrices. Nothing here reads an operand on H.
+from those r x r matrices, and the power term ||(T#T)^r + (TT#)^r||_A is
+read from one SVD of K(T). Nothing here reads an operand on H.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .adjoint import reduced
 from .errors import UnknownCheckId
 from .frame import AFrame
-from .gauges import _integer_exponent, positive_power, sweep_gauges
+from .gauges import sweep_gauges
 from .matrixcore import as_cmatrix, frob, herm_part, singular_values, spec_norm
 from .seeding import label_seed
 
@@ -137,7 +138,7 @@ class _Ctx:
         self._k: dict = {}
         self._sweep: dict = {}
         self._sv: dict = {}
-        self._eig: dict = {}
+        self._svd: dict = {}
 
     @staticmethod
     def _key(m: np.ndarray):
@@ -208,26 +209,17 @@ class _Ctx:
         kh = k.conj().T
         return kh @ k + k @ kh
 
-    def _positive_eig(self, m: np.ndarray):
-        k = self._key(m)
-        if k not in self._eig:
-            self._eig[k] = _psd_eig(m)
-        return self._eig[k]
-
     def power_norm(self, k: np.ndarray, r: float) -> float:
         """||(K*K)^r + (KK*)^r|| for K = K(T), which is ||(T#T)^r + (TT#)^r||_A.
-        Both factors are PSD by construction; each is decomposed once per
-        instance, whatever the exponents."""
-        kh = k.conj().T
-        p1 = positive_power(self.f, self._positive_eig(kh @ k), r)
-        p2 = positive_power(self.f, self._positive_eig(k @ kh), r)
-        return spec_norm(p1 + p2)
-
-
-def _psd_eig(m: np.ndarray) -> tuple:
-    """Eigendecomposition (lam, v) of a PSD matrix, lam clipped at 0."""
-    lam, v = np.linalg.eigh(herm_part(m))
-    return np.clip(lam, 0.0, None), v
+        With K = W diag(s) V*, (K*K)^r = V diag(s^2r) V* and
+        (KK*)^r = W diag(s^2r) W*, so one SVD of K per instance serves both
+        factors and every exponent."""
+        key = self._key(k)
+        if key not in self._svd:
+            self._svd[key] = np.linalg.svd(k)
+        w, s, vh = self._svd[key]
+        p = s ** (2.0 * r)
+        return spec_norm((vh.conj().T * p) @ vh + (w * p) @ w.conj().T)
 
 
 def _nilpotency_defect(k: np.ndarray, order: int) -> float:
@@ -498,8 +490,7 @@ def _power_evaluator(r: float):
 for _r, _suffix in ((1.0, "1"), (1.5, "1p5"), (2.0, "2"), (3.0, "3")):
     _register(
         f"thm_power_r_{_suffix}",
-        # a fractional power needs a strictly positive metric (positive_power)
-        hypothesis="always" if _integer_exponent(_r) else "strict",
+        hypothesis="always" if _r.is_integer() else "strict",
         description=f"w_A(T)^(2r) <= w_A(T^2)^r/2 + ||(T#T)^r+(TT#)^r||_A/4 at r={_r}",
     )(_power_evaluator(_r))
 

@@ -31,10 +31,6 @@ class NoAdjoint(AnumradError):
     """The operator does not admit an adjoint with respect to the metric A."""
 
 
-class UnsupportedExponent(AnumradError):
-    """Non-integer operator power requested on a degenerate (singular A) frame."""
-
-
 class EmptyRange(AnumradError):
     """The metric A has rank zero, so A-gauges are undefined."""
 

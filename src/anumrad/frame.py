@@ -53,9 +53,12 @@ def new_frame(a) -> AFrame:
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise NotHermitian(f"metric must be square, got {a.shape}")
-    dev = frob(a - a.conj().T)
-    if dev > DEFAULT_RANK_TOL * (1.0 + frob(a)):
-        raise NotHermitian(f"Hermitian deviation {dev:.3e} exceeds tolerance")
+    # the test reads A divided by its largest entry modulus, so it is
+    # scale-free and its norms cannot overflow
+    unit = a / (float(np.max(np.abs(a))) or 1.0)
+    dev = frob(unit - unit.conj().T)
+    if dev > DEFAULT_RANK_TOL * (1.0 + frob(unit)):
+        raise NotHermitian(f"relative Hermitian deviation {dev:.3e} exceeds tolerance")
     try:
         lam, v = np.linalg.eigh(herm_part(a))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

@@ -70,7 +70,7 @@ from functools import cached_property
 import numpy as np
 
 from .adjoint import admits_a_adjoint, reduced, sharp
-from .errors import EmptyRange, NoAdjoint, UnsupportedExponent
+from .errors import EmptyRange, NoAdjoint
 from .frame import AFrame
 from .matrixcore import as_cmatrix, herm_part, singular_values, spec_norm
 
@@ -570,29 +570,3 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
     z, best = select(z, best, keep3)
     z, best = climb(z, best, rounds3, scales3, 1.0, 1.0)
     return sign * max(sign * result, float(np.max(sign * best)))
-
-
-def _integer_exponent(r: float) -> bool:
-    """Whether r is an integer up to rounding, so A^r needs no functional
-    calculus beyond the plain matrix power."""
-    return abs(r - round(r)) <= 1e-12
-
-
-def positive_power(f: AFrame, eig: tuple, r: float) -> np.ndarray:
-    """The r-th power v diag(lam^r) v* of a PSD compression on ``f``, given
-    its eigendecomposition (lam, v) with lam >= 0; a caller can reuse one
-    decomposition across exponents.
-
-    Non-integer exponents require a strictly positive metric: a fractional
-    functional calculus on a degenerate frame is not offered.
-    """
-    if r < 1:
-        raise ValueError("exponent must satisfy r >= 1")
-    if not _integer_exponent(r) and not f.strictly_positive:
-        raise UnsupportedExponent(
-            "non-integer exponent requires a strictly positive metric"
-        )
-    if f.rank == 0:
-        raise EmptyRange("metric has rank zero; A-gauges are undefined")
-    lam, v = eig
-    return herm_part((v * lam ** float(r)) @ v.conj().T)

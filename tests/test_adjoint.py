@@ -6,13 +6,12 @@ from anumrad import (
     direct_sum,
     gen_compatible,
     gen_psd,
-    is_a_positive,
     new_frame,
     reduced,
     sharp,
 )
 from anumrad.errors import NoAdjoint
-from anumrad.matrixcore import frob, herm_part
+from anumrad.matrixcore import frob, herm_part, spec_norm
 
 
 def rand_complex(rng, shape):
@@ -76,18 +75,37 @@ def test_sharp_intertwines_with_metric():
         assert frob(f.a @ s - t.conj().T @ f.a) <= 1e-10 * (1.0 + frob(f.a @ s))
 
 
+def _is_a_positive(f, m, tol=1e-9):
+    # A m Hermitian PSD, within tol relative
+    am = f.a @ m
+    if frob(am - am.conj().T) > tol * (1.0 + frob(am)):
+        return False
+    return np.linalg.eigvalsh(herm_part(am))[0] >= -tol * (1.0 + spec_norm(am))
+
+
+def _compression_is_psd(f, m, tol=1e-9):
+    k = reduced(f, m)
+    if frob(k - k.conj().T) > tol * (1.0 + frob(k)):
+        return False
+    return k.size == 0 or np.linalg.eigvalsh(herm_part(k))[0] >= -tol * (1.0 + frob(k))
+
+
 def test_positivity_predicates():
+    # T#T, TT# and I are A-positive, and A-positivity of an operator with an
+    # A-adjoint is Hermitian positivity of its compression K(T)
     rng = np.random.default_rng(24)
     for _ in range(15):
         f = random_frame(rng)
         t = gen_compatible(f, int(rng.integers(0, 2**63)))
         s = sharp(f, t)
-        assert is_a_positive(f, s @ t)
-        assert is_a_positive(f, t @ s)
-        assert is_a_positive(f, np.eye(f.dim))
+        for m in (s @ t, t @ s, np.eye(f.dim)):
+            assert _is_a_positive(f, m)
+            assert _compression_is_psd(f, m)
+        assert _is_a_positive(f, t) == _compression_is_psd(f, t)
     f = new_frame(np.eye(2))
     t = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert not is_a_positive(f, t)
+    assert not _is_a_positive(f, t)
+    assert not _compression_is_psd(f, t)
 
 
 def test_swap_is_unitary_on_doubled_frame():
@@ -172,20 +190,25 @@ def test_admits_iff_null_space_invariant():
 
 
 def test_douglas_test_is_scale_free():
-    # the test divides T by its largest entry first: at 1e155 the unscaled
-    # norms overflowed to inf and every operand was accepted
-    f = new_frame(np.diag([0.0, 1.0]))
+    # T enters the test divided by its largest entry and A by lambda_max: at
+    # 1e155 the unscaled norms overflowed to inf and accepted every operand,
+    # and at small metric scales the 1 + of the tolerance made it absolute
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     rng = np.random.default_rng(31)
-    g = random_frame(rng, n=4, rank=2)
-    t_good = gen_compatible(g, int(rng.integers(0, 2**63)))
+    g1 = random_frame(rng, n=4, rank=2)
+    t_good = gen_compatible(g1, int(rng.integers(0, 2**63)))
     t_bad = rand_complex(rng, (4, 4))
-    for c in (1e-300, 1e-155, 1e-8, 1.0, 1e8, 1e155, 1e300):
-        assert not admits_a_adjoint(f, c * swap), c
-        assert admits_a_adjoint(f, c * np.diag([5.0, 7.0])), c
-        assert admits_a_adjoint(g, c * t_good), c
-        assert not admits_a_adjoint(g, c * t_bad), c
-    assert admits_a_adjoint(g, np.zeros((4, 4)))
+    scales = (1e-300, 1e-155, 1e-8, 1.0, 1e8, 1e155, 1e300)
+    for a_scale in scales:
+        f = new_frame(a_scale * np.diag([0.0, 1.0]))
+        g = new_frame(a_scale * g1.a)
+        assert (f.rank, g.rank) == (1, 2), a_scale
+        for c in scales:
+            assert not admits_a_adjoint(f, c * swap), (a_scale, c)
+            assert admits_a_adjoint(f, c * np.diag([5.0, 7.0])), (a_scale, c)
+            assert admits_a_adjoint(g, c * t_good), (a_scale, c)
+            assert not admits_a_adjoint(g, c * t_bad), (a_scale, c)
+        assert admits_a_adjoint(g, np.zeros((4, 4))), a_scale
 
 
 def _four_product_route(f, t):

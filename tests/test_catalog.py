@@ -9,7 +9,6 @@ from anumrad import (
     a_numerical_radius,
     gen_compatible,
     gen_psd,
-    is_a_positive,
     make_instance,
     new_frame,
     reduced,
@@ -286,6 +285,14 @@ def test_operands_needed_is_the_role_union():
     assert operands_needed([]) == set()
 
 
+def _is_a_positive(f, m, tol=1e-9):
+    # A m Hermitian PSD, within tol relative
+    am = f.a @ m
+    if frob(am - am.conj().T) > tol * (1.0 + frob(am)):
+        return False
+    return np.linalg.eigvalsh(0.5 * (am + am.conj().T))[0] >= -tol * (1.0 + spec_norm(am))
+
+
 def _uncached_power_norm(f, t, r):
     # the power term on the full-space route the checks took before they ran
     # in compressed coordinates: A-adjoint, A-positivity check, compression,
@@ -293,7 +300,7 @@ def _uncached_power_norm(f, t, r):
     s = sharp(f, t)
     parts = []
     for m in (s @ t, t @ s):
-        assert is_a_positive(f, m)
+        assert _is_a_positive(f, m)
         k = reduced(f, m)
         lam, v = np.linalg.eigh(0.5 * (k + k.conj().T))
         lam = np.clip(lam, 0.0, None)
@@ -302,9 +309,24 @@ def _uncached_power_norm(f, t, r):
     return spec_norm(parts[0] + parts[1])
 
 
+def test_power_rows_hold_with_equality_at_a_witness():
+    # A = diag(1, 4), T = diag(2, 1): w_A(T) = 2, w_A(T^2) = 4 and
+    # T#T = TT# = diag(4, 1), so lhs = 4^r = 4^r/2 + 2 * 4^r/4. Moving either
+    # constant (1/2 on w_A(T^2)^r, 1/4 on the power term) or the exponent of
+    # the power term off the statement leaves a nonzero slack here
+    f = new_frame(np.diag([1.0, 4.0]))
+    results = run_all(f, {"T": np.diag([2.0, 1.0])}, checks=["thm_power_r"])
+    assert [res.metadata["r"] for res in results] == [1.0, 1.5, 2.0, 3.0]
+    for res in results:
+        r = res.metadata["r"]
+        assert res.hypothesis_met and res.passed, res.check_id
+        assert res.lhs != 0.0 and res.lhs == pytest.approx(4.0 ** r, rel=1e-12)
+        assert abs(res.slack) <= 1e-12 * (1.0 + abs(res.rhs)), res.check_id
+
+
 @pytest.mark.parametrize("rank", [4, 2])
 def test_cached_power_norm_matches_uncached(rank):
-    # one decomposition per factor serves every exponent, bit for bit against
+    # one SVD of K(T) serves every exponent, bit for bit against
     # a fresh context, and K*K, KK* agree with the full-space T#T, TT#
     rng = np.random.default_rng(67 + rank)
     for _ in range(5):
@@ -320,20 +342,25 @@ def test_cached_power_norm_matches_uncached(rank):
             assert abs(got - want) <= 1e-12 * abs(want), r
 
 
-def test_power_checks_decompose_each_factor_once(monkeypatch):
+def test_power_checks_decompose_k_once_per_instance(monkeypatch):
+    # the four power rows share one SVD of K(T) per instance; the other
+    # svd calls (singular values only) belong to the seminorm cache
     calls = []
-    psd_eig = catalog._psd_eig
+    svd = np.linalg.svd
 
-    def counting(m):
-        calls.append(m.tobytes())
-        return psd_eig(m)
+    def counting(m, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            calls.append(m.tobytes())
+        return svd(m, *args, **kwargs)
 
-    monkeypatch.setattr(catalog, "_psd_eig", counting)
-    f = new_frame(gen_psd(3, 3, 71))
-    t = gen_compatible(f, 72)
-    results = run_all(f, {"T": t}, checks=["thm_power_r"])
-    assert len(results) == 4 and all(r.passed for r in results)
-    assert len(calls) == 2 and len(set(calls)) == 2
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for seed in (71, 73):
+        calls.clear()
+        f = new_frame(gen_psd(3, 3, seed))
+        t = gen_compatible(f, seed + 1)
+        results = run_all(f, {"T": t}, checks=["thm_power_r"])
+        assert len(results) == 4 and all(r.passed for r in results)
+        assert calls == [reduced(f, t).tobytes()]
 
 
 def test_improvement_orderings():

@@ -119,13 +119,17 @@ def test_check_command_input_errors(tmp_path):
     {"dim": None}, {"seed": None}, {"A": {}},
     {"seed": 1.9}, {"seed": "7"}, {"seed": True}, {"dim": 2.7}, {"dim": True},
     {"note": None}, {"A": [[[0.0, 0.0]] * 2] * 2},
+    *({"A": harness.mat_to_wire(c * np.array([[1.0, 1.0], [0.0, 1.0]]))}
+      for c in (1e-100, 1e-12, 1e160)),
 ], ids=["operators-null", "operators-list", "top-level-list", "dim-null", "seed-null",
         "metric-object", "seed-float", "seed-string", "seed-bool", "dim-float",
-        "dim-bool", "note-null", "metric-zero"])
+        "dim-bool", "note-null", "metric-zero", "metric-skew-1e-100", "metric-skew-1e-12",
+        "metric-skew-1e160"])
 def test_check_command_rejects_malformed_instances(tmp_path, malformed):
     # malformed input is a usage error (exit 2), never a violation (exit 1);
     # dim and seed must be JSON integers and note a string, not coercible values,
-    # and a rank-zero metric leaves every A-gauge undefined
+    # a rank-zero metric leaves every A-gauge undefined, and a non-Hermitian
+    # metric is rejected at every scale (these three were symmetrized)
     obj = json.loads(json.dumps(instance_to_dict(make_instance(2, 2, seed=1))))
     obj = [obj] if malformed == "top-level list" else {**obj, **malformed}
     path = tmp_path / "inst.json"
@@ -322,15 +326,18 @@ def test_check_rejects_an_operand_that_would_overflow(tmp_path):
 
 
 def test_check_rejects_an_operand_without_adjoint_at_any_scale(tmp_path):
-    # at 1e155 the Douglas test's norms overflowed to inf and accepted the
-    # operand, so check printed pass rows and exited 0
-    t = 1e155 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    # T at 1e155 and A at 1e160 overflowed the Douglas test's norms to inf,
+    # and A at 1e-160 or 1e-300 made its tolerance absolute; each accepted
+    # the operand, so check printed pass rows and exited 0
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     path = tmp_path / "inst.json"
-    save_instance(Instance(dim=2, a=np.diag([0.0, 1.0]), operators={"T": t}, seed=0), path)
-    proc = run_cli("check", "--instance", str(path))
-    assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert "'T' does not admit an A-adjoint" in proc.stderr
-    assert "pass" not in proc.stdout
+    for t_scale, a_scale in ((1e155, 1.0), (1.0, 1e-300), (1.0, 1e-160), (1.0, 1e160)):
+        a = a_scale * np.diag([0.0, 1.0])
+        save_instance(Instance(dim=2, a=a, operators={"T": t_scale * swap}, seed=0), path)
+        proc = run_cli("check", "--instance", str(path))
+        assert proc.returncode == 2, (t_scale, a_scale, proc.stdout + proc.stderr)
+        assert "'T' does not admit an A-adjoint" in proc.stderr
+        assert "pass" not in proc.stdout
 
 
 @pytest.mark.parametrize("n,rank,seed", [(3, 3, 5), (5, 2, 6)])

@@ -51,6 +51,20 @@ def test_new_frame_rejections():
         new_frame(np.zeros((2, 3)))
 
 
+def test_hermitian_test_is_scale_free():
+    # A enters the test divided by its largest entry: c [[1, 1], [0, 1]] was
+    # accepted and symmetrized at c = 1e-12 (absolute tolerance) and at 1e160
+    # (both norms overflowed to inf)
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    near = np.array([[2.0, 1.0 + 1e-12], [1.0, 2.0]])
+    for c in (1e-300, 1e-100, 1e-12, 1.0, 1e160, 1e300):
+        with pytest.raises(NotHermitian):
+            new_frame(c * skew)
+        f = new_frame(c * near)
+        assert f.rank == 2, c
+        np.testing.assert_allclose(f.lam, [3.0 * c, c], rtol=1e-11)
+
+
 def test_frame_invariants_random():
     rng = np.random.default_rng(10)
     for _ in range(40):

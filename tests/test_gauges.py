@@ -18,11 +18,10 @@ from anumrad import (
     reduced,
     sharp,
 )
-from anumrad.catalog import _psd_eig
+from anumrad.catalog import _Ctx
 from anumrad.errors import (
     EmptyRange,
     NoAdjoint,
-    UnsupportedExponent,
 )
 from anumrad.matrixcore import frob, spec_norm
 
@@ -536,68 +535,73 @@ def test_oracle_golden_values(rank):
         assert got == _ORACLE_GOLDEN[(rank, kind)], kind
 
 
-def test_positive_power_examples():
+def _power_norm(f, t, r):
+    ctx = _Ctx(f, {"T": t}, 0)
+    return ctx.power_norm(ctx.k("T"), r)
+
+
+def test_power_norm_examples():
+    # ||(T#T)^r + (TT#)^r||_A in closed form: T = I gives 2 at every r,
+    # T = diag(2, 3) gives 2 * 9^r, NILP has T#T = diag(0, 4) and
+    # TT# = diag(4, 0), so 4^r, and [[0, 3], [2, 0]] has T#T = diag(4, 9)
+    # and TT# = diag(9, 4), so 4^r + 9^r
     f = new_frame(np.eye(2))
-    got = gauges.positive_power(f, _psd_eig(np.eye(2)), 3.7)
-    np.testing.assert_allclose(got, np.eye(2), atol=1e-12)
-    eig = _psd_eig(np.diag([4.0, 9.0]))
-    np.testing.assert_allclose(gauges.positive_power(f, eig, 2), np.diag([16.0, 81.0]),
-                               atol=1e-10)
-    np.testing.assert_allclose(gauges.positive_power(f, eig, 1.5), np.diag([8.0, 27.0]),
-                               atol=1e-10)
-
-
-def test_a_positive_power_validation():
-    # the power of an A-positive operator is taken on its compression
-    f = new_frame(np.eye(2))
-    with pytest.raises(ValueError):
-        gauges.positive_power(f, _psd_eig(reduced(f, np.eye(2))), 0.5)
-    f_sing = new_frame(np.diag([0.0, 1.0]))
-    eig = _psd_eig(reduced(f_sing, np.diag([3.0, 2.0])))
-    with pytest.raises(UnsupportedExponent):
-        gauges.positive_power(f_sing, eig, 1.5)
-    # integer powers on a degenerate frame match the plain reduced product
-    red = gauges.positive_power(f_sing, eig, 2)
-    assert red.shape == (1, 1) and red[0, 0] == pytest.approx(4.0, abs=1e-10)
-
-
-def test_a_positive_power_error_order_and_split():
-    # the exponent is checked on every call, before the degenerate-frame rule
-    f_sing = new_frame(np.diag([0.0, 1.0]))
-    eig = _psd_eig(reduced(f_sing, np.eye(2)))
-    with pytest.raises(ValueError):
-        gauges.positive_power(f_sing, eig, 0.5)
-    with pytest.raises(UnsupportedExponent):
-        gauges.positive_power(f_sing, eig, 1.5)
-    f0 = new_frame(np.zeros((2, 2)))
-    empty = (np.zeros(0), np.zeros((0, 0), dtype=complex))
-    with pytest.raises(ValueError):
-        gauges.positive_power(f0, empty, 0.5)
-    with pytest.raises(UnsupportedExponent):
-        gauges.positive_power(f0, empty, 1.5)
-    with pytest.raises(EmptyRange):
-        gauges.positive_power(f0, empty, 2)
-    # one decomposition serves every exponent: reusing it gives the same
-    # bytes as a fresh one, and S^r compresses to K(S)^r when S commutes with A
-    f = new_frame(np.diag([4.0, 1.0]))
-    s = np.diag([4.0, 9.0])
-    eig = _psd_eig(reduced(f, s))
+    assert _power_norm(f, np.eye(2), 3.7) == pytest.approx(2.0, abs=1e-12)
     for r in (1, 1.5, 2, 3):
-        got = gauges.positive_power(f, eig, r)
-        fresh = gauges.positive_power(f, _psd_eig(reduced(f, s)), r)
-        assert got.tobytes() == fresh.tobytes()
-        want = reduced(f, np.diag([4.0 ** r, 9.0 ** r]))
-        assert frob(got - want) <= 1e-10 * (1.0 + frob(want))
+        assert _power_norm(f, np.diag([2.0, 3.0]), r) == pytest.approx(2.0 * 9.0 ** r,
+                                                                       rel=1e-12)
+        assert _power_norm(f, NILP, r) == pytest.approx(4.0 ** r, rel=1e-12)
+        assert _power_norm(f, np.array([[0.0, 3.0], [2.0, 0.0]]), r) == pytest.approx(
+            4.0 ** r + 9.0 ** r, rel=1e-12)
+    # on a degenerate frame the term is taken on the compression:
+    # A = diag(0, 1) and T = diag(3, 2) give K(T) = [2], so 2 * 4^r
+    f_sing = new_frame(np.diag([0.0, 1.0]))
+    for r in (1, 2, 3):
+        assert _power_norm(f_sing, np.diag([3.0, 2.0]), r) == pytest.approx(
+            2.0 * 4.0 ** r, abs=1e-10)
+
+
+def test_power_norm_compresses_the_power():
+    # one SVD of K(T) serves every exponent, bit for bit against a fresh
+    # context, and S^r compresses to K(S)^r: T = diag(2, 3) commutes with
+    # A = diag(4, 1), so T#T = TT# = S = diag(4, 9)
+    f = new_frame(np.diag([4.0, 1.0]))
+    t = np.diag([2.0, 3.0])
+    ctx = _Ctx(f, {"T": t}, 0)
+    for r in (1, 1.5, 2, 3):
+        got = ctx.power_norm(ctx.k("T"), r)
+        assert got.hex() == _power_norm(f, t, r).hex()
+        want = spec_norm(2.0 * reduced(f, np.diag([4.0 ** r, 9.0 ** r])))
+        assert abs(got - want) <= 1e-10 * (1.0 + want)
+    # the same on strictly positive metrics, with S^r formed on H from the
+    # eigendecomposition of the A-selfadjoint S
+    rng = np.random.default_rng(34)
+    for _ in range(10):
+        f = random_frame(rng, n=3, rank=3)
+        t = gen_compatible(f, int(rng.integers(0, 2**63)))
+        s = sharp(f, t)
+        for r in (1, 1.5, 2, 3):
+            powers = []
+            for m in (s @ t, t @ s):
+                mu, p = np.linalg.eig(m)
+                powers.append(reduced(f, (p * np.clip(mu.real, 0.0, None) ** r)
+                                      @ np.linalg.inv(p)))
+            want = spec_norm(powers[0] + powers[1])
+            assert abs(_power_norm(f, t, r) - want) <= 1e-11 * want, r
 
 
 def test_integer_power_matches_matrix_product():
+    # at an integer r the term is the norm of plain matrix powers of the
+    # compressions of T#T and TT#
     rng = np.random.default_rng(35)
     for _ in range(10):
         f = random_frame(rng)
         t = gen_compatible(f, int(rng.integers(0, 2**63)))
-        k = reduced(f, sharp(f, t) @ t)
-        p2 = gauges.positive_power(f, _psd_eig(k), 2)
-        assert frob(p2 - k @ k) <= 1e-9 * (1.0 + frob(k) ** 2)
+        s = sharp(f, t)
+        k1, k2 = reduced(f, s @ t), reduced(f, t @ s)
+        for r in (1, 2, 3):
+            want = spec_norm(np.linalg.matrix_power(k1, r) + np.linalg.matrix_power(k2, r))
+            assert abs(_power_norm(f, t, r) - want) <= 1e-12 * (1.0 + want), r
 
 
 def test_equivalence_bounds():

@@ -305,14 +305,19 @@ def test_report_serialization_shapes():
 # captured with numpy 2.4.6 and OpenBLAS 0.3.31. Reports round floats to 12
 # significant digits, so these pin every row and summary value: a change
 # that should not move any report must keep them, and one that does must
-# edit them on purpose. All fuzz digests here were last re-captured when
-# K(T) began to be formed as diag(lam)^{1/2} (U* T U) diag(lam)^{-1/2} from
-# the frame's eigendecomposition instead of through A^{1/2} and its
-# pseudoinverse on H; that moves lhs and rhs by at most ~2.5e-13 relative,
-# with identical pass/skip flags (200-trial fuzz, seed 11, every rank policy).
+# edit them on purpose. The `full` digests were last re-captured when K(T)
+# began to be formed as diag(lam)^{1/2} (U* T U) diag(lam)^{-1/2} from the
+# frame's eigendecomposition instead of through A^{1/2} and its pseudoinverse
+# on H; that moves lhs and rhs by at most ~2.5e-13 relative, with identical
+# pass/skip flags (200-trial fuzz, seed 11, every rank policy). The `mixed`
+# and `degenerate-heavy` digests were re-captured when the power term
+# ||(T#T)^r + (TT#)^r||_A began to be read from one SVD of K(T) instead of
+# an eigendecomposition of each factor: only the rhs of the thm_power_r_*
+# rows moves, by at most 5.4e-15 relative, with identical pass/skip flags
+# (same 200-trial runs).
 _GOLDEN_REPORT_SHA256 = {
-    "json": "642f67ee72b36678ab1fd1e2ad2bf6361e22444b8480ac7155db8b961d5bbe10",
-    "csv": "7e4d78ba25ac08e647b707ab9284e453e44283343872ebe2024dafeede8002d1",
+    "json": "207c9fae7229165dfdb53be6f04ba4b8575bab97c3e127a482cdca2e7ea3407f",
+    "csv": "73baf7bd64b86b007675c539fe7f4d585a9656d0099084b6cfb498bfe6186902",
 }
 
 # The same for the other rank policies and for a single-family sharpness
@@ -321,8 +326,8 @@ _GOLDEN_REPORT_SHA256 = {
 _GOLDEN_RUNS = {
     "degenerate-heavy": (
         lambda: fuzz(FuzzConfig(trials=40, master_seed=11, rank_policy="degenerate-heavy")),
-        "34e8f08eeebc82a42d504a95c285b3372db44416393bd55ac1f7b0a21bb8dcaf",
-        "7825d1446a5576cce136fdf87ff2bbf51dde38270237d2269e9857e549464ce0"),
+        "12e50fa0de9bdfbc3f2662e339a35a172bbebc8c8bfa6083ab666931f26fdffd",
+        "44e7ffc336a014eabc803ab667d0bf2f1ef037db980c3a99dbe1a3e4b571da70"),
     "full": (
         lambda: fuzz(FuzzConfig(trials=40, master_seed=11, rank_policy="full")),
         "92d7f9d2fc15b99cdba9b0a05743f9e2090513bc6cc12502476cb7ed530f05e4",

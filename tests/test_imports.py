@@ -1,4 +1,5 @@
-"""Every import in the package modules is used, and every private name is read.
+"""Every import in the package modules is used, every private name is read, and
+every error class is raised.
 
 The toolchain has no linter, so this stands in for its unused-import and
 dead-code rules.
@@ -69,3 +70,26 @@ def test_no_dead_private_names_in_package_modules():
             for private, line in sorted(_private_definitions(tree).items())
             if private not in read]
     assert dead == []
+
+
+def _error_classes(tree: ast.Module) -> list:
+    """Classes of ``errors.py`` that derive from AnumradError, directly or not."""
+    family = {"AnumradError"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in family for b in node.bases):
+            family.add(node.name)
+    return sorted(family - {"AnumradError"})
+
+
+def test_every_error_class_is_raised_in_the_package():
+    # a public error class that nothing raises is dead weight: a caller that
+    # catches it catches nothing
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.update(n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name))
+    classes = _error_classes(ast.parse((SRC / "errors.py").read_text(encoding="utf-8")))
+    assert len(classes) >= 8
+    assert [name for name in classes if name not in raised] == []
