@@ -37,7 +37,7 @@ import numpy as np
 
 from .adjoint import reduced
 from .errors import UnknownCheckId
-from .frame import AFrame
+from .frame import AFrame, require_range
 from .gauges import sweep_gauges
 from .matrixcore import as_cmatrix, frob, herm_part, singular_values, spec_norm
 from .seeding import label_seed
@@ -45,6 +45,10 @@ from .seeding import label_seed
 DEFAULT_TOL = 1e-8
 
 _POINTWISE_SAMPLES = 50
+
+# Relative size below which K(T) counts as zero (``strict_nonzero_t``) and
+# K(T)^k as vanishing (``nilpotent2``/``nilpotent3``).
+_HYPOTHESIS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,13 +130,14 @@ class _Ctx:
     hypotheses and check bodies read only those r x r matrices, with # as
     the conjugate transpose and Re_A as the Hermitian part.
 
-    Gauges are memoized by matrix bytes so that checks sharing a derived
-    matrix (the same K(T)^2, the same antidiagonal, ...) pay for each sweep
-    once per instance.
+    Sweeps, singular values and SVDs are memoized by matrix bytes
+    (``_memo``) so that checks sharing a derived matrix (the same K(T)^2,
+    the same antidiagonal, ...) pay for each once per instance. A metric of
+    rank zero has no compressions, so it raises EmptyRange here.
     """
 
     def __init__(self, f: AFrame, operands, seed: int):
-        self.f = f
+        self.f = require_range(f)
         self.seed = int(seed)
         self._ops = {k: as_cmatrix(v) for k, v in dict(operands or {}).items()}
         self._k: dict = {}
@@ -162,17 +167,15 @@ class _Ctx:
     def seed_for(self, label: str) -> int:
         return label_seed(self.seed, label)
 
-    def _gauges(self, m: np.ndarray):
+    def _memo(self, cache: dict, fn, m: np.ndarray):
+        """fn(m), computed once per instance for each matrix ``m``."""
         k = self._key(m)
-        if k not in self._sweep:
-            self._sweep[k] = sweep_gauges(m)
-        return self._sweep[k]
+        if k not in cache:
+            cache[k] = fn(m)
+        return cache[k]
 
-    def _singvals(self, m: np.ndarray) -> np.ndarray:
-        k = self._key(m)
-        if k not in self._sv:
-            self._sv[k] = singular_values(m)
-        return self._sv[k]
+    def _gauges(self, m: np.ndarray):
+        return self._memo(self._sweep, sweep_gauges, m)
 
     def w(self, m) -> float:
         return self._gauges(m).w
@@ -184,12 +187,10 @@ class _Ctx:
         return self._gauges(m).crawford_c
 
     def nrm(self, m) -> float:
-        sv = self._singvals(m)
-        return float(sv[0]) if sv.size else 0.0
+        return float(self._memo(self._sv, singular_values, m)[0])
 
     def mm(self, m) -> float:
-        sv = self._singvals(m)
-        return float(sv[-1]) if sv.size else 0.0
+        return float(self._memo(self._sv, singular_values, m)[-1])
 
     def antidiag(self) -> np.ndarray:
         """Compression [[0, K(X)], [K(Y), 0]] of the antidiagonal block
@@ -214,10 +215,7 @@ class _Ctx:
         With K = W diag(s) V*, (K*K)^r = V diag(s^2r) V* and
         (KK*)^r = W diag(s^2r) W*, so one SVD of K per instance serves both
         factors and every exponent."""
-        key = self._key(k)
-        if key not in self._svd:
-            self._svd[key] = np.linalg.svd(k)
-        w, s, vh = self._svd[key]
+        w, s, vh = self._memo(self._svd, np.linalg.svd, k)
         p = s ** (2.0 * r)
         return spec_norm((vh.conj().T * p) @ vh + (w * p) @ w.conj().T)
 
@@ -237,11 +235,11 @@ def _hypothesis_state(cd: CheckDef, ctx: _Ctx) -> bool:
     t = ctx.k("T")
     if cd.hypothesis == "strict_nonzero_t":
         nt = ctx.nrm(t)
-        return ctx.f.strictly_positive and nt > 1e-12 * (1.0 + frob(t))
+        return ctx.f.strictly_positive and nt > _HYPOTHESIS_TOL * (1.0 + frob(t))
     if cd.hypothesis == "nilpotent2":
-        return _nilpotency_defect(t, 2) <= 1e-12
+        return _nilpotency_defect(t, 2) <= _HYPOTHESIS_TOL
     if cd.hypothesis == "nilpotent3":
-        return _nilpotency_defect(t, 3) <= 1e-12
+        return _nilpotency_defect(t, 3) <= _HYPOTHESIS_TOL
     raise AssertionError(f"unknown hypothesis kind {cd.hypothesis!r}")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, NotPSD
+from .errors import EmptyRange, NoConvergence, NotHermitian, NotPSD
 from .matrixcore import DEFAULT_RANK_TOL, as_cmatrix, frob, herm_part
 
 
@@ -76,6 +76,14 @@ def new_frame(a) -> AFrame:
     _freeze(a, kept, u, un)
     return AFrame(dim=n, a=a, lam=kept, range_u=u, null_u=un, rank=r,
                   strictly_positive=(r == n))
+
+
+def require_range(f: AFrame) -> AFrame:
+    """``f``, once it is known to have a metric of nonzero rank; A-gauges are
+    undefined on a rank-zero metric, so it raises EmptyRange."""
+    if f.rank == 0:
+        raise EmptyRange("metric has rank zero; A-gauges are undefined")
+    return f
 
 
 def direct_sum(f: AFrame) -> AFrame:

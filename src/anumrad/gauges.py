@@ -24,34 +24,36 @@ grid density and lets non-competitive brackets be pruned.
 
 ``sweep_gauges`` returns a ``GaugeSweep`` that refines each gauge only when
 it is first read, and solves only the grid points a gauge can still use. It
-solves every 16th grid point first. Each read then bounds the profile on
-every coarse cell [a, b] between two solved points:
+solves every 16th grid point first, which cuts the circle into 64 uniform
+coarse cells [a, b] of span b - a = pi/32. Each read then bounds the profile
+on every cell, with one helper per bound:
 
   * lambda_max is the support function h of the convex numerical range, so
     Johnson's outer polygon (C. R. Johnson, SIAM J. Numer. Anal. 15, 1978)
     bounds it from above: h <= max(h_a, h_b) / cos((b - a) / 2) on the cell
-    when that max is >= 0, and h <= max(h_a, h_b) otherwise (this is the
-    bound for w);
+    when that max is >= 0, and h <= max(h_a, h_b) otherwise (``_outer``,
+    the bound for w);
   * the Lipschitz bound (f_a + f_b - ||M|| (b - a)) / 2 bounds either
-    profile from below (for c and C).
+    profile from below (``_floor``, for c and C).
 
 Refinement from a grid point stays within one grid step delta of it, where
-the outer polygon bounds lambda_max by v / cos(delta / 2) from a local
-maximum v. So a w read refines only the maxima that can still win: those
-whose bound reaches the grid maximum. It skips a cell when the same test,
-applied to the cell's own outer bound, fails against the coarse maximum. A
-c or C read skips a cell whose Lipschitz bound stays more than ||M|| delta
-above the coarse minimum. A skipped cell holds neither the grid extremum nor
-a refinement candidate, and it cannot change the 3-point test of a
-neighbouring candidate. So its points are left unsolved and the gauge is bit
-for bit the full scan's. 1x1 matrices and profiles whose coarse values
-are flat to rounding are scanned in full.
+the outer polygon bounds lambda_max by _outer(v, delta) from a local
+maximum v. So a w read refines only the maxima that can still win
+(``_can_win``): those whose bound reaches the grid maximum. It skips a cell
+when the same test, applied to the cell's own outer bound, fails against
+the coarse maximum. A c or C read skips a cell whose Lipschitz floor stays
+more than ||M|| delta above the coarse minimum. A skipped cell holds neither
+the grid extremum nor a refinement candidate, and it cannot change the
+3-point test of a neighbouring candidate. So its points are left unsolved
+and the gauge is bit for bit the full scan's. 1x1 matrices and profiles
+whose coarse values are flat to rounding are scanned in full.
 
-A c read first tries a sign certificate. If the Lipschitz bound keeps
-lambda_max positive between every pair of adjacent solved points, on the
-coarse cells and then on the solved fine ones, 0 lies inside the numerical
-range and c = 0 without refinement. Every eigenvalue the full scan and its
-refinement would compute is then positive as well, so theirs is 0 too.
+A c read first tries a sign certificate (``_zero_inside``). If the
+Lipschitz floor keeps lambda_max positive between every pair of adjacent
+solved points, on the coarse cells and then on the solved fine ones, 0 lies
+inside the numerical range and c = 0 without refinement. Every eigenvalue
+the full scan and its refinement would compute is then positive as well,
+so theirs is 0 too.
 Each test clears its threshold by _PRUNE_MARGIN ||M||, far above eigvalsh
 rounding.
 
@@ -70,8 +72,8 @@ from functools import cached_property
 import numpy as np
 
 from .adjoint import admits_a_adjoint, reduced, sharp
-from .errors import EmptyRange, NoAdjoint
-from .frame import AFrame
+from .errors import NoAdjoint
+from .frame import AFrame, require_range
 from .matrixcore import as_cmatrix, herm_part, singular_values, spec_norm
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -97,42 +99,28 @@ def _square(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Grid:
-    """The uniform theta grid every gauge samples, and the lazy scan's cells.
-
-    The coarse points are every _COARSE_STRIDE-th row of the first half and
-    their mirrors; cell k runs from points[k] to the next coarse point.
-    """
+    """The uniform theta grid every gauge samples."""
 
     grid_points: int
     thetas: np.ndarray
     phases: np.ndarray  # e^{i theta} on the first half
-    coarse_rows: np.ndarray  # first-half rows of the coarse points, as a mask
-    points: np.ndarray  # coarse grid indices, ascending
-    ends: np.ndarray  # grid index of each cell's far end (mod N)
-    span: np.ndarray  # angular length of each cell
-    cos_half: np.ndarray  # cos(span / 2)
-    cell_of: np.ndarray  # per grid index: its cell, or -1 at a coarse point
 
 
 def _uniform_grid(grid_points: int) -> _Grid:
     thetas = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
-    rows = np.zeros(grid_points // 2, dtype=bool)
-    rows[::_COARSE_STRIDE] = True
-    points = np.nonzero(np.tile(rows, 2))[0]
-    length = np.diff(np.append(points, grid_points))
-    span = length * (2.0 * np.pi / grid_points)
-    cell_of = np.repeat(np.arange(points.size), length)
-    cell_of[points] = -1
-    grid = _Grid(grid_points, thetas, np.exp(1j * thetas[: grid_points // 2]), rows,
-                 points, np.roll(points, -1), span, np.cos(0.5 * span), cell_of)
-    for arr in vars(grid).values():  # shared by every sweep
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
+    grid = _Grid(grid_points, thetas, np.exp(1j * thetas[: grid_points // 2]))
+    grid.thetas.flags.writeable = grid.phases.flags.writeable = False  # shared
     return grid
 
 
-# Cells span pi/32, well short of the pi that the outer-polygon bound needs.
 _GRID = _uniform_grid(1024)
+# The grid step, and the span of a coarse cell: pi/32, well short of the pi
+# that the outer-polygon bound needs.
+_DELTA = 2.0 * np.pi / _GRID.grid_points
+_CELL = _COARSE_STRIDE * _DELTA
+# First-half rows of the coarse points; their mirrors are coarse points too.
+_COARSE_ROWS = np.arange(_GRID.grid_points // 2) % _COARSE_STRIDE == 0
+_COARSE_ROWS.flags.writeable = False
 
 
 def _theta_scan(m: np.ndarray, grid: _Grid, rows=None):
@@ -212,18 +200,29 @@ def _newton(fn, x: float, delta: float, find_max: bool) -> float:
     return sign * best
 
 
-def _can_win(v, best, grid_points: int, lipschitz: float):
+def _outer(v, span: float):
+    """Johnson's outer-polygon bound on lambda_max over an arc of length span
+    < pi whose ends read at most v: v / cos(span / 2) if v >= 0, else v."""
+    return np.maximum(v, v / math.cos(0.5 * span))
+
+
+def _floor(fa, fb, span, lipschitz: float):
+    """The Lipschitz lower bound on a profile over an arc of length span
+    whose ends read fa and fb."""
+    return 0.5 * (fa + fb - lipschitz * span)
+
+
+def _can_win(v, best, lipschitz: float):
     """Whether refining a local maximum v of the lambda_max grid can reach best.
 
-    Refinement stays within one grid step delta of the maximum, where the
-    outer polygon bounds the profile by v / cos(delta / 2) if v >= 0 and by
-    v otherwise. Monotone in v, so it also applies to an upper bound on v.
+    Refinement stays within one grid step of the maximum, where the profile
+    reads at most _outer(v, _DELTA). Monotone in v, so it also applies to an
+    upper bound on v.
     """
-    cos_half = math.cos(math.pi / grid_points)
-    return np.maximum(v, v / cos_half) + _PRUNE_MARGIN * lipschitz >= best
+    return _outer(v, _DELTA) + _PRUNE_MARGIN * lipschitz >= best
 
 
-def _refine(thetas, vals, fn, find_max, lipschitz, flat_tol) -> float:
+def _refine(vals, fn, find_max, lipschitz, flat_tol) -> float:
     """Grid extremum improved by refining every bracket that could still win.
 
     A profile whose grid values spread by at most flat_tol is flat to
@@ -232,21 +231,20 @@ def _refine(thetas, vals, fn, find_max, lipschitz, flat_tol) -> float:
     grid_best = float(vals.max() if find_max else vals.min())
     if float(vals.max() - vals.min()) <= flat_tol:
         return grid_best
-    delta = 2.0 * np.pi / thetas.shape[0]
     prev = np.roll(vals, 1)
     nxt = np.roll(vals, -1)
     if find_max:
         cand = np.nonzero((vals >= prev) & (vals >= nxt))[0]
-        cand = cand[_can_win(vals[cand], grid_best, vals.shape[0], lipschitz)]
+        cand = cand[_can_win(vals[cand], grid_best, lipschitz)]
     else:
         cand = np.nonzero((vals <= prev) & (vals <= nxt))[0]
-        cand = cand[vals[cand] - lipschitz * delta <= grid_best]
+        cand = cand[vals[cand] - lipschitz * _DELTA <= grid_best]
     if cand.size > 64:
         order = np.argsort(vals[cand])
         cand = cand[order[-64:] if find_max else order[:64]]
     best = grid_best
     for i in cand:
-        v = _newton(fn, float(thetas[i]), delta, find_max)
+        v = _newton(fn, float(_GRID.thetas[i]), _DELTA, find_max)
         best = max(best, v) if find_max else min(best, v)
     return best
 
@@ -290,10 +288,11 @@ def _make_pointwise(m: np.ndarray):
 class GaugeSweep:
     """Rotation-profile gauges of one matrix from one shared, lazy theta scan.
 
-    Construction solves the coarse grid points. Each of ``w``, ``crawford``
-    and ``crawford_c`` is refined only when it is first read, after solving
-    the fine points of the cells its bound cannot rule out; the points any
-    read solved are kept for the others. ``w`` refines only the maxima that
+    Construction solves the coarse grid points, the ends of the 64 uniform
+    cells. Each of ``w``, ``crawford`` and ``crawford_c`` is refined only
+    when it is first read, after solving the fine points of the cells its
+    bound cannot rule out (``_outer`` for ``w``, ``_floor`` for the others);
+    the points any read solved are kept for the others. ``w`` refines only the maxima that
     can still win (``_can_win``). ``crawford`` returns 0 without refining
     when the sign certificate (``_zero_inside``) holds on the coarse cells,
     or on the fine ones once they are solved.
@@ -309,7 +308,7 @@ class GaugeSweep:
         # eigvalsh rounding noise: a few ulps of ||M|| per dimension
         self._flat_tol = 4.0 * m.shape[0] * np.finfo(float).eps * self._lipschitz
         # a 1x1 row subset rounds differently from the full stack (_theta_scan)
-        self._solve(np.ones_like(_GRID.coarse_rows) if m.shape[0] == 1 else _GRID.coarse_rows)
+        self._solve(np.ones_like(_COARSE_ROWS) if m.shape[0] == 1 else _COARSE_ROWS)
 
     def _solve(self, rows: np.ndarray) -> None:
         """Solve the first-half rows marked in ``rows`` that are not yet solved."""
@@ -332,21 +331,19 @@ class GaugeSweep:
         test sees the same grid as before.
         """
         lip = self._lipschitz
-        lo, hi = grid[_GRID.points], grid[_GRID.ends]
+        lo = grid[::_COARSE_STRIDE]
+        hi = np.roll(lo, -1)
         if find_max:
-            top = np.maximum(lo, hi)
-            # outer polygon: top / cos(span / 2) if top >= 0, else top
-            outer = np.maximum(top, top / _GRID.cos_half)
-            # the cell's points read at most outer, up to eigvalsh rounding
-            return _can_win(outer + _PRUNE_MARGIN * lip, lo.max(), grid.shape[0], lip)
-        reach = lip * (2.0 * np.pi / grid.shape[0] + _PRUNE_MARGIN)
-        bound = 0.5 * (lo + hi - lip * _GRID.span)  # Lipschitz
-        return bound <= lo.min() + reach
+            # the cell's points read at most its outer bound, up to eigvalsh rounding
+            outer = _outer(np.maximum(lo, hi), _CELL) + _PRUNE_MARGIN * lip
+            return _can_win(outer, lo.max(), lip)
+        reach = lip * (_DELTA + _PRUNE_MARGIN)
+        return _floor(lo, hi, _CELL, lip) <= lo.min() + reach
 
     def _solve_cells(self, grid, find_max: bool) -> None:
         """Solve the fine points of the cells a read cannot rule out."""
         if not self._solved.all():
-            fine = (_GRID.cell_of >= 0) & self._cells_needed(grid, find_max)[_GRID.cell_of]
+            fine = np.repeat(self._cells_needed(grid, find_max), _COARSE_STRIDE)
             half = self._solved.size // 2
             self._solve(fine[:half] | fine[half:])
 
@@ -355,16 +352,15 @@ class GaugeSweep:
         _PRUNE_MARGIN ||M|| all round the circle, so that 0 lies inside the
         numerical range.
 
-        Between adjacent solved points a and b, (h_a + h_b - ||M|| (b - a)) / 2
-        bounds the profile from below. Every eigenvalue of the profile that
+        Between adjacent solved points a and b, ``_floor`` bounds the profile
+        from below. Every eigenvalue of the profile that
         the full scan or its refinement computes then lies a few ulps of ||M||
         from a value above the margin, so it is positive, and c is 0.
         """
         solved = np.nonzero(self._solved)[0]
         steps = np.diff(solved, append=solved[0] + self._solved.size)
         h = self._lam_max_grid
-        floor = 0.5 * (h[solved] + h[np.roll(solved, -1)]
-                       - self._lipschitz * (2.0 * np.pi / self._solved.size) * steps)
+        floor = _floor(h[solved], h[np.roll(solved, -1)], _DELTA * steps, self._lipschitz)
         return bool(floor.min() > _PRUNE_MARGIN * self._lipschitz)
 
     def _refined(self, grid, fn, find_max: bool) -> float:
@@ -372,7 +368,7 @@ class GaugeSweep:
         if not self._solved.all():
             # an unsolved point can be no candidate and loses every 3-point test
             grid = np.where(self._solved, grid, -np.inf if find_max else np.inf)
-        return _refine(_GRID.thetas, grid, fn, find_max, self._lipschitz, self._flat_tol)
+        return _refine(grid, fn, find_max, self._lipschitz, self._flat_tol)
 
     @cached_property
     def w(self) -> float:
@@ -419,9 +415,7 @@ def crawford_C(m) -> float:
 
 
 def _reduced_checked(f: AFrame, t) -> np.ndarray:
-    if f.rank == 0:
-        raise EmptyRange("metric has rank zero; A-gauges are undefined")
-    return reduced(f, t)
+    return reduced(require_range(f), t)
 
 
 def a_seminorm(f: AFrame, t) -> float:
@@ -448,14 +442,17 @@ def a_crawford_C(f: AFrame, t) -> float:
 
 ORACLE_KINDS = ("w", "c", "norm", "minmod", "C")
 
-# Hill-climb schedule: a short broad phase over every sample, then two
+# Hill-climb schedule, one (chains kept, rounds, proposal scales, base step,
+# decay) row per phase: a short broad phase over every sample, then two
 # survivor phases. Only the best chain matters for a sup/inf estimate, so
 # the late phases concentrate effort on the leaders; the final phase mixes
 # proposal scales spanning several orders of magnitude, which keeps narrow
 # ridges climbable without per-instance step tuning.
-_PHASE1 = (12, (1.0, 1.0), 0.5, 0.85)
-_PHASE2 = (256, 50, (0.6, 0.15, 0.04, 0.01), 0.93)
-_PHASE3 = (16, 300, (0.1, 0.025, 6e-3, 1.5e-3, 4e-4, 1e-4, 2.5e-5))
+_PHASES = (
+    (None, 12, (1.0, 1.0), 0.5, 0.85),
+    (256, 50, (0.6, 0.15, 0.04, 0.01), 1.0, 0.93),
+    (16, 300, (0.1, 0.025, 6e-3, 1.5e-3, 4e-4, 1e-4, 2.5e-5), 1.0, 1.0),
+)
 
 
 def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
@@ -475,8 +472,7 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
         raise ValueError(f"unknown gauge kind {kind!r}; expected one of {ORACLE_KINDS}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if f.rank == 0:
-        raise EmptyRange("metric has rank zero; A-gauges are undefined")
+    require_range(f)
     t = as_cmatrix(t)
     if not admits_a_adjoint(f, t):
         raise NoAdjoint("operator does not satisfy the Douglas range condition")
@@ -555,18 +551,12 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
         keep = order[-min(k, best.size):]
         return z[:, keep].copy(), best[keep].copy()
 
+    # each phase keeps the leading chain and climbing never worsens a
+    # chain, so the last phase's best is the estimate
     z = normalize(draw((r, samples)))
     best = evaluate(z)
-    rounds1, scales1, base1, decay1 = _PHASE1
-    z, best = climb(z, best, rounds1, scales1, base1, decay1)
-    result = sign * float(np.max(sign * best))
-
-    keep2, rounds2, scales2, decay2 = _PHASE2
-    z, best = select(z, best, keep2)
-    z, best = climb(z, best, rounds2, scales2, 1.0, decay2)
-    result = sign * max(sign * result, float(np.max(sign * best)))
-
-    keep3, rounds3, scales3 = _PHASE3
-    z, best = select(z, best, keep3)
-    z, best = climb(z, best, rounds3, scales3, 1.0, 1.0)
-    return sign * max(sign * result, float(np.max(sign * best)))
+    for keep, rounds, scales, base, decay in _PHASES:
+        if keep is not None:
+            z, best = select(z, best, keep)
+        z, best = climb(z, best, rounds, scales, base, decay)
+    return sign * float(np.max(sign * best))

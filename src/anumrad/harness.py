@@ -36,8 +36,8 @@ from . import catalog
 from .adjoint import admits_a_adjoint, reduced
 from .catalog import (CheckResult, errored_result, missing_operands, operands_needed,
                       resolve_ids, run_all, run_check)
-from .errors import BadRank, EmptyRange, NoAdjoint
-from .frame import AFrame, new_frame
+from .errors import BadRank, NoAdjoint
+from .frame import AFrame, new_frame, require_range
 from .gauges import a_numerical_radius
 from .matrixcore import as_cmatrix, frob, herm_part, spec_norm
 from .seeding import splitmix64
@@ -147,8 +147,7 @@ def validate_instance(inst: Instance) -> AFrame:
     f = new_frame(inst.a)
     if f.dim != inst.dim:
         raise ValueError(f"instance dim {inst.dim} does not match metric {f.dim}")
-    if f.rank == 0:
-        raise EmptyRange("metric has rank zero; A-gauges are undefined")
+    require_range(f)
     for name, op in inst.operators.items():
         if name not in OPERAND_NAMES:
             raise ValueError(f"unknown operand {name!r}; expected names from {OPERAND_NAMES}")

@@ -12,11 +12,15 @@ from anumrad import (
     crawford_C,
     gen_compatible,
     gen_psd,
+    Instance,
     new_frame,
     numerical_radius,
     oracle_gauge,
     reduced,
+    run_all,
+    run_check,
     sharp,
+    validate_instance,
 )
 from anumrad.catalog import _Ctx
 from anumrad.errors import (
@@ -436,9 +440,21 @@ def test_a_seminorm_and_min_modulus():
 
 
 def test_a_gauges_raise_on_empty_range_and_missing_adjoint():
+    # a rank-zero metric raises one EmptyRange at every entry point, before
+    # any gauge or check row is computed
     f0 = new_frame(np.zeros((2, 2)))
+    for gauge in (a_seminorm, a_min_modulus, a_numerical_radius, a_crawford, a_crawford_C):
+        with pytest.raises(EmptyRange):
+            gauge(f0, np.eye(2))
     with pytest.raises(EmptyRange):
-        a_seminorm(f0, np.eye(2))
+        oracle_gauge(f0, np.eye(2), "w", 10, seed=0)
+    with pytest.raises(EmptyRange):
+        run_all(f0, {"T": np.eye(2)})
+    with pytest.raises(EmptyRange):
+        run_check("lem_sup_theta", f0, {"T": np.eye(2)})
+    with pytest.raises(EmptyRange):
+        validate_instance(Instance(dim=2, a=np.zeros((2, 2)), operators={"T": np.eye(2)},
+                                   seed=0))
     f = new_frame(np.diag([0.0, 1.0]))
     t = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NoAdjoint):
