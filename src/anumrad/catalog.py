@@ -488,7 +488,6 @@ def _power_evaluator(r: float):
 for _r, _suffix in ((1.0, "1"), (1.5, "1p5"), (2.0, "2"), (3.0, "3")):
     _register(
         f"thm_power_r_{_suffix}",
-        hypothesis="always" if _r.is_integer() else "strict",
         description=f"w_A(T)^(2r) <= w_A(T^2)^r/2 + ||(T#T)^r+(TT#)^r||_A/4 at r={_r}",
     )(_power_evaluator(_r))
 

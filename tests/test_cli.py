@@ -272,13 +272,16 @@ def _sha256(data: bytes) -> str:
 @pytest.mark.parametrize("args,json_digest,stdout_digest", [
     ((5, 5, 7), "11c1d51cb230fdae4513840f7c5da60bb460d2fcdffe82dc636780021e0168fd",
      "467f0e2378247246e1b38536b9d0f9fadcf0b67ede28658fa2c3b4ac382d052b"),
-    ((4, 2, 9), "19ded09fc8f3a4b2f3bb24c3c9dfd5033b8b216b21ebff913bee7f64e4167c2c",
-     "ec27251e69820046a4276d7c3aa6d60c43ffa42a02391dbf075b86601d8e1b27"),
+    ((4, 2, 9), "6d2474c205aa1b0710ad5d4dcd8bbdc62dcfbaa94d4350c5f1b92314abd9bed5",
+     "3d2e96fff66c909691fba65fdcb52434a7e669742f551bf56da5d5aa5e94e2ff"),
 ], ids=["full-rank", "rank-2"])
 def test_check_output_golden_digests(tmp_path, args, json_digest, stdout_digest):
     # the check report and table are pinned byte for byte (re-captured when
     # K(T) began to be formed from the frame's eigendecomposition, which moves
-    # lhs and rhs by at most ~2.5e-13 relative; the rank-2 table did not move)
+    # lhs and rhs by at most ~2.5e-13 relative; the rank-2 table did not move).
+    # The rank-2 digests were re-captured when thm_power_r_1p5 began to be
+    # evaluated on degenerate metrics: its row turns from skipped to passing
+    # and no other row moves (200-trial fuzz gate, seed 11, every rank policy)
     inst_path, json_path = tmp_path / "inst.json", tmp_path / "report.json"
     save_instance(make_instance(*args), inst_path)
     proc = subprocess.run(
