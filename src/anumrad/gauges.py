@@ -414,30 +414,26 @@ def crawford_C(m) -> float:
     return sweep_gauges(m).crawford_c
 
 
-def _reduced_checked(f: AFrame, t) -> np.ndarray:
-    return reduced(require_range(f), t)
-
-
 def a_seminorm(f: AFrame, t) -> float:
     """Operator seminorm sup ||Tx||_A / ||x||_A over the range of A."""
-    return spec_norm(_reduced_checked(f, t))
+    return spec_norm(reduced(require_range(f), t))
 
 
 def a_min_modulus(f: AFrame, t) -> float:
     """Minimum modulus inf ||Tx||_A / ||x||_A over the range of A."""
-    return float(singular_values(_reduced_checked(f, t))[-1])
+    return float(singular_values(reduced(require_range(f), t))[-1])
 
 
 def a_numerical_radius(f: AFrame, t) -> float:
-    return numerical_radius(_reduced_checked(f, t))
+    return numerical_radius(reduced(require_range(f), t))
 
 
 def a_crawford(f: AFrame, t) -> float:
-    return crawford(_reduced_checked(f, t))
+    return crawford(reduced(require_range(f), t))
 
 
 def a_crawford_C(f: AFrame, t) -> float:
-    return crawford_C(_reduced_checked(f, t))
+    return crawford_C(reduced(require_range(f), t))
 
 
 ORACLE_KINDS = ("w", "c", "norm", "minmod", "C")
