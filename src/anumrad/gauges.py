@@ -439,16 +439,26 @@ def a_crawford_C(f: AFrame, t) -> float:
 ORACLE_KINDS = ("w", "c", "norm", "minmod", "C")
 
 # Hill-climb schedule, one (chains kept, rounds, proposal scales, base step,
-# decay) row per phase: a short broad phase over every sample, then two
-# survivor phases. Only the best chain matters for a sup/inf estimate, so
-# the late phases concentrate effort on the leaders; the final phase mixes
-# proposal scales spanning several orders of magnitude, which keeps narrow
-# ridges climbable without per-instance step tuning.
+# decay, proposal law) row per phase: a short broad phase over every sample,
+# then two survivor phases. Only the best chain matters for a sup/inf
+# estimate, so the late phases concentrate effort on the leaders; the final
+# phase mixes proposal scales spanning several orders of magnitude, which
+# keeps narrow ridges climbable without per-instance step tuning.
+#
+# Each real coordinate of a proposal step has mean 0 and variance 1 before
+# the base * scale factor. The broad phase draws it Gaussian, since it picks
+# the basins the survivors refine; the survivor phases draw it uniform on
+# [-sqrt(3), sqrt(3)], at a fifth of the cost per value. On criterion 3's
+# instance 108 (n = 6) at oracle seeds splitmix64(777, 108) + k, k = 0..31,
+# Gaussian steps in every phase stop on a local maximum on 8 of the 32 seeds
+# (w missed by 1.7e-2), uniform survivor phases on 7, and uniform steps in
+# every phase on 21.
 _PHASES = (
-    (None, 12, (1.0, 1.0), 0.5, 0.85),
-    (256, 50, (0.6, 0.15, 0.04, 0.01), 1.0, 0.93),
-    (16, 300, (0.1, 0.025, 6e-3, 1.5e-3, 4e-4, 1e-4, 2.5e-5), 1.0, 1.0),
+    (None, 12, (1.0, 1.0), 0.5, 0.85, "normal"),
+    (256, 50, (0.6, 0.15, 0.04, 0.01), 1.0, 0.93, "uniform"),
+    (16, 300, (0.1, 0.025, 6e-3, 1.5e-3, 4e-4, 1e-4, 2.5e-5), 1.0, 1.0, "uniform"),
 )
+_UNIFORM_SPREAD = 2.0 * math.sqrt(3.0)  # U(-1/2, 1/2) * this has variance 1
 
 
 def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
@@ -458,7 +468,13 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
     unit A-norm and evaluates the defining quantity (|<Tx, x>_A| for w/c,
     ||Tx||_A for norm/minmod, the phase-minimized A-norm of Re_A(e^{i phi}T)x
     for C), improving the samples with a staged random-perturbation
-    hill-climb.
+    hill-climb (see ``_PHASES``). The broad first phase perturbs every
+    sample with Gaussian steps and keeps the best 256; the two survivor
+    phases perturb with uniform steps of the same variance, which cost a
+    fifth as much to draw. Gaussian steps in the broad phase matter: on
+    criterion 3's instance 108 over 32 oracle seeds, uniform steps in every
+    phase left 21 seeds on a local maximum, against 7 with the broad phase
+    Gaussian (8 with every phase Gaussian).
 
     Every evaluation happens at a feasible point, so the result approaches
     sup-type gauges from below and inf-type gauges from above. The result is
@@ -466,8 +482,8 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
     """
     if kind not in ORACLE_KINDS:
         raise ValueError(f"unknown gauge kind {kind!r}; expected one of {ORACLE_KINDS}")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an integer of at least 1, got {samples!r}")
     require_range(f)
     t = as_cmatrix(t)
     if not admits_a_adjoint(f, t):
@@ -518,18 +534,24 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
         val2 = 0.25 * (nu2 + nv2 - 2.0 * np.abs(inner))
         return np.sqrt(np.clip(val2, 0.0, None))
 
-    def climb(z, best, rounds, scales, base, decay):
-        # One standard_normal(out=) fill per round draws exactly the numbers
-        # of draw((r, props, m)): the real parts, then the imaginary parts.
+    def climb(z, best, rounds, scales, base, decay, law):
+        # One fill per round draws the real parts, then the imaginary parts;
+        # for "normal" exactly the numbers of draw((r, props, m)).
         props, m = len(scales), z.shape[1]
         scales = np.asarray(scales)[:, None]
+        uniform = law == "uniform"
+        spread = _UNIFORM_SPREAD if uniform else 1.0  # 1.0 * base is base, bit for bit
         noise = np.empty((2, r, props, m))
         zp = np.empty((r, props, m), dtype=complex)
         flat = zp.reshape(r, props * m)
         cols = np.arange(m)
         for _ in range(rounds):
-            rng.standard_normal(out=noise)
-            noise *= base * scales
+            if uniform:
+                rng.random(out=noise)
+                noise -= 0.5
+            else:
+                rng.standard_normal(out=noise)
+            noise *= (spread * base) * scales
             np.add(z.real[:, None, :], noise[0], out=zp.real)
             np.add(z.imag[:, None, :], noise[1], out=zp.imag)
             vals = evaluate(normalize(flat)).reshape(props, m)
@@ -551,8 +573,8 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
     # chain, so the last phase's best is the estimate
     z = normalize(draw((r, samples)))
     best = evaluate(z)
-    for keep, rounds, scales, base, decay in _PHASES:
+    for keep, rounds, scales, base, decay, law in _PHASES:
         if keep is not None:
             z, best = select(z, best, keep)
-        z, best = climb(z, best, rounds, scales, base, decay)
+        z, best = climb(z, best, rounds, scales, base, decay, law)
     return sign * float(np.max(sign * best))

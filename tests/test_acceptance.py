@@ -145,6 +145,24 @@ def test_criterion_3_oracle_equivalence():
                    + f", one-sided ok ({elapsed:.1f}s)")
 
 
+def test_oracle_converges_on_first_criterion_3_instances():
+    """A fast guard on criterion 3's first 10 instances, drawn as it draws
+    them: every estimate within 1e-5 of the compression value (the worst
+    gap over all 200 is below 4e-6) and on its one-sided side."""
+    rng = np.random.default_rng(314159)
+    for i in range(10):
+        n = int(rng.integers(2, 7))
+        f = _mild_spd_frame(rng, n)
+        t = _gauss(rng, (n, n))
+        t /= spec_norm(t)
+        sweep = {"w": a_numerical_radius(f, t), "norm": a_seminorm(f, t), "c": a_crawford(f, t)}
+        for kind, value in sweep.items():
+            est = oracle_gauge(f, t, kind, 2000, seed=splitmix64(777, i))
+            assert abs(value - est) <= 1e-5, (i, kind, value, est)
+            over = value - est if kind == "c" else est - value
+            assert over <= 1e-9, (i, kind, value, est)
+
+
 def test_criterion_4_block_identities():
     t0 = time.perf_counter()
     rng = np.random.default_rng(271828)
