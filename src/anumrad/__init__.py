@@ -10,7 +10,7 @@ tolerance-aware inequality checks, and a seeded fuzzing harness with a CLI.
 """
 
 from .adjoint import admits_a_adjoint, reduced, sharp
-from .blocks import BlockOp, assemble, b_sharp_blockwise_check, block_gauge
+from .blocks import assemble, b_sharp_blockwise_check, block_gauge
 from .catalog import (
     CheckDef,
     CheckResult,
@@ -29,7 +29,6 @@ from .errors import (
     NoConvergence,
     NotHermitian,
     NotPSD,
-    RequiresStrictPositivity,
     UnknownCheckId,
 )
 from .frame import AFrame, direct_sum, new_frame
@@ -75,7 +74,6 @@ __all__ = [
     "AFrame",
     "AnumradError",
     "BadRank",
-    "BlockOp",
     "CheckDef",
     "CheckResult",
     "DimensionMismatch",
@@ -89,7 +87,6 @@ __all__ = [
     "NotPSD",
     "REGISTRY",
     "Report",
-    "RequiresStrictPositivity",
     "TOOL_VERSION",
     "UnknownCheckId",
     "a_crawford",

@@ -1,6 +1,7 @@
 # src/anumrad/blocks.py
 
-"""2x2 operator-matrix constructions over the doubled space H + H.
+"""2x2 operator-matrix constructions over the doubled space H + H, at every
+rank of the metric.
 
 The doubled metric is diag(A, A); its numerical radius ("wB") of an
 assembled block operator is always computed on the full 2n x 2n matrix
@@ -10,31 +11,18 @@ test. ``block_gauge`` returns both sides so identities stay test subjects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .adjoint import sharp
-from .errors import DimensionMismatch, RequiresStrictPositivity
+from .errors import DimensionMismatch
 from .frame import AFrame, direct_sum
 from .gauges import a_numerical_radius
-from .matrixcore import as_cmatrix, frob
+from .matrixcore import as_cmatrix, frob, tile
 
 PATTERNS = ("diag", "antidiag", "antidiag_phase", "symmetric")
 
 
-@dataclass(frozen=True)
-class BlockOp:
-    """Four n x n blocks and their 2n x 2n tiling (an exact copy)."""
-
-    t11: np.ndarray
-    t12: np.ndarray
-    t21: np.ndarray
-    t22: np.ndarray
-    assembled: np.ndarray
-
-
-def assemble(t11, t12, t21, t22) -> BlockOp:
+def assemble(t11, t12, t21, t22) -> np.ndarray:
     """Tile four equal square blocks into one 2n x 2n operator."""
     blocks = [as_cmatrix(b) for b in (t11, t12, t21, t22)]
     n = blocks[0].shape[0]
@@ -43,22 +31,22 @@ def assemble(t11, t12, t21, t22) -> BlockOp:
             raise DimensionMismatch(
                 f"blocks must all be {n}x{n}, got {[b.shape for b in blocks]}"
             )
-    full = np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]])
-    return BlockOp(blocks[0], blocks[1], blocks[2], blocks[3], full)
+    return tile(*blocks)
 
 
-def b_sharp_blockwise_check(f: AFrame, t: BlockOp) -> float:
+def b_sharp_blockwise_check(f: AFrame, t) -> float:
     """Residual of the blockwise adjoint identity for the doubled metric.
 
-    The adjoint of (T_ij) under diag(A, A) is the block transpose of the
-    entrywise A-adjoints; returns the Frobenius distance between the two
-    computations (contract: <= 1e-9 * (1 + scale)).
+    ``t`` is a 2n x 2n operator on a dim-n frame. Its adjoint under
+    diag(A, A) is the block transpose of the entrywise A-adjoints of its
+    quarters; returns the Frobenius distance between the two computations
+    (contract: <= 1e-9 * (1 + scale)).
     """
-    bf = direct_sum(f)
-    direct = sharp(bf, t.assembled)
-    blockwise = assemble(
-        sharp(f, t.t11), sharp(f, t.t21), sharp(f, t.t12), sharp(f, t.t22)
-    ).assembled
+    t = as_cmatrix(t)
+    direct = sharp(direct_sum(f), t)  # raises DimensionMismatch unless 2n x 2n
+    n = f.dim
+    t11, t12, t21, t22 = t[:n, :n], t[:n, n:], t[n:, :n], t[n:, n:]
+    blockwise = tile(sharp(f, t11), sharp(f, t21), sharp(f, t12), sharp(f, t22))
     return frob(direct - blockwise)
 
 
@@ -70,24 +58,18 @@ def block_gauge(
     theta: float | None = None,
 ) -> tuple[float, float]:
     """Doubled-frame numerical radius of a patterned block operator and the
-    matching closed form.
+    matching closed form, at every rank of A.
 
     Patterns and their closed forms:
       diag            [[X, 0], [0, Y]]          max(w_A(X), w_A(Y))
       antidiag        [[0, X], [Y, 0]]          wB of the swapped antidiagonal
       antidiag_phase  [[0, X], [e^{i theta}Y, 0]]  wB of the phase-free one
       symmetric       [[X, Y], [Y, X]]          max(w_A(X+Y), w_A(X-Y))
-
-    All but ``diag`` require a strictly positive metric.
     """
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
     x = as_cmatrix(x)
     y = as_cmatrix(y)
-    if pattern != "diag" and not f.strictly_positive:
-        raise RequiresStrictPositivity(
-            f"block pattern {pattern!r} is only defined for strictly positive metrics"
-        )
     zero = np.zeros_like(x)
     bf = direct_sum(f)
     if pattern == "diag":
@@ -95,18 +77,16 @@ def block_gauge(
         rhs = max(a_numerical_radius(f, x), a_numerical_radius(f, y))
     elif pattern == "antidiag":
         op = assemble(zero, x, y, zero)
-        swapped = assemble(zero, y, x, zero)
-        rhs = a_numerical_radius(bf, swapped.assembled)
+        rhs = a_numerical_radius(bf, assemble(zero, y, x, zero))
     elif pattern == "antidiag_phase":
         if theta is None:
             raise ValueError("antidiag_phase requires theta")
         op = assemble(zero, x, np.exp(1j * theta) * y, zero)
-        plain = assemble(zero, x, y, zero)
-        rhs = a_numerical_radius(bf, plain.assembled)
+        rhs = a_numerical_radius(bf, assemble(zero, x, y, zero))
     else:  # symmetric
         op = assemble(x, y, y, x)
         rhs = max(
             a_numerical_radius(f, x + y), a_numerical_radius(f, x - y)
         )
-    wb = a_numerical_radius(bf, op.assembled)
+    wb = a_numerical_radius(bf, op)
     return wb, rhs

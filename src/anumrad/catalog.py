@@ -39,7 +39,7 @@ from .adjoint import reduced
 from .errors import UnknownCheckId
 from .frame import AFrame, require_range
 from .gauges import sweep_gauges
-from .matrixcore import as_cmatrix, frob, herm_part, singular_values, spec_norm
+from .matrixcore import as_cmatrix, frob, herm_part, singular_values, spec_norm, tile
 from .seeding import label_seed
 
 DEFAULT_TOL = 1e-8
@@ -144,6 +144,7 @@ class _Ctx:
         self._sweep: dict = {}
         self._sv: dict = {}
         self._svd: dict = {}
+        self._antidiag = None
 
     @staticmethod
     def _key(m: np.ndarray):
@@ -194,10 +195,12 @@ class _Ctx:
 
     def antidiag(self) -> np.ndarray:
         """Compression [[0, K(X)], [K(Y), 0]] of the antidiagonal block
-        operator under diag(A, A)."""
-        kx, ky = self.k("X"), self.k("Y")
-        zero = np.zeros_like(kx)
-        return np.block([[zero, kx], [ky, zero]])
+        operator under diag(A, A), tiled once per instance."""
+        if self._antidiag is None:
+            kx, ky = self.k("X"), self.k("Y")
+            zero = np.zeros_like(kx)
+            self._antidiag = tile(zero, kx, ky, zero)
+        return self._antidiag
 
     def wb(self, m2: np.ndarray) -> float:
         """Numerical radius of a block operator under diag(A, A), given its

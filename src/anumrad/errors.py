@@ -35,10 +35,6 @@ class EmptyRange(AnumradError):
     """The metric A has rank zero, so A-gauges are undefined."""
 
 
-class RequiresStrictPositivity(AnumradError):
-    """The requested construction is only valid for strictly positive A."""
-
-
 class UnknownCheckId(AnumradError):
     """No check with this id exists in the registry."""
 

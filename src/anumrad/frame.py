@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRange, NoConvergence, NotHermitian, NotPSD
-from .matrixcore import DEFAULT_RANK_TOL, as_cmatrix, frob, herm_part
+from .matrixcore import DEFAULT_RANK_TOL, as_cmatrix, frob, herm_part, tile
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class AFrame:
       range_u           n x r orthonormal basis U of the range of A
       null_u            n x (n-r) orthonormal basis N of the null space of A
       rank              numerical rank r (eigenvalues above DEFAULT_RANK_TOL*||A||)
-      strictly_positive r == n
+      strictly_positive r == n, a property of rank rather than a stored field
     """
 
     dim: int
@@ -36,7 +36,10 @@ class AFrame:
     range_u: np.ndarray
     null_u: np.ndarray
     rank: int
-    strictly_positive: bool
+
+    @property
+    def strictly_positive(self) -> bool:
+        return self.rank == self.dim
 
 
 def _freeze(*mats: np.ndarray) -> None:
@@ -74,8 +77,7 @@ def new_frame(a) -> AFrame:
     sel = sel[np.argsort(-lam[sel], kind="stable")]
     kept, u, un = lam[sel], v[:, sel], v[:, ~mask]
     _freeze(a, kept, u, un)
-    return AFrame(dim=n, a=a, lam=kept, range_u=u, null_u=un, rank=r,
-                  strictly_positive=(r == n))
+    return AFrame(dim=n, a=a, lam=kept, range_u=u, null_u=un, rank=r)
 
 
 def require_range(f: AFrame) -> AFrame:
@@ -92,16 +94,7 @@ def direct_sum(f: AFrame) -> AFrame:
     A, U and N are tiled blockwise and lam is repeated, so the block
     structure of every field is exact.
     """
-
-    def blk(m: np.ndarray) -> np.ndarray:
-        rows, cols = m.shape
-        out = np.zeros((2 * rows, 2 * cols), dtype=m.dtype)
-        out[:rows, :cols] = m
-        out[rows:, cols:] = m
-        return out
-
-    a2, u2, un2 = blk(f.a), blk(f.range_u), blk(f.null_u)
+    a2, u2, un2 = (tile(m, 0, 0, m) for m in (f.a, f.range_u, f.null_u))
     lam2 = np.concatenate((f.lam, f.lam))
     _freeze(a2, lam2, u2, un2)
-    return AFrame(dim=2 * f.dim, a=a2, lam=lam2, range_u=u2, null_u=un2, rank=2 * f.rank,
-                  strictly_positive=f.strictly_positive)
+    return AFrame(dim=2 * f.dim, a=a2, lam=lam2, range_u=u2, null_u=un2, rank=2 * f.rank)

@@ -1,7 +1,8 @@
 # src/anumrad/matrixcore.py
 
-"""Dense complex matrix primitives: validation, norms and singular values.
-The metric itself is kept as one eigendecomposition by ``frame.new_frame``.
+"""Dense complex matrix primitives: validation, norms, singular values and
+the one 2x2 block tiling. The metric itself is kept as one eigendecomposition
+by ``frame.new_frame``.
 
 All routines work on plain ``numpy.ndarray`` values with dtype complex128.
 Matrices are desk-scale (n <= ~64); numpy/LAPACK is used throughout.
@@ -41,6 +42,19 @@ def spec_norm(m) -> float:
 
 def herm_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
+
+
+def tile(t11, t12, t21, t22) -> np.ndarray:
+    """The 2x2 block matrix [[t11, t12], [t21, t22]] of four blocks shaped like
+    ``t11`` (rectangular and n x 0 blocks included); a scalar block fills its
+    quarter. Each block is copied exactly, as ``np.block`` would."""
+    rows, cols = t11.shape
+    out = np.empty((2 * rows, 2 * cols), dtype=np.result_type(t11, t12, t21, t22))
+    out[:rows, :cols] = t11
+    out[:rows, cols:] = t12
+    out[rows:, :cols] = t21
+    out[rows:, cols:] = t22
+    return out
 
 
 def singular_values(m) -> np.ndarray:

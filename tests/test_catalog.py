@@ -364,6 +364,24 @@ def test_power_checks_decompose_k_once_per_instance(monkeypatch):
         assert calls == [reduced(f, t).tobytes()]
 
 
+def test_run_all_tiles_the_antidiagonal_once(monkeypatch):
+    # the antidiagonal compression is kept on the context, so the block
+    # checks of one instance share one tiling
+    tile = catalog.tile
+    calls = []
+
+    def counting(*blocks):
+        calls.append(blocks)
+        return tile(*blocks)
+
+    monkeypatch.setattr(catalog, "tile", counting)
+    rng = np.random.default_rng(75)
+    f = new_frame(gen_psd(3, 3, 75))
+    results = run_all(f, random_operands(f, rng), seed=75)
+    assert len(results) == 40 and f.strictly_positive
+    assert len(calls) == 1
+
+
 def test_improvement_orderings():
     rng = np.random.default_rng(64)
     for _ in range(10):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,14 @@ def test_rank_zero_frame():
     assert f.rank == 0 and not f.strictly_positive
     assert f.lam.shape == (0,)
     assert_eigendecomposition(f)
+
+
+def test_strict_positivity_is_read_from_the_rank():
+    # a stored flag could be replaced into contradicting the rank
+    f = new_frame(np.diag([0.0, 1.0]))
+    with pytest.raises(TypeError):
+        dataclasses.replace(f, strictly_positive=True)
+    assert dataclasses.replace(f, rank=2).strictly_positive
 
 
 def test_direct_sum_examples():
