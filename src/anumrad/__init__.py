@@ -62,7 +62,6 @@ from .harness import (
     report_to_json,
     repro_paper,
     save_instance,
-    scan_sharpness,
     validate_instance,
 )
 from .matrixcore import as_cmatrix
@@ -122,7 +121,6 @@ __all__ = [
     "run_all",
     "run_check",
     "save_instance",
-    "scan_sharpness",
     "sharp",
     "splitmix64",
     "sweep_gauges",

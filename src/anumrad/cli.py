@@ -5,15 +5,15 @@
 Subcommands:
   repro            re-derive the hard-coded reference quantities
   check            run (a subset of) the check registry on an instance file
-  fuzz             seeded random sweep over the registry
-  scan-sharpness   fuzz run ranking instances by smallest relative slack
+  fuzz             seeded random sweep over the registry; with --top K it
+                   also lists each check's K sharpest trials
 
 Exit codes: 0 all pass/skip, 1 at least one violation, 2 usage or input
 error, 3 reference mismatch.
 
 Every report comes from ``harness`` (``check_instance``, ``fuzz``,
-``scan_sharpness``, ``repro_paper``); this module only prints it, writes it
-out and maps it to an exit code.
+``repro_paper``); this module only prints it, writes it out and maps it to
+an exit code. The fuzz options take their defaults from ``FuzzConfig``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .harness import (
     report_to_csv,
     report_to_json,
     repro_paper,
-    scan_sharpness,
     violation_count,
 )
 
@@ -59,26 +58,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_check.add_argument("--json", help="write the report as JSON to this path")
 
-    def add_fuzz_args(p):
-        p.add_argument("--trials", type=int, required=True)
-        p.add_argument("--n-min", type=int, default=2)
-        p.add_argument("--n-max", type=int, default=6)
-        p.add_argument("--rank-policy", default="mixed", choices=RANK_POLICIES)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--json", help="write the report as JSON to this path")
-        p.add_argument("--csv", help="write the rows as CSV to this path")
-
     p_fuzz = sub.add_parser("fuzz", help="seeded random sweep over the registry")
-    add_fuzz_args(p_fuzz)
+    p_fuzz.add_argument("--trials", type=int, required=True)
+    p_fuzz.add_argument("--n-min", type=int, default=FuzzConfig.n_min)
+    p_fuzz.add_argument("--n-max", type=int, default=FuzzConfig.n_max)
+    p_fuzz.add_argument("--rank-policy", default=FuzzConfig.rank_policy,
+                        choices=RANK_POLICIES)
+    p_fuzz.add_argument("--seed", type=int, default=FuzzConfig.master_seed)
+    p_fuzz.add_argument("--tol", type=float, default=FuzzConfig.tol)
+    p_fuzz.add_argument("--json", help="write the report as JSON to this path")
+    p_fuzz.add_argument("--csv", help="write the rows as CSV to this path")
     p_fuzz.add_argument("--check-id", action="append", default=None,
                         help="restrict to this id/family (repeatable)")
-
-    p_scan = sub.add_parser("scan-sharpness",
-                            help="rank instances by smallest relative slack")
-    add_fuzz_args(p_scan)
-    p_scan.add_argument("--check-id", action="append", default=None)
-    p_scan.add_argument("--top", type=int, default=10)
+    p_fuzz.add_argument("--top", type=int, default=None, metavar="K",
+                        help="also list each check's K sharpest trials by relative slack")
 
     sub.add_parser("list-checks", help="print every registered check id")
     return parser
@@ -141,7 +134,7 @@ def _cmd_check(args) -> int:
     return exit_code_for(report)
 
 
-def _fuzz_config(args, checks) -> FuzzConfig:
+def _fuzz_config(args) -> FuzzConfig:
     return FuzzConfig(
         trials=args.trials,
         master_seed=args.seed,
@@ -149,29 +142,20 @@ def _fuzz_config(args, checks) -> FuzzConfig:
         n_max=args.n_max,
         rank_policy=args.rank_policy,
         tol=args.tol,
-        checks=checks,
+        checks=args.check_id,
     )
 
 
 def _cmd_fuzz(args) -> int:
-    config = _fuzz_config(args, args.check_id)
-    report = fuzz(config)
+    report = fuzz(_fuzz_config(args), top=args.top)
     _print_summary(report)
-    _write_outputs(report, args.json, args.csv)
-    return exit_code_for(report)
-
-
-def _cmd_scan(args) -> int:
-    config = _fuzz_config(args, args.check_id)
-    report = scan_sharpness(config, top=args.top)
-    checks = report.summary["checks"]
-    for cid in sorted(checks):
-        entries = checks[cid].get("top", [])
-        print(f"{cid}:")
-        for e in entries:
-            print(f"  seed={e['seed']} rel_slack={e['rel_slack']:.6e} "
-                  f"slack={e['slack']:.6e}")
-    print(f"trials={report.trials} violations={violation_count(report)}")
+    if args.top is not None:
+        checks = report.summary["checks"]
+        for cid in sorted(checks):
+            print(f"{cid}:")
+            for e in checks[cid]["top"]:
+                print(f"  seed={e['seed']} rel_slack={e['rel_slack']:.6e} "
+                      f"slack={e['slack']:.6e}")
     _write_outputs(report, args.json, args.csv)
     return exit_code_for(report)
 
@@ -189,7 +173,6 @@ def main(argv=None) -> int:
         "repro": _cmd_repro,
         "check": _cmd_check,
         "fuzz": _cmd_fuzz,
-        "scan-sharpness": _cmd_scan,
         "list-checks": _cmd_list,
     }
     try:

@@ -21,21 +21,28 @@ class AFrame:
     """A positive semidefinite metric A = U diag(lam) U* and its null space.
 
     Fields:
-      dim               matrix dimension n
       a                 the metric itself (Hermitian PSD)
       lam               the r kept eigenvalues, positive, in range_u's column order
       range_u           n x r orthonormal basis U of the range of A
       null_u            n x (n-r) orthonormal basis N of the null space of A
-      rank              numerical rank r (eigenvalues above DEFAULT_RANK_TOL*||A||)
-      strictly_positive r == n, a property of rank rather than a stored field
+
+    dim (n), rank (r, the number of eigenvalues above DEFAULT_RANK_TOL*||A||)
+    and strictly_positive (r == n) are read from these, so no field can
+    contradict them.
     """
 
-    dim: int
     a: np.ndarray
     lam: np.ndarray
     range_u: np.ndarray
     null_u: np.ndarray
-    rank: int
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.lam.size
 
     @property
     def strictly_positive(self) -> bool:
@@ -70,14 +77,13 @@ def new_frame(a) -> AFrame:
     if n and float(lam[0]) < -DEFAULT_RANK_TOL * scale:
         raise NotPSD(f"eigenvalue {lam[0]:.3e} below -tol*||A||")
     mask = lam > DEFAULT_RANK_TOL * scale
-    r = int(mask.sum())
     # dominant eigendirection first (stable within ties), so compressions of
     # diagonal metrics keep the natural coordinate order
     sel = np.nonzero(mask)[0]
     sel = sel[np.argsort(-lam[sel], kind="stable")]
     kept, u, un = lam[sel], v[:, sel], v[:, ~mask]
     _freeze(a, kept, u, un)
-    return AFrame(dim=n, a=a, lam=kept, range_u=u, null_u=un, rank=r)
+    return AFrame(a=a, lam=kept, range_u=u, null_u=un)
 
 
 def require_range(f: AFrame) -> AFrame:
@@ -97,4 +103,4 @@ def direct_sum(f: AFrame) -> AFrame:
     a2, u2, un2 = (tile(m, 0, 0, m) for m in (f.a, f.range_u, f.null_u))
     lam2 = np.concatenate((f.lam, f.lam))
     _freeze(a2, lam2, u2, un2)
-    return AFrame(dim=2 * f.dim, a=a2, lam=lam2, range_u=u2, null_u=un2, rank=2 * f.rank)
+    return AFrame(a=a2, lam=lam2, range_u=u2, null_u=un2)

@@ -141,8 +141,9 @@ def _theta_scan(m: np.ndarray, grid: _Grid, rows=None):
     return grid.thetas, np.concatenate((eigs, -eigs[:, ::-1]))
 
 
-def _golden(fn, a: float, b: float, tol: float, max_iter: int, find_max: bool) -> float:
-    """Golden-section extremum of fn on [a, b]; returns the best value seen."""
+def _golden(fn, a: float, b: float, find_max: bool) -> float:
+    """Golden-section extremum of fn on [a, b], to _REFINE_TOL within
+    _REFINE_MAX_ITER steps; returns the best value seen."""
     sign = 1.0 if find_max else -1.0
     h = b - a
     c = b - _INVPHI * h
@@ -150,8 +151,8 @@ def _golden(fn, a: float, b: float, tol: float, max_iter: int, find_max: bool) -
     fc = sign * fn(c)
     fd = sign * fn(d)
     best = max(fc, fd)
-    for _ in range(max_iter):
-        if h <= tol:
+    for _ in range(_REFINE_MAX_ITER):
+        if h <= _REFINE_TOL:
             break
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -182,7 +183,7 @@ def _newton(fn, x: float, delta: float, find_max: bool) -> float:
         f, df, d2f, gap, root = fn(x)
         best = max(best, sign * f)
         if gap < _GAP_TOL:
-            v = _golden(lambda t: fn(t)[0], a, b, _REFINE_TOL, _REFINE_MAX_ITER, find_max)
+            v = _golden(lambda t: fn(t)[0], a, b, find_max)
             return sign * max(best, sign * v)
         if sign * df > 0:
             a = x

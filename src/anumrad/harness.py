@@ -3,10 +3,11 @@
 """Instance generation, seeded fuzzing, reference-value reproduction and
 report serialization.
 
-Every report is assembled here: ``check_instance`` (one instance),
-``fuzz``/``scan_sharpness`` (seeded random trials) and ``repro_paper`` (the
-reference quantities) build their rows with ``_row`` and their summary with
-``_summarize``, so the CLI only prints, writes and picks an exit code.
+Every report is assembled here: ``check_instance`` (one instance), ``fuzz``
+(seeded random trials; with ``top`` it also ranks each check's sharpest
+trials) and ``repro_paper`` (the reference quantities) build their rows with
+``_row`` and their summary with ``_summarize``, so the CLI only prints,
+writes and picks an exit code.
 
 Determinism contract: every random quantity flows from a per-trial child seed
 derived with ``seeding.splitmix64(master_seed, trial)``, so repeated runs
@@ -321,6 +322,8 @@ def fuzz(config: FuzzConfig, top: Optional[int] = None) -> Report:
 
     Each trial draws only the operands the selected checks read (the union of
     their ``CheckDef.roles``) and builds its frame once, in ``make_instance``.
+    With ``top``, each check's summary also lists its ``top`` sharpest trials
+    by relative slack, so near-equality cases are easy to pull out.
 
     Exit contract: zero violations expected; any violation indicates an
     implementation bug, since every registered statement is a theorem on its
@@ -354,10 +357,8 @@ def fuzz(config: FuzzConfig, top: Optional[int] = None) -> Report:
     return Report(TOOL_VERSION, config.master_seed, config.trials, rows, summary)
 
 
-def scan_sharpness(config: FuzzConfig, top: int = 10) -> Report:
-    """Fuzz run whose summary ranks instances by smallest relative slack, so
-    near-equality cases are easy to pull out and inspect."""
-    return fuzz(config, top=top)
+# kept only for the sharpness-equiv workload in bench/workloads.py
+scan_sharpness = fuzz
 
 
 def check_instance(inst: Instance, checks: Optional[Sequence[str]] = None,

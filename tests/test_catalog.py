@@ -7,6 +7,7 @@ import anumrad
 from anumrad import adjoint, catalog
 from anumrad import (
     a_numerical_radius,
+    direct_sum,
     gen_compatible,
     gen_psd,
     make_instance,
@@ -20,7 +21,7 @@ from anumrad import (
     sharp,
 )
 from anumrad.catalog import REGISTRY, _Ctx, _verdict, missing_operands, operands_needed
-from anumrad.matrixcore import frob, spec_norm
+from anumrad.matrixcore import frob, spec_norm, tile
 from anumrad.errors import UnknownCheckId
 from anumrad.seeding import label_seed
 
@@ -380,6 +381,79 @@ def test_run_all_tiles_the_antidiagonal_once(monkeypatch):
     results = run_all(f, random_operands(f, rng), seed=75)
     assert len(results) == 40 and f.strictly_positive
     assert len(calls) == 1
+
+
+def test_wb_of_the_compressed_antidiagonal_matches_the_doubled_frame():
+    # the checks read wB from [[0, K(X)], [K(Y), 0]], built from the
+    # compressions; the doubled-frame route compresses the block operator
+    # [[0, X], [Y, 0]] under diag(A, A) instead. n 1..6, every rank, 10 seeds
+    for n in range(1, 7):
+        for rank in range(1, n + 1):
+            for seed in range(10):
+                inst = make_instance(n, rank, 1000 * n + 100 * rank + seed, names=("X", "Y"))
+                x, y = inst.operators["X"], inst.operators["Y"]
+                ctx = _Ctx(inst.frame, inst.operators, 0)
+                wb = ctx.wb(ctx.antidiag())
+                zero = np.zeros_like(x)
+                doubled = a_numerical_radius(direct_sum(inst.frame), tile(zero, x, y, zero))
+                assert abs(wb - doubled) <= 1e-12 * (1.0 + doubled), (n, rank, seed)
+
+
+_E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+_ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+# One equality witness per check at A = I_2: operands (T, X, Y) with P = X and
+# Q = Y (None leaves the operand out), and the checks that reach lhs = rhs != 0
+# there. Every operand is scaled by 3 in the test, so that no gauge is 1 and
+# the exponents of the nonzero terms are guarded as well.
+# E12 squares to zero, and I, E21 and the rotation make several terms vanish,
+# so these witnesses leave unguarded: the 4 on Re_A(T^2)^2 and Re_A(XY)^2
+# (cor_fourth_lower, thm_fourth_antidiag_lower); the 1/4 on w_A(T^2)^2, its
+# exponent and the 1/8 on w_A(T^2 P + P T^2) (thm_refined_fourth); the 1/4 on
+# C_A(T^2)^2, its exponent and the 1/8 on c_A(T^2 P + P T^2)
+# (thm_lower_fourth); the 1/4 on w_A(T^3) (thm_cubic); the 2 dividing
+# c_A(T^2) (thm_wa_lower_1); the exponent on m_A(T) (thm_wa_lower_max); the
+# sign of QT (cor_commutator_*, QT = 0); a decrease of the 4 or the exponent
+# on w_A(XY) or w_A(YX) (thm_fourth_antidiag_upper, whose two branches tie);
+# and the exponent r of thm_power_r_* (both sides move with it at T = I;
+# test_power_rows_hold_with_equality_at_a_witness guards the constants there).
+_WITNESSES = (
+    ((_E12, _E12, _E12), (
+        "equiv_half_lower", "lem_selfadj_eq", "lem_sup_theta", "thm_antidiag_lower",
+        "thm_fourth_antidiag_lower", "cor_kittaneh_A_lower", "cor_fourth_lower",
+        "cor_commutator_plus", "cor_commutator_minus", "thm_block_lower_i",
+        "thm_block_lower_iii", "thm_cubic", "thm_cubic_sq_zero", "thm_cubic_cube_zero",
+        "thm_lower_fourth", "thm_power_r_1", "thm_refined_fourth", "thm_wa_lower_1",
+        "thm_wa_lower_max")),
+    ((np.eye(2), _E12, _E12), (
+        "equiv_half_upper", "cor_kittaneh_A_upper", "cor_fourth_upper", "thm_power_r_1p5",
+        "thm_power_r_2", "thm_power_r_3", "thm_wa_lower_2")),
+    ((_E12, _E12, _E12.T), (
+        "cor_prod_improved_1", "cor_prod_improved_2", "lem_pointwise",
+        "lem_positivity_mono", "thm_antidiag_upper", "thm_fourth_antidiag_upper")),
+    ((_E12, _E12, np.eye(2)), (
+        "thm_crawford_prod_wc", "thm_prod_particular_plus", "thm_prod_particular_minus")),
+    ((_E12, _E12.T, np.eye(2)), ("thm_crawford_prod_cw",)),
+    ((None, np.eye(2), np.eye(2)), ("thm_block_lower_ii", "thm_prod_pm_plus")),
+    ((None, _E12, _ROTATION), ("thm_block_lower_iv",)),
+    ((None, np.eye(2), np.diag([1.0, -1.0])), ("thm_prod_pm_minus",)),
+)
+
+
+def test_every_check_holds_with_equality_at_its_witness():
+    # random fuzz rarely lands on an equality case, so a constant that made a
+    # bound looser would go unseen there; at a witness it moves the slack
+    f = new_frame(np.eye(2))
+    covered = []
+    for (t, x, y), ids in _WITNESSES:
+        ops = {name: 3.0 * m for name, m in (("T", t), ("X", x), ("Y", y), ("P", x), ("Q", y))
+               if m is not None}
+        for cid in ids:
+            res = run_check(cid, f, ops)
+            assert res.hypothesis_met and res.lhs != 0.0, cid
+            assert abs(res.slack) <= 1e-12 * (1.0 + abs(res.rhs)), (cid, res.slack)
+            covered.append(cid)
+    assert sorted(covered) == registry_ids()
 
 
 def test_improvement_orderings():

@@ -186,8 +186,7 @@ def test_usage_errors(tmp_path):
     assert run_cli().returncode == 2
     assert run_cli("fuzz").returncode == 2  # --trials required
     assert run_cli("fuzz", "--trials", "-3").returncode == 2
-    proc = run_cli("scan-sharpness", "--trials", "1", "--check-id", "equiv_half",
-                   "--top", "-2")
+    proc = run_cli("fuzz", "--trials", "1", "--check-id", "equiv_half", "--top", "-2")
     assert proc.returncode == 2
     assert "top" in proc.stderr
 
@@ -206,11 +205,10 @@ def test_usage_errors(tmp_path):
 
 
 def test_unknown_check_id_names_itself_and_the_list(tmp_path):
-    # "all" is check's default for every id, but no id for fuzz or scan-sharpness
+    # "all" is check's default for every id, but no id for fuzz
     path = tmp_path / "inst.json"
     save_instance(make_instance(3, 3, seed=42), path)
     for args, cid in ((("fuzz", "--trials", "2"), "all"),
-                      (("scan-sharpness", "--trials", "2"), "all"),
                       (("check", "--instance", str(path)), "thm_pro")):
         proc = run_cli(*args, "--check-id", cid)
         assert proc.returncode == 2, (args, proc.stderr)
@@ -233,19 +231,25 @@ def test_parser_defaults_match_library():
 
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for command in ("fuzz", "scan-sharpness"):
-        args = parser.parse_args([command, "--trials", "1"])
-        assert cli._fuzz_config(args, None) == FuzzConfig(trials=1)
-        policy = next(a for a in sub.choices[command]._actions if a.dest == "rank_policy")
-        assert tuple(policy.choices) == RANK_POLICIES
+    args = parser.parse_args(["fuzz", "--trials", "1"])
+    assert cli._fuzz_config(args) == FuzzConfig(trials=1)
+    assert args.top is None
+    policy = next(a for a in sub.choices["fuzz"]._actions if a.dest == "rank_policy")
+    assert tuple(policy.choices) == RANK_POLICIES
 
 
-def test_scan_sharpness_command():
-    proc = run_cli("scan-sharpness", "--trials", "5", "--seed", "3",
-                   "--check-id", "cor_kittaneh_A", "--top", "3",
-                   "--rank-policy", "full")
+def test_fuzz_top_lists_the_sharpest_seeds():
+    # fuzz --top K prints the summary table, then each check's K sharpest
+    # trials; the former scan-sharpness command is gone
+    args = ("--trials", "5", "--seed", "3", "--check-id", "cor_kittaneh_A", "--top", "3",
+            "--rank-policy", "full")
+    proc = run_cli("fuzz", *args)
     assert proc.returncode == 0, proc.stderr
-    assert "seed=" in proc.stdout
+    table, lists = proc.stdout.split("trials=5 rows=10 violations=0\n")
+    assert "cor_kittaneh_A_lower" in table and "seed=" not in table
+    assert lists.splitlines()[0] == "cor_kittaneh_A_lower:"
+    assert sum(line.startswith("  seed=") for line in lists.splitlines()) == 6
+    assert run_cli("scan-sharpness", *args).returncode == 2
 
 
 def test_repro_mismatch_exit_code(monkeypatch, capsys):

@@ -86,11 +86,13 @@ def test_rank_zero_frame():
 
 
 def test_strict_positivity_is_read_from_the_rank():
-    # a stored flag could be replaced into contradicting the rank
+    # dim, rank and strict positivity are read from the stored matrices, so
+    # no replaced field can contradict the eigendecomposition
     f = new_frame(np.diag([0.0, 1.0]))
-    with pytest.raises(TypeError):
-        dataclasses.replace(f, strictly_positive=True)
-    assert dataclasses.replace(f, rank=2).strictly_positive
+    for field, value in (("strictly_positive", True), ("rank", 2), ("dim", 3)):
+        with pytest.raises(TypeError):
+            dataclasses.replace(f, **{field: value})
+    assert (f.dim, f.rank, f.strictly_positive) == (2, 1, False)
 
 
 def test_direct_sum_examples():

@@ -114,8 +114,7 @@ def test_radius_error_contract_vs_fine_grid():
 def _golden_refined(monkeypatch, gauge, m):
     """The gauge with every bracket refined by golden section instead of Newton."""
     def golden(fn, x, delta, find_max):
-        return gauges._golden(lambda t: fn(t)[0], x - delta, x + delta,
-                              gauges._REFINE_TOL, gauges._REFINE_MAX_ITER, find_max)
+        return gauges._golden(lambda t: fn(t)[0], x - delta, x + delta, find_max)
 
     with monkeypatch.context() as mp:
         mp.setattr(gauges, "_newton", golden)

@@ -24,10 +24,10 @@ from anumrad import (
     repro_paper,
     run_all,
     save_instance,
-    scan_sharpness,
     splitmix64,
     validate_instance,
 )
+from anumrad import harness
 from anumrad.catalog import REGISTRY
 from anumrad.errors import BadRank, NoAdjoint
 from anumrad.harness import Report, exit_code_for, violation_count
@@ -121,8 +121,6 @@ def test_make_instance_draws_each_operand_from_its_own_stream():
 
 
 def test_fuzz_builds_one_frame_and_draws_only_needed_operands(monkeypatch):
-    import anumrad.harness as harness
-
     frames, drawn = [], []
     real_new_frame, real_make_instance = harness.new_frame, harness.make_instance
 
@@ -195,8 +193,6 @@ def test_check_instance_rejects_missing_operands():
 
 def test_fuzz_trial_error_rows(monkeypatch):
     # a trial that raises becomes one failed, unevaluated row per check
-    import anumrad.harness as harness
-
     real = harness.make_instance
 
     def flaky(n, rank, seed, names):
@@ -337,8 +333,7 @@ _GOLDEN_RUNS = {
         "92d7f9d2fc15b99cdba9b0a05743f9e2090513bc6cc12502476cb7ed530f05e4",
         "d52735644bcd0e103bc027d2bf505273eb878acb5b68369c6db7e0b1a05eecde"),
     "equiv_half-top10": (
-        lambda: scan_sharpness(FuzzConfig(trials=100, master_seed=11, checks=["equiv_half"]),
-                               top=10),
+        lambda: fuzz(FuzzConfig(trials=100, master_seed=11, checks=["equiv_half"]), top=10),
         "d0d5ddc456b3debd146038fe21a010d398e7a6f3410bc40f1126e6229cd3991d",
         "80ef2eefd82f6daa7ae928d77157e998f418479d8c79f8965aa44096996da8b7"),
 }
@@ -377,7 +372,9 @@ def test_exit_code_for_synthetic_violation():
 
 
 def test_scan_sharpness_top_lists():
-    report = scan_sharpness(
+    # scan_sharpness is only an alias of fuzz, kept for one benchmark workload
+    assert harness.scan_sharpness is fuzz
+    report = fuzz(
         FuzzConfig(trials=12, master_seed=19, rank_policy="full",
                    checks=["cor_kittaneh_A", "thm_wa_lower"]),
         top=5,
@@ -389,7 +386,7 @@ def test_scan_sharpness_top_lists():
         rels = [t["rel_slack"] for t in tops]
         assert rels == sorted(rels)
     # empty budget still yields a structurally valid report
-    empty = scan_sharpness(FuzzConfig(trials=0, master_seed=1), top=3)
+    empty = fuzz(FuzzConfig(trials=0, master_seed=1), top=3)
     assert empty.rows == []
 
 
