@@ -26,7 +26,6 @@ from .errors import (
     DimensionMismatch,
     EmptyRange,
     NoAdjoint,
-    NoConvergence,
     NotHermitian,
     NotPSD,
     UnknownCheckId,
@@ -81,7 +80,6 @@ __all__ = [
     "GaugeSweep",
     "Instance",
     "NoAdjoint",
-    "NoConvergence",
     "NotHermitian",
     "NotPSD",
     "REGISTRY",

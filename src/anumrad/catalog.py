@@ -8,7 +8,10 @@ statements are registered as atomic sub-checks (``_lower``/``_upper``,
 ``_plus``/``_minus``, roman numerals); the family name is a common prefix, so
 id filters accept either the exact id or a family prefix that ends where an
 ``_``-separated word of the id ends (``thm_block_lower_i`` is one id, not the
-four ``thm_block_lower_*``).
+four ``thm_block_lower_*``). Each paper statement has one evaluator, and a
+family of variants registers from one ``_register_family`` loop whose rows
+bind the variant fields (a ``sign``, ``c_first``, ``use_x``/``use_minmod``,
+the exponent ``r``) to it as keywords.
 
 Hypothesis gating: checks whose statement assumes a strictly positive metric
 are *skipped* (never failed) on degenerate frames; the same applies to the
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -278,6 +282,15 @@ def _register(check_id, *, mode="le", hypothesis="always", roles=("T",),
     return deco
 
 
+def _register_family(family, evaluate, roles, rows):
+    """Register one check ``family_suffix`` per row (suffix, variant fields,
+    hypothesis, description): the statement's one evaluator with the row's
+    variant fields bound as keywords."""
+    for suffix, fields, hypothesis, description in rows:
+        _register(f"{family}_{suffix}", hypothesis=hypothesis, roles=roles,
+                  description=description)(partial(evaluate, **fields))
+
+
 # --------------------------------------------------------------------------
 # Seminorm / numerical radius equivalence and the basic lemmas
 # --------------------------------------------------------------------------
@@ -478,21 +491,18 @@ def _thm_cubic_cube_zero(ctx):
     return ctx.w(t) ** 3, rhs, {"nilpotency_defect": _nilpotency_defect(t, 3)}
 
 
-def _power_evaluator(r: float):
-    def _eval(ctx):
-        t = ctx.k("T")
-        term = ctx.power_norm(t, r)
-        rhs = 0.5 * ctx.w(t @ t) ** r + 0.25 * term
-        return ctx.w(t) ** (2.0 * r), rhs, {"r": r, "power_term": term}
-
-    return _eval
+def _thm_power_r(ctx, r: float):
+    t = ctx.k("T")
+    term = ctx.power_norm(t, r)
+    rhs = 0.5 * ctx.w(t @ t) ** r + 0.25 * term
+    return ctx.w(t) ** (2.0 * r), rhs, {"r": r, "power_term": term}
 
 
-for _r, _suffix in ((1.0, "1"), (1.5, "1p5"), (2.0, "2"), (3.0, "3")):
-    _register(
-        f"thm_power_r_{_suffix}",
-        description=f"w_A(T)^(2r) <= w_A(T^2)^r/2 + ||(T#T)^r+(TT#)^r||_A/4 at r={_r}",
-    )(_power_evaluator(_r))
+_register_family("thm_power_r", _thm_power_r, ("T",), [
+    (suffix, {"r": r}, "always",
+     f"w_A(T)^(2r) <= w_A(T^2)^r/2 + ||(T#T)^r+(TT#)^r||_A/4 at r={r}")
+    for suffix, r in (("1", 1.0), ("1p5", 1.5), ("2", 2.0), ("3", 3.0))
+])
 
 
 @_register("thm_lower_fourth", hypothesis="strict",
@@ -515,64 +525,47 @@ def _thm_lower_fourth(ctx):
 # Product bounds
 # --------------------------------------------------------------------------
 
-def _prod_sum(ctx, sign: float) -> np.ndarray:
+def _thm_prod_pm(ctx, sign: float):
     p, q = ctx.k("P"), ctx.k("Q")
     x, y = ctx.k("X"), ctx.k("Y")
-    return p @ x @ q.conj().T + sign * (q @ y @ p.conj().T)
-
-
-@_register("thm_prod_pm_plus", roles=("P", "Q", "X", "Y"),
-            description="w_A(PXQ# + QYP#) <= 2 ||P||_A ||Q||_A wB(antidiag(X,Y))")
-def _thm_prod_pm_plus(ctx):
     wb = ctx.wb(ctx.antidiag())
-    rhs = 2.0 * ctx.nrm(ctx.k("P")) * ctx.nrm(ctx.k("Q")) * wb
-    return ctx.w(_prod_sum(ctx, +1.0)), rhs, {"wB": wb}
+    rhs = 2.0 * ctx.nrm(p) * ctx.nrm(q) * wb
+    m = p @ x @ q.conj().T + sign * (q @ y @ p.conj().T)
+    return ctx.w(m), rhs, {"wB": wb}
 
 
-@_register("thm_prod_pm_minus", hypothesis="strict", roles=("P", "Q", "X", "Y"),
-            description="w_A(PXQ# - QYP#) <= 2 ||P||_A ||Q||_A wB(antidiag(X,Y))")
-def _thm_prod_pm_minus(ctx):
-    wb = ctx.wb(ctx.antidiag())
-    rhs = 2.0 * ctx.nrm(ctx.k("P")) * ctx.nrm(ctx.k("Q")) * wb
-    return ctx.w(_prod_sum(ctx, -1.0)), rhs, {"wB": wb}
+_register_family("thm_prod_pm", _thm_prod_pm, ("P", "Q", "X", "Y"), [
+    ("plus", {"sign": +1.0}, "always",
+     "w_A(PXQ# + QYP#) <= 2 ||P||_A ||Q||_A wB(antidiag(X,Y))"),
+    ("minus", {"sign": -1.0}, "strict",
+     "w_A(PXQ# - QYP#) <= 2 ||P||_A ||Q||_A wB(antidiag(X,Y))"),
+])
 
 
-def _prod_particular(ctx, sign: float):
+def _thm_prod_particular(ctx, sign: float):
     p, q, x = ctx.k("P"), ctx.k("Q"), ctx.k("X")
     m = p @ x @ q.conj().T + sign * (q @ x @ p.conj().T)
     rhs = 2.0 * ctx.nrm(p) * ctx.nrm(q) * ctx.w(x)
     return ctx.w(m), rhs, {"w_X": ctx.w(x)}
 
 
-@_register("thm_prod_particular_plus", hypothesis="strict", roles=("P", "Q", "X"),
-            description="w_A(PXQ# + QXP#) <= 2 ||P||_A ||Q||_A w_A(X)")
-def _thm_prod_particular_plus(ctx):
-    return _prod_particular(ctx, +1.0)
+_register_family("thm_prod_particular", _thm_prod_particular, ("P", "Q", "X"), [
+    ("plus", {"sign": +1.0}, "strict", "w_A(PXQ# + QXP#) <= 2 ||P||_A ||Q||_A w_A(X)"),
+    ("minus", {"sign": -1.0}, "strict", "w_A(PXQ# - QXP#) <= 2 ||P||_A ||Q||_A w_A(X)"),
+])
 
 
-@_register("thm_prod_particular_minus", hypothesis="strict", roles=("P", "Q", "X"),
-            description="w_A(PXQ# - QXP#) <= 2 ||P||_A ||Q||_A w_A(X)")
-def _thm_prod_particular_minus(ctx):
-    return _prod_particular(ctx, -1.0)
-
-
-def _commutator(ctx, sign: float):
+def _cor_commutator(ctx, sign: float):
     t, q = ctx.k("T"), ctx.k("Q")
     m = t @ q.conj().T + sign * (q @ t)
     rhs = 2.0 * ctx.w(t) * ctx.nrm(q)
     return ctx.w(m), rhs, {"w_T": ctx.w(t), "nrm_Q": ctx.nrm(q)}
 
 
-@_register("cor_commutator_plus", hypothesis="strict", roles=("T", "Q"),
-            description="w_A(TQ# + QT) <= 2 w_A(T) ||Q||_A")
-def _cor_commutator_plus(ctx):
-    return _commutator(ctx, +1.0)
-
-
-@_register("cor_commutator_minus", hypothesis="strict", roles=("T", "Q"),
-            description="w_A(TQ# - QT) <= 2 w_A(T) ||Q||_A")
-def _cor_commutator_minus(ctx):
-    return _commutator(ctx, -1.0)
+_register_family("cor_commutator", _cor_commutator, ("T", "Q"), [
+    ("plus", {"sign": +1.0}, "strict", "w_A(TQ# + QT) <= 2 w_A(T) ||Q||_A"),
+    ("minus", {"sign": -1.0}, "strict", "w_A(TQ# - QT) <= 2 w_A(T) ||Q||_A"),
+])
 
 
 @_register("lem_pointwise", hypothesis="strict", roles=("X", "T", "Y"),
@@ -604,26 +597,21 @@ def _lem_pointwise(ctx):
     return float(lhs_all[worst]), float(rhs_all[worst]), meta
 
 
-def _crawford_prod(ctx):
+def _thm_crawford_prod(ctx, c_first: bool):
     x, t, y = ctx.k("X"), ctx.k("T"), ctx.k("Y")
     g1 = x.conj().T @ t @ y
     g2 = y.conj().T @ t @ x
     rhs = 2.0 * ctx.w(t) * ctx.nrm(x) * ctx.nrm(y)
-    return g1, g2, rhs
+    lhs = ctx.c(g1) + ctx.w(g2) if c_first else ctx.w(g1) + ctx.c(g2)
+    return lhs, rhs, {}
 
 
-@_register("thm_crawford_prod_cw", hypothesis="strict", roles=("X", "T", "Y"),
-            description="c_A(X#TY) + w_A(Y#TX) <= 2 w_A(T) ||X||_A ||Y||_A")
-def _thm_crawford_prod_cw(ctx):
-    g1, g2, rhs = _crawford_prod(ctx)
-    return ctx.c(g1) + ctx.w(g2), rhs, {}
-
-
-@_register("thm_crawford_prod_wc", hypothesis="strict", roles=("X", "T", "Y"),
-            description="w_A(X#TY) + c_A(Y#TX) <= 2 w_A(T) ||X||_A ||Y||_A")
-def _thm_crawford_prod_wc(ctx):
-    g1, g2, rhs = _crawford_prod(ctx)
-    return ctx.w(g1) + ctx.c(g2), rhs, {}
+_register_family("thm_crawford_prod", _thm_crawford_prod, ("X", "T", "Y"), [
+    ("cw", {"c_first": True}, "strict",
+     "c_A(X#TY) + w_A(Y#TX) <= 2 w_A(T) ||X||_A ||Y||_A"),
+    ("wc", {"c_first": False}, "strict",
+     "w_A(X#TY) + c_A(Y#TX) <= 2 w_A(T) ||X||_A ||Y||_A"),
+])
 
 
 @_register("cor_prod_improved_1", hypothesis="strict", roles=("X", "Y"),
@@ -648,7 +636,7 @@ def _cor_prod_improved_2(ctx):
 # Block and seminorm lower bounds
 # --------------------------------------------------------------------------
 
-def _block_lower(ctx, use_x: bool, use_minmod: bool):
+def _thm_block_lower(ctx, use_x: bool, use_minmod: bool):
     x, y = ctx.k("X"), ctx.k("Y")
     wb = ctx.wb(ctx.antidiag())
     lead, prod = (x, y @ x) if use_x else (y, x @ y)
@@ -659,28 +647,16 @@ def _block_lower(ctx, use_x: bool, use_minmod: bool):
     return lhs, rhs, {"wB": wb}
 
 
-@_register("thm_block_lower_i", hypothesis="strict", roles=("X", "Y"),
-            description="||X||_A^2 + c_A(YX) <= 2 wB(antidiag) ||X||_A")
-def _thm_block_lower_i(ctx):
-    return _block_lower(ctx, use_x=True, use_minmod=False)
-
-
-@_register("thm_block_lower_ii", hypothesis="strict", roles=("X", "Y"),
-            description="m_A(X)^2 + w_A(YX) <= 2 wB(antidiag) ||X||_A")
-def _thm_block_lower_ii(ctx):
-    return _block_lower(ctx, use_x=True, use_minmod=True)
-
-
-@_register("thm_block_lower_iii", hypothesis="strict", roles=("X", "Y"),
-            description="||Y||_A^2 + c_A(XY) <= 2 wB(antidiag) ||Y||_A")
-def _thm_block_lower_iii(ctx):
-    return _block_lower(ctx, use_x=False, use_minmod=False)
-
-
-@_register("thm_block_lower_iv", hypothesis="strict", roles=("X", "Y"),
-            description="m_A(Y)^2 + w_A(XY) <= 2 wB(antidiag) ||Y||_A")
-def _thm_block_lower_iv(ctx):
-    return _block_lower(ctx, use_x=False, use_minmod=True)
+_register_family("thm_block_lower", _thm_block_lower, ("X", "Y"), [
+    ("i", {"use_x": True, "use_minmod": False}, "strict",
+     "||X||_A^2 + c_A(YX) <= 2 wB(antidiag) ||X||_A"),
+    ("ii", {"use_x": True, "use_minmod": True}, "strict",
+     "m_A(X)^2 + w_A(YX) <= 2 wB(antidiag) ||X||_A"),
+    ("iii", {"use_x": False, "use_minmod": False}, "strict",
+     "||Y||_A^2 + c_A(XY) <= 2 wB(antidiag) ||Y||_A"),
+    ("iv", {"use_x": False, "use_minmod": True}, "strict",
+     "m_A(Y)^2 + w_A(XY) <= 2 wB(antidiag) ||Y||_A"),
+])
 
 
 @_register("thm_wa_lower_1", hypothesis="strict_nonzero_t",

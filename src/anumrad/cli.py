@@ -53,8 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run checks on an instance JSON file")
     p_check.add_argument("--instance", required=True, help="instance JSON path")
-    p_check.add_argument("--check-id", default="all",
-                         help="check id or family prefix (default: all)")
+    p_check.add_argument("--check-id", action="append", default=None,
+                         help="restrict to this id/family (repeatable; default: all)")
     p_check.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_check.add_argument("--json", help="write the report as JSON to this path")
 
@@ -126,8 +126,7 @@ def _cmd_repro(_args) -> int:
 
 def _cmd_check(args) -> int:
     inst = load_instance(args.instance)
-    checks = None if args.check_id == "all" else [args.check_id]
-    report = check_instance(inst, checks, tol=args.tol)
+    report = check_instance(inst, args.check_id, tol=args.tol)
     _print_rows(report.rows)
     _write_outputs(report, args.json)
     print(f"checks={len(report.rows)} violations={violation_count(report)}")

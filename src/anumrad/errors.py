@@ -3,7 +3,8 @@
 """Exception hierarchy for the anumrad package.
 
 Dedicated classes (rather than bare ValueError) so callers can tell
-validation failures apart from genuine numerical breakdowns.
+validation failures apart; a LAPACK breakdown surfaces as numpy's own
+LinAlgError, a ValueError subclass.
 """
 
 
@@ -21,10 +22,6 @@ class NotHermitian(AnumradError):
 
 class NotPSD(AnumradError):
     """A matrix required to be positive semidefinite has a negative eigenvalue."""
-
-
-class NoConvergence(AnumradError):
-    """An iterative spectral routine failed to converge."""
 
 
 class NoAdjoint(AnumradError):

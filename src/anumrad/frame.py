@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRange, NoConvergence, NotHermitian, NotPSD
+from .errors import EmptyRange, NotHermitian, NotPSD
 from .matrixcore import DEFAULT_RANK_TOL, as_cmatrix, frob, herm_part, tile
 
 
@@ -69,10 +69,7 @@ def new_frame(a) -> AFrame:
     dev = frob(unit - unit.conj().T)
     if dev > DEFAULT_RANK_TOL * (1.0 + frob(unit)):
         raise NotHermitian(f"relative Hermitian deviation {dev:.3e} exceeds tolerance")
-    try:
-        lam, v = np.linalg.eigh(herm_part(a))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(str(exc)) from exc
+    lam, v = np.linalg.eigh(herm_part(a))
     scale = float(np.max(np.abs(lam))) if n else 0.0
     if n and float(lam[0]) < -DEFAULT_RANK_TOL * scale:
         raise NotPSD(f"eigenvalue {lam[0]:.3e} below -tol*||A||")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -58,8 +57,4 @@ def tile(t11, t12, t21, t22) -> np.ndarray:
 
 
 def singular_values(m) -> np.ndarray:
-    m = as_cmatrix(m)
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NoConvergence(str(exc)) from exc
+    return np.linalg.svd(as_cmatrix(m), compute_uv=False)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 
 import numpy as np
@@ -399,22 +401,26 @@ def test_wb_of_the_compressed_antidiagonal_matches_the_doubled_frame():
                 assert abs(wb - doubled) <= 1e-12 * (1.0 + doubled), (n, rank, seed)
 
 
+_E11 = np.diag([1.0, 0.0])
 _E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 _ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
 
-# One equality witness per check at A = I_2: operands (T, X, Y) with P = X and
-# Q = Y (None leaves the operand out), and the checks that reach lhs = rhs != 0
+# Equality witnesses at A = I_2: operands (T, X, Y) with P = X and Q = Y
+# (None leaves the operand out), and the checks that reach lhs = rhs != 0
 # there. Every operand is scaled by 3 in the test, so that no gauge is 1 and
-# the exponents of the nonzero terms are guarded as well.
+# the exponents of the nonzero terms are guarded as well. Every check has at
+# least one witness. The last eight rows are second witnesses: at them a
+# flipped variant field of a family (a sign, use_x, use_minmod) misses
+# equality, which the first witnesses hide (QT = 0, w(E11) = w(-E11), X = Y).
 # E12 squares to zero, and I, E21 and the rotation make several terms vanish,
 # so these witnesses leave unguarded: the 4 on Re_A(T^2)^2 and Re_A(XY)^2
 # (cor_fourth_lower, thm_fourth_antidiag_lower); the 1/4 on w_A(T^2)^2, its
 # exponent and the 1/8 on w_A(T^2 P + P T^2) (thm_refined_fourth); the 1/4 on
 # C_A(T^2)^2, its exponent and the 1/8 on c_A(T^2 P + P T^2)
 # (thm_lower_fourth); the 1/4 on w_A(T^3) (thm_cubic); the 2 dividing
-# c_A(T^2) (thm_wa_lower_1); the exponent on m_A(T) (thm_wa_lower_max); the
-# sign of QT (cor_commutator_*, QT = 0); a decrease of the 4 or the exponent
-# on w_A(XY) or w_A(YX) (thm_fourth_antidiag_upper, whose two branches tie);
+# c_A(T^2) (thm_wa_lower_1); the exponent on m_A(T) (thm_wa_lower_max); a
+# decrease of the 4 or the exponent on w_A(XY) or w_A(YX)
+# (thm_fourth_antidiag_upper, whose two branches tie);
 # and the exponent r of thm_power_r_* (both sides move with it at T = I;
 # test_power_rows_hold_with_equality_at_a_witness guards the constants there).
 _WITNESSES = (
@@ -437,7 +443,20 @@ _WITNESSES = (
     ((None, np.eye(2), np.eye(2)), ("thm_block_lower_ii", "thm_prod_pm_plus")),
     ((None, _E12, _ROTATION), ("thm_block_lower_iv",)),
     ((None, np.eye(2), np.diag([1.0, -1.0])), ("thm_prod_pm_minus",)),
+    ((np.eye(2), None, None), ("cor_commutator_plus",)),
+    ((np.eye(2), None, 1j * np.eye(2)), ("cor_commutator_minus",)),
+    ((None, np.eye(2), None), ("thm_prod_particular_plus",)),
+    ((None, np.eye(2), 1j * np.eye(2)), ("thm_prod_particular_minus",)),
+    ((None, np.eye(2), -np.eye(2)), ("thm_prod_pm_minus",)),
+    ((None, 2.0 * _E12, _E12), ("thm_block_lower_i",)),
+    ((None, _E12, 2.0 * _E12), ("thm_block_lower_iii",)),
+    ((None, np.eye(2), _E11), ("thm_block_lower_ii",)),
 )
+
+
+def _witness_operands(t, x, y):
+    return {name: 3.0 * m for name, m in (("T", t), ("X", x), ("Y", y), ("P", x), ("Q", y))
+            if m is not None}
 
 
 def test_every_check_holds_with_equality_at_its_witness():
@@ -445,15 +464,50 @@ def test_every_check_holds_with_equality_at_its_witness():
     # bound looser would go unseen there; at a witness it moves the slack
     f = new_frame(np.eye(2))
     covered = []
-    for (t, x, y), ids in _WITNESSES:
-        ops = {name: 3.0 * m for name, m in (("T", t), ("X", x), ("Y", y), ("P", x), ("Q", y))
-               if m is not None}
+    for operands, ids in _WITNESSES:
+        ops = _witness_operands(*operands)
         for cid in ids:
             res = run_check(cid, f, ops)
             assert res.hypothesis_met and res.lhs != 0.0, cid
             assert abs(res.slack) <= 1e-12 * (1.0 + abs(res.rhs)), (cid, res.slack)
             covered.append(cid)
-    assert sorted(covered) == registry_ids()
+    assert set(covered) == set(registry_ids())
+
+
+_FLIPS = {"sign": lambda v: -v, "use_x": lambda v: not v, "use_minmod": lambda v: not v,
+          "c_first": lambda v: not v}
+
+
+def test_flipping_a_variant_field_misses_equality_at_a_witness():
+    # a family registers one evaluator per row with its variant fields bound;
+    # a row whose sign or flag were flipped would read another statement, and
+    # some witness of the row must tell the two apart
+    f = new_frame(np.eye(2))
+    probed = set()
+    for cid, cd in REGISTRY.items():
+        fields = getattr(cd.evaluate, "keywords", {})
+        for name in fields.keys() & _FLIPS.keys():
+            flipped = dict(fields, **{name: _FLIPS[name](fields[name])})
+            worst = 0.0
+            for operands, ids in _WITNESSES:
+                if cid in ids:
+                    lhs, rhs, _ = cd.evaluate.func(_Ctx(f, _witness_operands(*operands), 0),
+                                                   **flipped)
+                    worst = max(worst, abs(rhs - lhs) / (1.0 + abs(rhs)))
+            assert worst > 1e-6, (cid, name)
+            probed.add(cid)
+    assert probed == set(resolve_ids(["thm_prod_pm", "thm_prod_particular", "cor_commutator",
+                                      "thm_crawford_prod", "thm_block_lower"]))
+
+
+def test_registry_table_is_pinned():
+    # ids, modes, hypotheses, roles, abs_tol and descriptions of all 40 rows;
+    # bench/workloads.py derives its expected skips from the hypotheses
+    rows = [[cd.check_id, cd.mode, cd.hypothesis, list(cd.roles), cd.abs_tol, cd.description]
+            for _, cd in sorted(REGISTRY.items())]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert len(rows) == 40
+    assert digest == "b73c95e7507bb9b13cd8af6deace2d2119f7730e87c6d5465a996af62a610f8f"
 
 
 def test_improvement_orderings():

@@ -205,15 +205,45 @@ def test_usage_errors(tmp_path):
 
 
 def test_unknown_check_id_names_itself_and_the_list(tmp_path):
-    # "all" is check's default for every id, but no id for fuzz
+    # leaving --check-id out runs every check; "all" is no id for either command
     path = tmp_path / "inst.json"
     save_instance(make_instance(3, 3, seed=42), path)
     for args, cid in ((("fuzz", "--trials", "2"), "all"),
+                      (("check", "--instance", str(path)), "all"),
                       (("check", "--instance", str(path)), "thm_pro")):
         proc = run_cli(*args, "--check-id", cid)
         assert proc.returncode == 2, (args, proc.stderr)
         assert proc.stderr == (
             f"error: unknown check id '{cid}'; `anumrad list-checks` prints the ids\n")
+
+
+def test_check_id_repeats_and_runs_the_union(tmp_path):
+    path = tmp_path / "inst.json"
+    save_instance(make_instance(3, 3, seed=42), path)
+    proc = run_cli("check", "--instance", str(path), "--check-id", "equiv_half",
+                   "--check-id", "thm_cubic")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split()[0] for line in proc.stdout.splitlines()[1:-1]]
+    assert rows == ["equiv_half_lower", "equiv_half_upper", "thm_cubic", "thm_cubic_cube_zero",
+                    "thm_cubic_sq_zero"]
+    assert proc.stdout.endswith("checks=5 violations=0\n")
+
+
+def test_lapack_failure_in_the_frame_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError, so a metric whose
+    # eigendecomposition fails exits 2 like any other bad input
+    from anumrad import cli
+
+    path = tmp_path / "inst.json"
+    save_instance(make_instance(3, 3, seed=42), path)
+
+    def fail(_a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert cli.main(["check", "--instance", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: Eigenvalues did not converge\n" and out == ""
 
 
 @pytest.mark.parametrize("explore", [False, True])

@@ -91,7 +91,7 @@ def test_every_error_class_is_raised_in_the_package():
             if isinstance(node, ast.Raise) and node.exc is not None:
                 raised.update(n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name))
     classes = _error_classes(ast.parse((SRC / "errors.py").read_text(encoding="utf-8")))
-    assert len(classes) >= 8
+    assert len(classes) >= 7
     assert [name for name in classes if name not in raised] == []
 
 
