@@ -11,7 +11,8 @@ id filters accept either the exact id or a family prefix that ends where an
 four ``thm_block_lower_*``). Each paper statement has one evaluator, and a
 family of variants registers from one ``_register_family`` loop whose rows
 bind the variant fields (a ``sign``, ``c_first``, ``use_x``/``use_minmod``,
-the exponent ``r``) to it as keywords.
+the exponent ``r``) to it as keywords. The two sides of a two-sided bound
+(``upper``) and the two operand orders of one bound (``w_of_x``) are rows too.
 
 Hypothesis gating: checks whose statement assumes a strictly positive metric
 are *skipped* (never failed) on degenerate frames; the same applies to the
@@ -62,10 +63,13 @@ class CheckResult:
     check_id: str
     lhs: float
     rhs: float
-    slack: float
     passed: bool
     hypothesis_met: bool
     metadata: Dict[str, object] = field(default_factory=dict)
+
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
 
     @property
     def skipped(self) -> bool:
@@ -295,18 +299,17 @@ def _register_family(family, evaluate, roles, rows):
 # Seminorm / numerical radius equivalence and the basic lemmas
 # --------------------------------------------------------------------------
 
-@_register("equiv_half_lower", description="||T||_A / 2 <= w_A(T)")
-def _equiv_half_lower(ctx):
+def _equiv_half(ctx, upper: bool):
     t = ctx.k("T")
     w, n = ctx.w(t), ctx.nrm(t)
-    return 0.5 * n, w, {"w_T": w, "nrm_T": n}
+    meta = {"w_T": w, "nrm_T": n}
+    return (w, n, meta) if upper else (0.5 * n, w, meta)
 
 
-@_register("equiv_half_upper", description="w_A(T) <= ||T||_A")
-def _equiv_half_upper(ctx):
-    t = ctx.k("T")
-    w, n = ctx.w(t), ctx.nrm(t)
-    return w, n, {"w_T": w, "nrm_T": n}
+_register_family("equiv_half", _equiv_half, ("T",), [
+    ("lower", {"upper": False}, "always", "||T||_A / 2 <= w_A(T)"),
+    ("upper", {"upper": True}, "always", "w_A(T) <= ||T||_A"),
+])
 
 
 @_register("lem_selfadj_eq", mode="eq",
@@ -355,38 +358,36 @@ def _antidiag_ms(ctx):
     return x, y, m1, m2
 
 
-@_register("thm_antidiag_lower", roles=("X", "Y"),
-            description="max(||XX#+Y#Y||_A, ||X#X+YY#||_A)/4 <= wB(antidiag)^2")
-def _thm_antidiag_lower(ctx):
+def _thm_antidiag(ctx, upper: bool):
     _, _, m1, m2 = _antidiag_ms(ctx)
     wb = ctx.wb(ctx.antidiag())
-    lhs = 0.25 * max(ctx.nrm(m1), ctx.nrm(m2))
-    return lhs, wb ** 2, {"wB": wb, "nrm_M": ctx.nrm(m1), "nrm_N": ctx.nrm(m2)}
+    nrm_m, nrm_n = ctx.nrm(m1), ctx.nrm(m2)
+    meta = {"wB": wb, "nrm_M": nrm_m, "nrm_N": nrm_n}
+    if upper:
+        return wb ** 2, 0.5 * max(nrm_m, nrm_n), meta
+    return 0.25 * max(nrm_m, nrm_n), wb ** 2, meta
 
 
-@_register("thm_antidiag_upper", roles=("X", "Y"),
-            description="wB(antidiag)^2 <= max(||XX#+Y#Y||_A, ||X#X+YY#||_A)/2")
-def _thm_antidiag_upper(ctx):
-    _, _, m1, m2 = _antidiag_ms(ctx)
-    wb = ctx.wb(ctx.antidiag())
-    rhs = 0.5 * max(ctx.nrm(m1), ctx.nrm(m2))
-    return wb ** 2, rhs, {"wB": wb}
+_register_family("thm_antidiag", _thm_antidiag, ("X", "Y"), [
+    ("lower", {"upper": False}, "always",
+     "max(||XX#+Y#Y||_A, ||X#X+YY#||_A)/4 <= wB(antidiag)^2"),
+    ("upper", {"upper": True}, "always",
+     "wB(antidiag)^2 <= max(||XX#+Y#Y||_A, ||X#X+YY#||_A)/2"),
+])
 
 
-@_register("cor_kittaneh_A_lower", hypothesis="strict",
-            description="||TT#+T#T||_A / 4 <= w_A(T)^2")
-def _cor_kittaneh_lower(ctx):
+def _cor_kittaneh_A(ctx, upper: bool):
     t = ctx.k("T")
-    pm = ctx.pm(t)
-    return 0.25 * ctx.nrm(pm), ctx.w(t) ** 2, {"nrm_P": ctx.nrm(pm)}
+    nrm_p = ctx.nrm(ctx.pm(t))
+    w2 = ctx.w(t) ** 2
+    meta = {"nrm_P": nrm_p}
+    return (w2, 0.5 * nrm_p, meta) if upper else (0.25 * nrm_p, w2, meta)
 
 
-@_register("cor_kittaneh_A_upper", hypothesis="strict",
-            description="w_A(T)^2 <= ||TT#+T#T||_A / 2")
-def _cor_kittaneh_upper(ctx):
-    t = ctx.k("T")
-    pm = ctx.pm(t)
-    return ctx.w(t) ** 2, 0.5 * ctx.nrm(pm), {"nrm_P": ctx.nrm(pm)}
+_register_family("cor_kittaneh_A", _cor_kittaneh_A, ("T",), [
+    ("lower", {"upper": False}, "strict", "||TT#+T#T||_A / 4 <= w_A(T)^2"),
+    ("upper", {"upper": True}, "strict", "w_A(T)^2 <= ||TT#+T#T||_A / 2"),
+])
 
 
 @_register("thm_fourth_antidiag_lower", roles=("X", "Y"),
@@ -614,22 +615,18 @@ _register_family("thm_crawford_prod", _thm_crawford_prod, ("X", "T", "Y"), [
 ])
 
 
-@_register("cor_prod_improved_1", hypothesis="strict", roles=("X", "Y"),
-            description="w_A(XY) <= 2 w_A(X) ||Y||_A - c_A(Y#X)")
-def _cor_prod_improved_1(ctx):
+def _cor_prod_improved(ctx, w_of_x: bool):
     x, y = ctx.k("X"), ctx.k("Y")
-    plain = 2.0 * ctx.w(x) * ctx.nrm(y)
-    rhs = plain - ctx.c(y.conj().T @ x)
+    lead, other, g = (x, y, y.conj().T @ x) if w_of_x else (y, x, y @ x.conj().T)
+    plain = 2.0 * ctx.w(lead) * ctx.nrm(other)
+    rhs = plain - ctx.c(g)
     return ctx.w(x @ y), rhs, {"plain_rhs": plain}
 
 
-@_register("cor_prod_improved_2", hypothesis="strict", roles=("X", "Y"),
-            description="w_A(XY) <= 2 w_A(Y) ||X||_A - c_A(YX#)")
-def _cor_prod_improved_2(ctx):
-    x, y = ctx.k("X"), ctx.k("Y")
-    plain = 2.0 * ctx.w(y) * ctx.nrm(x)
-    rhs = plain - ctx.c(y @ x.conj().T)
-    return ctx.w(x @ y), rhs, {"plain_rhs": plain}
+_register_family("cor_prod_improved", _cor_prod_improved, ("X", "Y"), [
+    ("1", {"w_of_x": True}, "strict", "w_A(XY) <= 2 w_A(X) ||Y||_A - c_A(Y#X)"),
+    ("2", {"w_of_x": False}, "strict", "w_A(XY) <= 2 w_A(Y) ||X||_A - c_A(YX#)"),
+])
 
 
 # --------------------------------------------------------------------------
@@ -696,7 +693,7 @@ def _unevaluated(check_id: str, passed: bool, hypothesis_met: bool,
                  metadata: Dict[str, object]) -> CheckResult:
     """A skipped or errored check: no lhs, rhs or slack."""
     nan = float("nan")
-    return CheckResult(check_id, nan, nan, nan, passed, hypothesis_met, metadata)
+    return CheckResult(check_id, nan, nan, passed, hypothesis_met, metadata)
 
 
 def errored_result(check_id: str, error: str) -> CheckResult:
@@ -714,7 +711,6 @@ def _run_one(cd: CheckDef, ctx: _Ctx, tol: float) -> CheckResult:
         check_id=cd.check_id,
         lhs=lhs,
         rhs=rhs,
-        slack=rhs - lhs,
         passed=_verdict(lhs, rhs, cd.mode, tol, cd.abs_tol),
         hypothesis_met=True,
         metadata=meta,

@@ -191,10 +191,10 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
-def _int_field(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"instance field {key!r} must be an integer, got {value!r}")
-    return value
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def instance_from_dict(d: dict) -> Instance:
@@ -207,14 +207,14 @@ def instance_from_dict(d: dict) -> Instance:
     for key in ("dim", "A"):
         if key not in d:
             raise ValueError(f"instance field {key!r} is missing")
-    dim = _int_field(d["dim"], "dim")
+    dim = _integer(d["dim"], "instance field 'dim'")
     a = mat_from_wire(d["A"])
     ops = {str(k): mat_from_wire(v) for k, v in ops.items()}
     note = d.get("note", "")
     if not isinstance(note, str):
         raise ValueError(f"instance field 'note' must be a string, got {note!r}")
     return Instance(dim=dim, a=a, operators=ops,
-                    seed=_int_field(d.get("seed", 0), "seed"), note=note)
+                    seed=_integer(d.get("seed", 0), "instance field 'seed'"), note=note)
 
 
 def save_instance(inst: Instance, path) -> None:
@@ -243,6 +243,8 @@ class FuzzConfig:
     checks: Optional[Sequence[str]] = None
 
     def __post_init__(self):
+        for name in ("trials", "master_seed", "n_min", "n_max"):
+            setattr(self, name, _integer(getattr(self, name), name))
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
         if not 1 <= self.n_min <= self.n_max:
@@ -329,7 +331,7 @@ def fuzz(config: FuzzConfig, top: Optional[int] = None) -> Report:
     implementation bug, since every registered statement is a theorem on its
     hypothesis domain.
     """
-    if top is not None and top < 0:
+    if top is not None and _integer(top, "top") < 0:
         raise ValueError("top must be nonnegative")
     ids = resolve_ids(config.checks)
     names = operands_needed(ids)
@@ -391,7 +393,7 @@ def repro_paper() -> Report:
     def record(trial: int, name: str, value: float, reference: float) -> None:
         lhs, rhs = float(value), float(reference)
         passed = abs(rhs - lhs) <= 1e-9
-        rows.append(_row(trial, CheckResult(name, lhs, rhs, rhs - lhs, passed, True)))
+        rows.append(_row(trial, CheckResult(name, lhs, rhs, passed, True)))
 
     # 1. The classic 2x2 pair where the adjoint does not exist.
     f0 = new_frame(np.array([[0.0, 0.0], [0.0, 1.0]]))

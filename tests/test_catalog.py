@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import anumrad
 from anumrad import adjoint, catalog
 from anumrad import (
+    CheckResult,
     a_numerical_radius,
     direct_sum,
     gen_compatible,
@@ -22,7 +24,8 @@ from anumrad import (
     run_check,
     sharp,
 )
-from anumrad.catalog import REGISTRY, _Ctx, _verdict, missing_operands, operands_needed
+from anumrad.catalog import (REGISTRY, _Ctx, _verdict, errored_result, missing_operands,
+                             operands_needed)
 from anumrad.matrixcore import frob, spec_norm, tile
 from anumrad.errors import UnknownCheckId
 from anumrad.seeding import label_seed
@@ -84,6 +87,13 @@ def test_run_all_takes_resolved_ids():
     assert fields(by_ids) == fields(by_checks)
     with pytest.raises(ValueError):
         run_all(f, ops, checks=checks, ids=resolve_ids(checks))
+
+
+def test_slack_is_read_from_lhs_and_rhs():
+    assert CheckResult("x", 1.0, 3.0, True, True).slack == 2.0
+    with pytest.raises(TypeError):
+        CheckResult("x", 1.0, 3.0, True, True, slack=2.0)
+    assert math.isnan(errored_result("x", "boom").slack)
 
 
 def test_unknown_check_id():
@@ -409,20 +419,22 @@ _ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
 # (None leaves the operand out), and the checks that reach lhs = rhs != 0
 # there. Every operand is scaled by 3 in the test, so that no gauge is 1 and
 # the exponents of the nonzero terms are guarded as well. Every check has at
-# least one witness. The last eight rows are second witnesses: at them a
-# flipped variant field of a family (a sign, use_x, use_minmod) misses
-# equality, which the first witnesses hide (QT = 0, w(E11) = w(-E11), X = Y).
-# E12 squares to zero, and I, E21 and the rotation make several terms vanish,
-# so these witnesses leave unguarded: the 4 on Re_A(T^2)^2 and Re_A(XY)^2
-# (cor_fourth_lower, thm_fourth_antidiag_lower); the 1/4 on w_A(T^2)^2, its
-# exponent and the 1/8 on w_A(T^2 P + P T^2) (thm_refined_fourth); the 1/4 on
+# least one witness. thm_wa_lower_1, thm_refined_fourth and thm_cubic have a
+# second one at T = I, where T^2 and T^3 do not vanish. The last ten rows are
+# second witnesses too: at them a flipped variant field of a family (a sign,
+# use_x, use_minmod, w_of_x) misses equality, which the first witnesses hide
+# (QT = 0, w(E11) = w(-E11), X = Y, and the two operand orders tie at
+# (E12, E21)). E12 squares to zero, and I, E21 and the rotation make several
+# terms vanish, so these witnesses leave unguarded: the 4 on Re_A(T^2)^2 and
+# Re_A(XY)^2 (cor_fourth_lower, thm_fourth_antidiag_lower); the 1/4 on
 # C_A(T^2)^2, its exponent and the 1/8 on c_A(T^2 P + P T^2)
-# (thm_lower_fourth); the 1/4 on w_A(T^3) (thm_cubic); the 2 dividing
-# c_A(T^2) (thm_wa_lower_1); the exponent on m_A(T) (thm_wa_lower_max); a
-# decrease of the 4 or the exponent on w_A(XY) or w_A(YX)
-# (thm_fourth_antidiag_upper, whose two branches tie);
-# and the exponent r of thm_power_r_* (both sides move with it at T = I;
-# test_power_rows_hold_with_equality_at_a_witness guards the constants there).
+# (thm_lower_fourth, whose C_A(T^2) vanishes at T = I as well); the exponent
+# on m_A(T) (thm_wa_lower_max); and a decrease of the 4 or of an exponent in
+# one branch of thm_fourth_antidiag_upper (its two branches tie). The
+# sampling parameters of lem_sup_theta and lem_pointwise, metadata and the
+# abs_tol of the nilpotent equalities are not constants of a statement;
+# test_power_rows_hold_with_equality_at_a_witness guards the constants and
+# the exponent r of thm_power_r_*.
 _WITNESSES = (
     ((_E12, _E12, _E12), (
         "equiv_half_lower", "lem_selfadj_eq", "lem_sup_theta", "thm_antidiag_lower",
@@ -433,7 +445,8 @@ _WITNESSES = (
         "thm_wa_lower_max")),
     ((np.eye(2), _E12, _E12), (
         "equiv_half_upper", "cor_kittaneh_A_upper", "cor_fourth_upper", "thm_power_r_1p5",
-        "thm_power_r_2", "thm_power_r_3", "thm_wa_lower_2")),
+        "thm_power_r_2", "thm_power_r_3", "thm_wa_lower_1", "thm_wa_lower_2",
+        "thm_refined_fourth", "thm_cubic")),
     ((_E12, _E12, _E12.T), (
         "cor_prod_improved_1", "cor_prod_improved_2", "lem_pointwise",
         "lem_positivity_mono", "thm_antidiag_upper", "thm_fourth_antidiag_upper")),
@@ -451,6 +464,8 @@ _WITNESSES = (
     ((None, 2.0 * _E12, _E12), ("thm_block_lower_i",)),
     ((None, _E12, 2.0 * _E12), ("thm_block_lower_iii",)),
     ((None, np.eye(2), _E11), ("thm_block_lower_ii",)),
+    ((None, _E12, _ROTATION), ("cor_prod_improved_1",)),
+    ((None, _ROTATION, _E12), ("cor_prod_improved_2",)),
 )
 
 
@@ -475,13 +490,14 @@ def test_every_check_holds_with_equality_at_its_witness():
 
 
 _FLIPS = {"sign": lambda v: -v, "use_x": lambda v: not v, "use_minmod": lambda v: not v,
-          "c_first": lambda v: not v}
+          "c_first": lambda v: not v, "upper": lambda v: not v, "w_of_x": lambda v: not v}
 
 
 def test_flipping_a_variant_field_misses_equality_at_a_witness():
     # a family registers one evaluator per row with its variant fields bound;
-    # a row whose sign or flag were flipped would read another statement, and
-    # some witness of the row must tell the two apart
+    # a row whose sign or flag were flipped would read another statement (the
+    # other side of a two-sided bound, the other operand order), and some
+    # witness of the row must tell the two apart
     f = new_frame(np.eye(2))
     probed = set()
     for cid, cd in REGISTRY.items():
@@ -497,7 +513,8 @@ def test_flipping_a_variant_field_misses_equality_at_a_witness():
             assert worst > 1e-6, (cid, name)
             probed.add(cid)
     assert probed == set(resolve_ids(["thm_prod_pm", "thm_prod_particular", "cor_commutator",
-                                      "thm_crawford_prod", "thm_block_lower"]))
+                                      "thm_crawford_prod", "thm_block_lower", "equiv_half",
+                                      "cor_kittaneh_A", "thm_antidiag", "cor_prod_improved"]))
 
 
 def test_registry_table_is_pinned():
@@ -553,16 +570,6 @@ def test_power_r1_term_matches_direct_sum_norm():
         rhs = 2.0 * kittaneh.rhs
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(rhs))
         assert power.rhs <= kittaneh.rhs + 1e-10 * (1.0 + kittaneh.rhs)
-
-
-def test_sharpness_equalities():
-    # left Kittaneh equality at the 2x2 nilpotent
-    f = new_frame(np.eye(2))
-    res = run_check("cor_kittaneh_A_lower", f, {"T": np.array([[0.0, 1.0], [0.0, 0.0]])})
-    assert abs(res.slack) <= 1e-9
-    # lower bound equality at T = I
-    res = run_check("thm_wa_lower_1", f, {"T": np.eye(2)})
-    assert abs(res.slack) <= 1e-9
 
 
 def _ill_conditioned_metric(n, ratio, rng):

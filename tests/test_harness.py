@@ -273,6 +273,37 @@ def test_fuzz_rank_policies():
             FuzzConfig(trials=1, tol=tol)
 
 
+def _no_trial(*args, **kwargs):
+    raise AssertionError("a trial ran")
+
+
+@pytest.mark.parametrize("name,value", [
+    ("trials", True), ("trials", 2.0), ("master_seed", 1.5), ("master_seed", "3"),
+    ("n_min", 2.0), ("n_max", False), ("top", 2.5), ("top", True),
+])
+def test_fuzz_rejects_non_integer_counts(monkeypatch, name, value):
+    # rejected before any trial runs: a bool trial count would run one trial,
+    # a float seed would seed from its int() yet be recorded as the float, and
+    # a float top would fail only after the whole sweep
+    monkeypatch.setattr(harness, "make_instance", _no_trial)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        if name == "top":
+            fuzz(FuzzConfig(trials=2), top=value)
+        else:
+            fuzz(FuzzConfig(**{"trials": 2, name: value}))
+
+
+def test_fuzz_accepts_numpy_integer_counts():
+    # numpy integers are counts too; the config keeps them as int, so the
+    # report serializes as it does for the same Python ints
+    config = FuzzConfig(trials=np.int64(3), master_seed=np.uint64(5), n_min=np.int32(2),
+                        n_max=np.int64(3), checks=["equiv_half"])
+    assert [type(getattr(config, k)) for k in ("trials", "master_seed", "n_min", "n_max")] == [
+        int] * 4
+    plain = FuzzConfig(trials=3, master_seed=5, n_min=2, n_max=3, checks=["equiv_half"])
+    assert report_to_json(fuzz(config, top=np.int64(2))) == report_to_json(fuzz(plain, top=2))
+
+
 def test_fuzz_zero_trials_empty_report():
     report = fuzz(FuzzConfig(trials=0, master_seed=1))
     assert report.rows == []
