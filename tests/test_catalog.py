@@ -572,6 +572,16 @@ def test_power_r1_term_matches_direct_sum_norm():
         assert power.rhs <= kittaneh.rhs + 1e-10 * (1.0 + kittaneh.rhs)
 
 
+def test_sharpness_equalities():
+    # left Kittaneh equality at the 2x2 nilpotent
+    f = new_frame(np.eye(2))
+    res = run_check("cor_kittaneh_A_lower", f, {"T": np.array([[0.0, 1.0], [0.0, 0.0]])})
+    assert abs(res.slack) <= 1e-9
+    # lower bound equality at T = I
+    res = run_check("thm_wa_lower_1", f, {"T": np.eye(2)})
+    assert abs(res.slack) <= 1e-9
+
+
 def _ill_conditioned_metric(n, ratio, rng):
     # A = Q diag(ratio, ..., 1) Q* with a Haar-like unitary Q and the inner
     # eigenvalues log-uniform between the two ends
