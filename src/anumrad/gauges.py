@@ -118,9 +118,13 @@ _GRID = _uniform_grid(1024)
 # that the outer-polygon bound needs.
 _DELTA = 2.0 * np.pi / _GRID.grid_points
 _CELL = _COARSE_STRIDE * _DELTA
-# First-half rows of the coarse points; their mirrors are coarse points too.
-_COARSE_ROWS = np.arange(_GRID.grid_points // 2) % _COARSE_STRIDE == 0
-_COARSE_ROWS.flags.writeable = False
+# First-half rows of the coarse points (their mirrors are coarse points too),
+# and of the whole half grid, as the sweep solves them first.
+_HALF = _GRID.grid_points // 2
+_COARSE_ROWS = np.arange(0, _HALF, _COARSE_STRIDE)
+_ALL_ROWS = np.arange(_HALF)
+_COARSE_ROWS.flags.writeable = _ALL_ROWS.flags.writeable = False
+_EPS = float(np.finfo(float).eps)
 
 
 def _theta_scan(m: np.ndarray, grid: _Grid, rows=None):
@@ -129,8 +133,10 @@ def _theta_scan(m: np.ndarray, grid: _Grid, rows=None):
 
     With ``rows``, only those rows of the first half are solved and returned.
     Each matrix is built exactly as in the full stack, so for n >= 2 its
-    eigenvalues agree bit for bit; for n = 1 numpy coalesces the loop and
-    rounds differently, so 1x1 callers ask for every row.
+    eigenvalues agree bit for bit. For n = 1 numpy runs the products as one
+    coalesced 1-D loop, whose vectorized kernel rounds a few rows of a k-row
+    subset differently from the same rows of the full stack (about 2 rows in
+    a million on an AVX-512 host), so 1x1 callers ask for every row.
     """
     # grid is always _GRID; bench/tracing.py reads its grid_points per call
     ph = grid.phases if rows is None else grid.phases[rows]
@@ -232,8 +238,8 @@ def _refine(vals, fn, find_max, lipschitz, flat_tol) -> float:
     grid_best = float(vals.max() if find_max else vals.min())
     if float(vals.max() - vals.min()) <= flat_tol:
         return grid_best
-    prev = np.roll(vals, 1)
-    nxt = np.roll(vals, -1)
+    prev = np.concatenate((vals[-1:], vals[:-1]))  # np.roll(vals, 1)
+    nxt = np.concatenate((vals[1:], vals[:1]))  # np.roll(vals, -1)
     if find_max:
         cand = np.nonzero((vals >= prev) & (vals >= nxt))[0]
         cand = cand[_can_win(vals[cand], grid_best, lipschitz)]
@@ -259,20 +265,23 @@ def _make_pointwise(m: np.ndarray):
     -lam_k + 2 sum_{j != k} |v_j* H' v_k|^2 / (lam_k - lam_j). gap is the
     distance from lam_k to the nearest other eigenvalue; root is the Newton
     estimate of the zero of lam_k for min |lambda| and None for lambda_max.
+    Below _GAP_TOL the slope and curvature are not formed and read NaN.
     """
     mh = m.conj().T
 
     def tracked(theta: float, largest: bool):
         ph = complex(math.cos(theta), math.sin(theta))
         lam, v = np.linalg.eigh(0.5 * (ph * m + ph.conjugate() * mh))
-        k = lam.shape[0] - 1 if largest else int(np.argmin(np.abs(lam)))
-        coupling = v.conj().T @ (0.5j * (ph * (m @ v[:, k]) - ph.conjugate() * (mh @ v[:, k])))
+        k = lam.shape[0] - 1 if largest else int(np.abs(lam).argmin())
         diff = lam[k] - lam
         diff[k] = np.inf
-        with np.errstate(divide="ignore", invalid="ignore"):  # gap 0: unused
-            curvature = float(np.sum(np.abs(coupling) ** 2 / diff))
-        return (float(lam[k]), float(coupling[k].real), 2.0 * curvature - float(lam[k]),
-                float(np.min(np.abs(diff))))
+        gap = float(np.abs(diff).min())
+        if gap < _GAP_TOL:  # no derivatives: _newton reads only the value
+            return float(lam[k]), math.nan, math.nan, gap
+        vk = v[:, k]
+        coupling = v.conj().T @ (0.5j * (ph * (m @ vk) - ph.conjugate() * (mh @ vk)))
+        curvature = float((np.abs(coupling) ** 2 / diff).sum())
+        return float(lam[k]), float(coupling[k].real), 2.0 * curvature - float(lam[k]), gap
 
     def lam_max(theta: float):
         return (*tracked(theta, True), None)
@@ -304,25 +313,31 @@ class GaugeSweep:
         self._lam_max_grid = np.full(_GRID.grid_points, np.nan)
         self._min_abs_grid = np.full(_GRID.grid_points, np.nan)
         self._solved = np.zeros(_GRID.grid_points, dtype=bool)  # mirrored halves
+        self._unsolved = _HALF  # first-half rows not yet solved
         self._lam_max, self._min_abs = _make_pointwise(m)
         self._lipschitz = spec_norm(m)
         # eigvalsh rounding noise: a few ulps of ||M|| per dimension
-        self._flat_tol = 4.0 * m.shape[0] * np.finfo(float).eps * self._lipschitz
-        # a 1x1 row subset rounds differently from the full stack (_theta_scan)
-        self._solve(np.ones_like(_COARSE_ROWS) if m.shape[0] == 1 else _COARSE_ROWS)
+        self._flat_tol = 4.0 * m.shape[0] * _EPS * self._lipschitz
+        # 1x1 sweeps solve every row: a 1x1 row subset can round differently
+        # from the full stack (_theta_scan)
+        self._store(_ALL_ROWS if m.shape[0] == 1 else _COARSE_ROWS)
 
     def _solve(self, rows: np.ndarray) -> None:
         """Solve the first-half rows marked in ``rows`` that are not yet solved."""
-        half = self._solved.size // 2
-        rows = np.nonzero(rows & ~self._solved[:half])[0]
-        if rows.size == 0:
-            return
+        rows = np.nonzero(rows & ~self._solved[:_HALF])[0]
+        if rows.size:
+            self._store(rows)
+
+    def _store(self, rows: np.ndarray) -> None:
+        """Solve the unsolved first-half rows with indices ``rows`` and store
+        both mirrored halves."""
+        mirror = rows + _HALF
         eigs = _theta_scan(self._m, _GRID, rows)[1]
         self._lam_max_grid[rows] = eigs[:, -1]
-        self._lam_max_grid[rows + half] = -eigs[:, 0]
-        self._min_abs_grid[rows] = self._min_abs_grid[rows + half] = np.min(
-            np.abs(eigs), axis=1)
-        self._solved[rows] = self._solved[rows + half] = True
+        self._lam_max_grid[mirror] = -eigs[:, 0]
+        self._min_abs_grid[rows] = self._min_abs_grid[mirror] = np.abs(eigs).min(axis=1)
+        self._solved[rows] = self._solved[mirror] = True
+        self._unsolved -= rows.size
 
     def _cells_needed(self, grid, find_max: bool) -> np.ndarray:
         """Per coarse cell: whether its fine points can still matter.
@@ -333,7 +348,7 @@ class GaugeSweep:
         """
         lip = self._lipschitz
         lo = grid[::_COARSE_STRIDE]
-        hi = np.roll(lo, -1)
+        hi = np.concatenate((lo[1:], lo[:1]))  # np.roll(lo, -1)
         if find_max:
             # the cell's points read at most its outer bound, up to eigvalsh rounding
             outer = _outer(np.maximum(lo, hi), _CELL) + _PRUNE_MARGIN * lip
@@ -343,10 +358,9 @@ class GaugeSweep:
 
     def _solve_cells(self, grid, find_max: bool) -> None:
         """Solve the fine points of the cells a read cannot rule out."""
-        if not self._solved.all():
+        if self._unsolved:
             fine = np.repeat(self._cells_needed(grid, find_max), _COARSE_STRIDE)
-            half = self._solved.size // 2
-            self._solve(fine[:half] | fine[half:])
+            self._solve(fine[:_HALF] | fine[_HALF:])
 
     def _zero_inside(self) -> bool:
         """The sign certificate for c: whether lambda_max provably stays above
@@ -359,14 +373,16 @@ class GaugeSweep:
         from a value above the margin, so it is positive, and c is 0.
         """
         solved = np.nonzero(self._solved)[0]
-        steps = np.diff(solved, append=solved[0] + self._solved.size)
+        nxt = np.concatenate((solved[1:], solved[:1]))  # np.roll(solved, -1)
+        steps = nxt - solved
+        steps[-1] += self._solved.size  # the step that wraps round the circle
         h = self._lam_max_grid
-        floor = _floor(h[solved], h[np.roll(solved, -1)], _DELTA * steps, self._lipschitz)
+        floor = _floor(h[solved], h[nxt], _DELTA * steps, self._lipschitz)
         return bool(floor.min() > _PRUNE_MARGIN * self._lipschitz)
 
     def _refined(self, grid, fn, find_max: bool) -> float:
         """The read's extremum, refined from the points solved so far."""
-        if not self._solved.all():
+        if self._unsolved:
             # an unsolved point can be no candidate and loses every 3-point test
             grid = np.where(self._solved, grid, -np.inf if find_max else np.inf)
         return _refine(grid, fn, find_max, self._lipschitz, self._flat_tol)

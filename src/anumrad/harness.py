@@ -247,6 +247,10 @@ class FuzzConfig:
             setattr(self, name, _integer(getattr(self, name), name))
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
+        # splitmix64 reduces seeds mod 2**64: another seed would run the
+        # trials of its residue under a different recorded seed
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if not 1 <= self.n_min <= self.n_max:
             raise ValueError("need 1 <= n_min <= n_max")
         if self.rank_policy not in RANK_POLICIES:

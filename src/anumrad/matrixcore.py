@@ -33,10 +33,11 @@ def frob(m) -> float:
 
 
 def spec_norm(m) -> float:
-    """Spectral norm (largest singular value)."""
+    """Spectral norm: the largest singular value, as ``np.linalg.norm(m, 2)``
+    reads it from the same SVD, without that wrapper's argument handling."""
     if min(m.shape) == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def herm_part(m: np.ndarray) -> np.ndarray:

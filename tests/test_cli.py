@@ -186,6 +186,9 @@ def test_usage_errors(tmp_path):
     assert run_cli().returncode == 2
     assert run_cli("fuzz").returncode == 2  # --trials required
     assert run_cli("fuzz", "--trials", "-3").returncode == 2
+    for seed in ("-1", str(2**64)):  # master seeds are 64-bit, not taken mod 2**64
+        proc = run_cli("fuzz", "--trials", "1", "--seed", seed)
+        assert proc.returncode == 2 and "master_seed" in proc.stderr, seed
     proc = run_cli("fuzz", "--trials", "1", "--check-id", "equiv_half", "--top", "-2")
     assert proc.returncode == 2
     assert "top" in proc.stderr

@@ -383,6 +383,44 @@ def test_fuzz_report_golden_digests():
         assert _report_digests(run()) == {"json": json_sha, "csv": csv_sha}, name
 
 
+# sha256 over float.hex(lhs), float.hex(rhs), pass and skipped of every row
+# of fuzz(FuzzConfig(trials=40, master_seed=11)) under each rank policy,
+# captured with numpy 2.4.6 and OpenBLAS 0.3.31. The report digests above
+# see values rounded to 12 significant digits; these see every bit, so a
+# change that claims to move no report must keep them as they are.
+_ROW_BITS_SHA256 = {
+    "mixed": "d0f4ccf10437471df5d993349d54affc899e3ee99f7d7ff0d9266de57f87d0ea",
+    "full": "966dab444121a66224e8cc6a65e5a2c8c010dc7053d48910ab2a4362ace52db5",
+    "degenerate-heavy": "6b2dfb27a709ec3880ebf757f93d8ce28882fa5d43963188ce8c1cf10231aec1",
+}
+
+
+def _row_bits_digest(report):
+    h = hashlib.sha256()
+    for r in report.rows:
+        h.update(f"{float(r['lhs']).hex()} {float(r['rhs']).hex()} "
+                 f"{r['pass']} {r['skipped']}\n".encode())
+    return h.hexdigest()
+
+
+def test_fuzz_row_bits_golden_digests():
+    for policy, want in _ROW_BITS_SHA256.items():
+        report = fuzz(FuzzConfig(trials=40, master_seed=11, rank_policy=policy))
+        assert len(report.rows) == 40 * len(registry_ids())
+        assert _row_bits_digest(report) == want, policy
+
+
+def test_fuzz_rejects_master_seeds_outside_64_bits(monkeypatch):
+    # splitmix64 reduces seeds mod 2**64, so seed -1 would run the trials of
+    # seed 2**64 - 1 and record -1 in its report
+    monkeypatch.setattr(harness, "make_instance", _no_trial)
+    for seed in (-1, 2**64, 2**64 + 5, -(2**63)):
+        with pytest.raises(ValueError, match="master_seed must lie in"):
+            FuzzConfig(trials=1, master_seed=seed)
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        assert FuzzConfig(trials=1, master_seed=seed).master_seed == int(seed)
+
+
 def test_summary_counts_exact():
     report = fuzz(FuzzConfig(trials=5, master_seed=4))
     total_viol = 0
