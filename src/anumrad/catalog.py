@@ -44,7 +44,7 @@ from .adjoint import reduced
 from .errors import UnknownCheckId
 from .frame import AFrame, require_range
 from .gauges import sweep_gauges
-from .matrixcore import as_cmatrix, frob, herm_part, spec_norm, tile
+from .matrixcore import as_cmatrix, frob, herm_part, singular_values, spec_norm, tile
 from .seeding import label_seed
 
 DEFAULT_TOL = 1e-8
@@ -54,11 +54,6 @@ _POINTWISE_SAMPLES = 50
 # Relative size below which K(T) counts as zero (``strict_nonzero_t``) and
 # K(T)^k as vanishing (``nilpotent2``/``nilpotent3``).
 _HYPOTHESIS_TOL = 1e-12
-
-# Descending singular values: what ``matrixcore.singular_values`` returns,
-# without re-validating the finite complex128 matrices built here.
-_singular_values = partial(np.linalg.svd, compute_uv=False)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -200,10 +195,10 @@ class _Ctx:
         return self._gauges(m).crawford_c
 
     def nrm(self, m) -> float:
-        return float(self._memo(self._sv, _singular_values, m)[0])
+        return float(self._memo(self._sv, singular_values, m)[0])
 
     def mm(self, m) -> float:
-        return float(self._memo(self._sv, _singular_values, m)[-1])
+        return float(self._memo(self._sv, singular_values, m)[-1])
 
     def antidiag(self) -> np.ndarray:
         """Compression [[0, K(X)], [K(Y), 0]] of the antidiagonal block

@@ -313,22 +313,15 @@ class GaugeSweep:
         self._lam_max_grid = np.full(_GRID.grid_points, np.nan)
         self._min_abs_grid = np.full(_GRID.grid_points, np.nan)
         self._solved = np.zeros(_GRID.grid_points, dtype=bool)  # mirrored halves
-        self._unsolved = _HALF  # first-half rows not yet solved
         self._lam_max, self._min_abs = _make_pointwise(m)
         self._lipschitz = spec_norm(m)
         # eigvalsh rounding noise: a few ulps of ||M|| per dimension
         self._flat_tol = 4.0 * m.shape[0] * _EPS * self._lipschitz
         # 1x1 sweeps solve every row: a 1x1 row subset can round differently
         # from the full stack (_theta_scan)
-        self._store(_ALL_ROWS if m.shape[0] == 1 else _COARSE_ROWS)
+        self._solve(_ALL_ROWS if m.shape[0] == 1 else _COARSE_ROWS)
 
     def _solve(self, rows: np.ndarray) -> None:
-        """Solve the first-half rows marked in ``rows`` that are not yet solved."""
-        rows = np.nonzero(rows & ~self._solved[:_HALF])[0]
-        if rows.size:
-            self._store(rows)
-
-    def _store(self, rows: np.ndarray) -> None:
         """Solve the unsolved first-half rows with indices ``rows`` and store
         both mirrored halves."""
         mirror = rows + _HALF
@@ -337,7 +330,6 @@ class GaugeSweep:
         self._lam_max_grid[mirror] = -eigs[:, 0]
         self._min_abs_grid[rows] = self._min_abs_grid[mirror] = np.abs(eigs).min(axis=1)
         self._solved[rows] = self._solved[mirror] = True
-        self._unsolved -= rows.size
 
     def _cells_needed(self, grid, find_max: bool) -> np.ndarray:
         """Per coarse cell: whether its fine points can still matter.
@@ -358,9 +350,11 @@ class GaugeSweep:
 
     def _solve_cells(self, grid, find_max: bool) -> None:
         """Solve the fine points of the cells a read cannot rule out."""
-        if self._unsolved:
+        if not self._solved.all():
             fine = np.repeat(self._cells_needed(grid, find_max), _COARSE_STRIDE)
-            self._solve(fine[:_HALF] | fine[_HALF:])
+            rows = np.nonzero((fine[:_HALF] | fine[_HALF:]) & ~self._solved[:_HALF])[0]
+            if rows.size:
+                self._solve(rows)
 
     def _zero_inside(self) -> bool:
         """The sign certificate for c: whether lambda_max provably stays above
@@ -382,7 +376,7 @@ class GaugeSweep:
 
     def _refined(self, grid, fn, find_max: bool) -> float:
         """The read's extremum, refined from the points solved so far."""
-        if self._unsolved:
+        if not self._solved.all():
             # an unsolved point can be no candidate and loses every 3-point test
             grid = np.where(self._solved, grid, -np.inf if find_max else np.inf)
         return _refine(grid, fn, find_max, self._lipschitz, self._flat_tol)

@@ -58,4 +58,6 @@ def tile(t11, t12, t21, t22) -> np.ndarray:
 
 
 def singular_values(m) -> np.ndarray:
-    return np.linalg.svd(as_cmatrix(m), compute_uv=False)
+    """Descending singular values of a matrix the package built (callers
+    validate their operands once, on the way in)."""
+    return np.linalg.svd(m, compute_uv=False)

@@ -41,8 +41,8 @@ def _norm_inputs():
 
 
 def test_norm_reads_match_the_wrappers_they_skip():
-    # spec_norm reads the SVD that np.linalg.norm(m, 2) reads, and _Ctx reads
-    # the SVD that singular_values runs after validating its input
+    # spec_norm reads the SVD that np.linalg.norm(m, 2) reads, and _Ctx
+    # memoizes singular_values
     ctx = _Ctx(new_frame(np.eye(2)), {}, 0)
     for m in _norm_inputs():
         assert spec_norm(m).hex() == float(np.linalg.norm(m, 2)).hex()
