@@ -404,8 +404,8 @@ def _thm_fourth_antidiag_lower(ctx):
 
 
 @_register("thm_fourth_antidiag_upper", roles=("X", "Y"),
-            description="wB(antidiag)^4 <= max(||XX#+Y#Y||^2+4 w_A(XY)^2, "
-                        "||X#X+YY#||^2+4 w_A(YX)^2)/8")
+            description="wB(antidiag)^4 <= max(||XX#+Y#Y||_A^2+4 w_A(XY)^2, "
+                        "||X#X+YY#||_A^2+4 w_A(YX)^2)/8")
 def _thm_fourth_antidiag_upper(ctx):
     x, y, m1, m2 = _antidiag_ms(ctx)
     wb = ctx.wb(ctx.antidiag())
@@ -507,7 +507,7 @@ _register_family("thm_power_r", _thm_power_r, ("T",), [
 
 @_register("thm_lower_fourth", hypothesis="strict",
             description="C_A(T^2)^2/4 + c_A(T^2 P + P T^2)/8 + ||P||_A^2/16 "
-                        "<= w_A(T)^4")
+                        "<= w_A(T)^4 with P = T#T + TT#")
 def _thm_lower_fourth(ctx):
     t = ctx.k("T")
     pm = ctx.pm(t)

@@ -268,7 +268,8 @@ class Report:
 
 
 def _row(trial: int, res: CheckResult) -> dict:
-    """The report row of ``res``; every report row is built here."""
+    """The report row of ``res``; every report row is built here, and
+    ``_ROW_JSON`` writes it."""
     return {
         "trial": trial,
         "check_id": res.check_id,
@@ -278,6 +279,28 @@ def _row(trial: int, res: CheckResult) -> dict:
         "pass": bool(res.passed),
         "skipped": bool(res.skipped),
     }
+
+
+# A ``_row`` dict as json.dumps(_clean(row), indent=2, sort_keys=True) writes
+# it inside the report's "rows" list: keys sorted, four spaces deeper than the
+# list. A key added to ``_row`` is added here in its sorted place.
+_ROW_JSON = """\
+    {
+      "check_id": %s,
+      "lhs": %s,
+      "pass": %s,
+      "rhs": %s,
+      "skipped": %s,
+      "slack": %s,
+      "trial": %d
+    }"""
+
+
+def _row_json(row: dict) -> str:
+    return _ROW_JSON % (
+        json.dumps(row["check_id"]), _json_float(row["lhs"]),
+        "true" if row["pass"] else "false", _json_float(row["rhs"]),
+        "true" if row["skipped"] else "false", _json_float(row["slack"]), row["trial"])
 
 
 def _isnan(x) -> bool:
@@ -441,15 +464,51 @@ def _clean(x):
     return x
 
 
+def _json_float(x) -> str:
+    """``json.dumps(_clean(x))`` for a float: rounded as ``_clean`` rounds it
+    and written by ``float.__repr__``, NaN and inf as null."""
+    if not isinstance(x, float):
+        return json.dumps(_clean(x))
+    if not math.isfinite(x):
+        return "null"
+    s = f"{x:.12g}"
+    # A fixed-notation string with a fraction is already the repr of the float
+    # it parses to: decimals of at most 15 digits parse to distinct doubles, so
+    # repr's shortest digits are these, and at exponents -4..11 both write
+    # them in fixed notation without trailing zeros.
+    return s if "." in s and "e" not in s else repr(float(s))
+
+
+def _json_block(x) -> str:
+    """``x`` as json writes it one level inside the report object."""
+    return json.dumps(_clean(x), indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+_REPORT_JSON = """\
+{
+  "master_seed": %s,
+  "rows": %s,
+  "summary": %s,
+  "tool_version": %s,
+  "trials": %s
+}
+"""
+
+
 def report_to_json(report: Report) -> str:
-    obj = {
-        "tool_version": report.tool_version,
-        "master_seed": report.master_seed,
-        "trials": report.trials,
-        "rows": _clean(report.rows),
-        "summary": _clean(report.summary),
-    }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The report as indented JSON, keys sorted, floats rounded to 12
+    significant digits and NaN or inf written as null.
+
+    Byte contract: for every report whose rows ``_row`` built, the text
+    equals ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` where ``obj``
+    holds the five ``Report`` fields, rows and summary passed through
+    ``_clean``. Rows are written by the ``_ROW_JSON`` template, because json
+    falls back to its pure-Python encoder at ``indent=2``; the other fields
+    still go through json."""
+    rows = ("[\n" + ",\n".join(map(_row_json, report.rows)) + "\n  ]"
+            if report.rows else "[]")
+    return _REPORT_JSON % (_json_block(report.master_seed), rows, _json_block(report.summary),
+                           _json_block(report.tool_version), _json_block(report.trials))
 
 
 def _csv_num(x: float) -> str:

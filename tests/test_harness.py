@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from anumrad import (
     validate_instance,
 )
 from anumrad import harness
-from anumrad.catalog import REGISTRY
+from anumrad.catalog import REGISTRY, CheckResult
 from anumrad.errors import BadRank, NoAdjoint
 from anumrad.harness import Report, exit_code_for, violation_count
 from anumrad.matrixcore import frob
@@ -408,6 +409,73 @@ def test_fuzz_row_bits_golden_digests():
         report = fuzz(FuzzConfig(trials=40, master_seed=11, rank_policy=policy))
         assert len(report.rows) == 40 * len(registry_ids())
         assert _row_bits_digest(report) == want, policy
+
+
+def _json_reference(report):
+    # the writer before rows were templated: json's own encoder over _clean
+    obj = {
+        "tool_version": report.tool_version,
+        "master_seed": report.master_seed,
+        "trials": report.trials,
+        "rows": harness._clean(report.rows),
+        "summary": harness._clean(report.summary),
+    }
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _odd_floats_report():
+    # rows built through _row whose values test every branch of the float
+    # writing: signed zero, infinities, NaN, exponents at both ends, the
+    # smallest subnormal, a sum that rounds at 12 digits, a numpy float, and
+    # one value at each decimal exponent from -32 to 31
+    odd = [-0.0, math.inf, -math.inf, math.nan, 1e16, 1e-5, 5e-324, 0.1 + 0.2,
+           np.float64(2.0) / 3.0]
+    sweep = np.random.default_rng(0).standard_normal(64) * 10.0 ** np.arange(-32, 32)
+    pairs = [(lhs, rhs) for lhs in odd for rhs in odd] + list(zip(sweep, sweep[::-1]))
+    results = [CheckResult(f"odd_{k}", lhs, rhs, lhs <= rhs, k % 3 > 0)
+               for k, (lhs, rhs) in enumerate(pairs)]
+    rows = [harness._row(k % 4, res) for k, res in enumerate(results)]
+    return Report("0.1.0", 7, 4, rows, {"rows": len(rows), "violations": 0, "values": odd})
+
+
+def test_report_to_json_matches_the_json_encoder(monkeypatch, tmp_path):
+    reports = [fuzz(FuzzConfig(trials=40, master_seed=11, rank_policy=policy))
+               for policy in ("full", "mixed", "degenerate-heavy")]
+    reports.append(fuzz(FuzzConfig(trials=8, master_seed=11), top=3))
+    reports.append(fuzz(FuzzConfig(trials=0, master_seed=11), top=3))
+    path = tmp_path / "inst.json"
+    save_instance(make_instance(4, 2, seed=13), path)
+    reports.append(check_instance(load_instance(path)))
+    reports.append(repro_paper())
+    reports.append(_odd_floats_report())
+
+    real = harness.make_instance
+
+    def flaky(n, rank, seed, names):
+        if seed == splitmix64(11, 2):
+            raise RuntimeError("boom")
+        return real(n, rank, seed, names=names)
+
+    monkeypatch.setattr(harness, "make_instance", flaky)
+    errored = fuzz(FuzzConfig(trials=4, master_seed=11))
+    assert any(math.isnan(r["lhs"]) for r in errored.rows)
+    reports.append(errored)
+
+    for report in reports:
+        assert report_to_json(report) == _json_reference(report)
+
+
+def test_report_to_json_peak_memory_stays_near_its_text():
+    # json's encoder falls back to pure Python at indent=2 and peaks at about
+    # 8.3 times the text; writing rows by template stays near 2-3 times
+    report = fuzz(FuzzConfig(trials=40, master_seed=11))
+    tracemalloc.start()
+    try:
+        text = report_to_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
 
 
 def test_fuzz_rejects_master_seeds_outside_64_bits(monkeypatch):
