@@ -85,7 +85,6 @@ class CheckDef:
     hypothesis: str
     roles: Tuple[str, ...]
     evaluate: Callable[["_Ctx"], Tuple[float, float, Dict[str, object]]]
-    abs_tol: Optional[float] = None
     description: str = ""
 
 
@@ -231,9 +230,10 @@ class _Ctx:
 
 
 def _nilpotency_defect(k: np.ndarray, order: int) -> float:
-    """Relative size of K^order for K = K(T); it vanishes when A T^order = 0."""
-    p = np.linalg.matrix_power(k, order)
-    return frob(p) / (1.0 + frob(k) ** order)
+    """||K^order||_F / ||K||_F^order for K = K(T), taken on K / ||K||_F so that
+    no power under- or overflows; it vanishes when A T^order = 0 (K = 0 reads 0)."""
+    nk = frob(k)
+    return frob(np.linalg.matrix_power(k / nk, order)) if nk != 0.0 else 0.0
 
 
 def _hypothesis_state(cd: CheckDef, ctx: _Ctx) -> bool:
@@ -258,16 +258,16 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
 
 
-def _verdict(lhs: float, rhs: float, mode: str, tol: float, abs_tol: Optional[float]) -> bool:
-    gap = abs_tol if abs_tol is not None else tol * (1.0 + abs(rhs))
+def _verdict(lhs: float, rhs: float, mode: str, tol: float) -> bool:
+    """The one verdict rule of every row, at the gap tol * (1 + |rhs|)."""
+    gap = tol * (1.0 + abs(rhs))
     slack = rhs - lhs
     if mode == "eq":
         return abs(slack) <= gap
     return slack >= -gap
 
 
-def _register(check_id, *, mode="le", hypothesis="always", roles=("T",),
-              abs_tol=None, description=""):
+def _register(check_id, *, mode="le", hypothesis="always", roles=("T",), description=""):
     def deco(fn):
         if check_id in REGISTRY:
             raise AssertionError(f"duplicate check id {check_id}")
@@ -277,7 +277,6 @@ def _register(check_id, *, mode="le", hypothesis="always", roles=("T",),
             hypothesis=hypothesis,
             roles=tuple(roles),
             evaluate=fn,
-            abs_tol=abs_tol,
             description=description,
         )
         return fn
@@ -475,7 +474,7 @@ def _thm_cubic(ctx):
     return ctx.w(t) ** 3, rhs, {}
 
 
-@_register("thm_cubic_sq_zero", mode="eq", hypothesis="nilpotent2", abs_tol=1e-8,
+@_register("thm_cubic_sq_zero", mode="eq", hypothesis="nilpotent2",
             description="A T^2 = 0 forces w_A(T) = sqrt(||TT#+T#T||_A)/2")
 def _thm_cubic_sq_zero(ctx):
     t = ctx.k("T")
@@ -483,7 +482,7 @@ def _thm_cubic_sq_zero(ctx):
     return ctx.w(t), rhs, {"nilpotency_defect": _nilpotency_defect(t, 2)}
 
 
-@_register("thm_cubic_cube_zero", mode="eq", hypothesis="nilpotent3", abs_tol=1e-7,
+@_register("thm_cubic_cube_zero", mode="eq", hypothesis="nilpotent3",
             description="A T^3 = 0 forces w_A(T)^3 = w_A(T^2 T# + T# T^2 + T T# T)/4")
 def _thm_cubic_cube_zero(ctx):
     t = ctx.k("T")
@@ -710,7 +709,7 @@ def _run_one(cd: CheckDef, ctx: _Ctx, tol: float) -> CheckResult:
         check_id=cd.check_id,
         lhs=lhs,
         rhs=rhs,
-        passed=_verdict(lhs, rhs, cd.mode, tol, cd.abs_tol),
+        passed=_verdict(lhs, rhs, cd.mode, tol),
         hypothesis_met=True,
         metadata=meta,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -102,13 +103,12 @@ def test_unknown_check_id():
 
 
 def test_verdict_rules():
-    assert _verdict(1.0, 2.0, "le", 1e-8, None) is True
-    assert _verdict(2.0 + 1e-6, 2.0, "le", 1e-8, None) is False
-    assert _verdict(2.0 + 1e-10, 2.0, "le", 1e-8, None) is True  # inside tolerance
-    assert _verdict(1.0, 1.0 + 5e-9, "eq", 1e-8, None) is True
-    assert _verdict(1.0, 1.1, "eq", 1e-8, None) is False
-    assert _verdict(1.0, 2.0, "eq", 1e-8, None) is False  # eq is two-sided
-    assert _verdict(1.0, 1.0 + 5e-8, "eq", 1e-8, 1e-7) is True  # absolute override
+    assert _verdict(1.0, 2.0, "le", 1e-8) is True
+    assert _verdict(2.0 + 1e-6, 2.0, "le", 1e-8) is False
+    assert _verdict(2.0 + 1e-10, 2.0, "le", 1e-8) is True  # inside tolerance
+    assert _verdict(1.0, 1.0 + 5e-9, "eq", 1e-8) is True
+    assert _verdict(1.0, 1.1, "eq", 1e-8) is False
+    assert _verdict(1.0, 2.0, "eq", 1e-8) is False  # eq is two-sided
 
 
 def test_kittaneh_derived_example():
@@ -213,6 +213,62 @@ def test_nilpotency_hypothesis_reads_the_compression(cid, order, n, rank, r_bloc
     res = run_check(cid, f, {"T": t})
     assert res.hypothesis_met and res.passed, res
     assert res.metadata["nilpotency_defect"] <= 1e-12
+
+
+# A = diag(4, 2, 1) and T with K(T)^2 = 0, resp. K(T)^3 = 0 but K(T)^2 != 0
+_A421 = np.diag([4.0, 2.0, 1.0])
+_SQ_ZERO = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2j], [0.0, 0.0, 0.0]])
+_CUBE_ZERO = np.array([[0.0, 1.0, 0.5j], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("cid,t,exponents", [
+    ("thm_cubic_sq_zero", _SQ_ZERO, range(-3, 13)),
+    ("thm_cubic_cube_zero", _CUBE_ZERO, range(-2, 6)),
+], ids=["sq", "cube"])
+def test_nilpotent_equalities_hold_at_every_scale(cid, t, exponents):
+    # rhs grows as s^1 and s^3 and the slack stays a few ulps of it; absolute
+    # gaps of 1e-8 and 1e-7 failed these rows from s = 1e8 and s = 1e3
+    f = new_frame(_A421)
+    for e in exponents:
+        res = run_check(cid, f, {"T": 10.0 ** e * t})
+        assert res.hypothesis_met and res.passed, (e, res)
+
+
+def test_cube_zero_verdict_sees_a_one_percent_error_at_small_scale(monkeypatch):
+    # at s = 0.01 rhs is 6.0e-6: a 1% error (6e-8) hid inside an absolute
+    # gap of 1e-7, while tol * (1 + |rhs|) is about 1e-8
+    cid = "thm_cubic_cube_zero"
+    cd = REGISTRY[cid]
+    f = new_frame(_A421)
+    ops = {"T": 0.01 * _CUBE_ZERO}
+
+    def off_by_one_percent(ctx):
+        lhs, rhs, meta = cd.evaluate(ctx)
+        return lhs, 0.99 * rhs, meta
+
+    monkeypatch.setitem(REGISTRY, cid, dataclasses.replace(cd, evaluate=off_by_one_percent))
+    res = run_check(cid, f, ops)
+    assert res.hypothesis_met and not res.passed, res
+    lhs, rhs, _ = cd.evaluate(_Ctx(f, ops, 0))
+    assert _verdict(lhs, 0.99 * rhs, cd.mode, catalog.DEFAULT_TOL) is False
+
+
+def test_small_random_operands_are_not_nilpotent():
+    # ||K^k||_F against 1e-12 * (1 + ||K||_F^k) was an absolute test below
+    # unit scale: at 1e-6 every K^3 passed it, and the equalities were
+    # judged on operands they say nothing about. At 1e-150, ||K||_F^3
+    # underflows to zero, so the defect is taken on K / ||K||_F
+    for seed in range(12):
+        n = 2 + seed % 5
+        inst = make_instance(n, n - seed % 2, seed, names=("T",))
+        for scale in (1e-6, 1e-150):
+            ops = {"T": scale * inst.operators["T"]}
+            for cid in ("thm_cubic_sq_zero", "thm_cubic_cube_zero"):
+                assert run_check(cid, inst.frame, ops).skipped, (seed, scale, cid)
+    shift = 1e-150 * np.eye(3, k=1)
+    assert catalog._nilpotency_defect(shift, 2) == pytest.approx(0.5)
+    assert catalog._nilpotency_defect(shift, 3) == 0.0
+    assert catalog._nilpotency_defect(np.zeros((3, 3)), 2) == 0.0
 
 
 def test_power_check_dynamic_exponent():
@@ -431,8 +487,8 @@ _ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
 # (thm_lower_fourth, whose C_A(T^2) vanishes at T = I as well); the exponent
 # on m_A(T) (thm_wa_lower_max); and a decrease of the 4 or of an exponent in
 # one branch of thm_fourth_antidiag_upper (its two branches tie). The
-# sampling parameters of lem_sup_theta and lem_pointwise, metadata and the
-# abs_tol of the nilpotent equalities are not constants of a statement;
+# sampling parameters of lem_sup_theta and lem_pointwise and metadata are
+# not constants of a statement;
 # test_power_rows_hold_with_equality_at_a_witness guards the constants and
 # the exponent r of thm_power_r_*.
 _WITNESSES = (
@@ -518,16 +574,16 @@ def test_flipping_a_variant_field_misses_equality_at_a_witness():
 
 
 def test_registry_table_is_pinned():
-    # ids, modes, hypotheses, roles, abs_tol and descriptions of all 40 rows;
+    # ids, modes, hypotheses, roles and descriptions of all 40 rows;
     # bench/workloads.py derives its expected skips from the hypotheses. Last
-    # re-captured when thm_lower_fourth's description gained the P its body
-    # uses and thm_fourth_antidiag_upper's norms gained their _A; reports
-    # carry no descriptions, so no report moved
-    rows = [[cd.check_id, cd.mode, cd.hypothesis, list(cd.roles), cd.abs_tol, cd.description]
+    # re-captured when the per-row absolute tolerance of the two nilpotent
+    # equalities was deleted and its column left the table; every row is now
+    # judged by the one gap tol * (1 + |rhs|), and no lhs or rhs moved
+    rows = [[cd.check_id, cd.mode, cd.hypothesis, list(cd.roles), cd.description]
             for _, cd in sorted(REGISTRY.items())]
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert len(rows) == 40
-    assert digest == "29937b2d817c675e4b5ffeab8bfd956156de3c2f7912c35d11f3059033d5364c"
+    assert digest == "de5ab43cc9d5a5b1c9465661a905c589fa188debcdab05e3fe10fde480c0bdff"
 
 
 def test_improvement_orderings():

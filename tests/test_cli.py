@@ -353,6 +353,18 @@ def test_check_passes_on_an_ill_conditioned_metric(tmp_path):
     assert "violations=0" in proc.stdout
 
 
+def test_check_passes_a_cube_zero_equality_at_scale(tmp_path):
+    # A T^3 = 0 and w_A(T)^3 = 6.0e9: thm_cubic passed and thm_cubic_cube_zero
+    # failed at the same lhs, rhs and slack (-1.9e-6), the second under an
+    # absolute gap of 1e-7 that only the nilpotent rows had
+    t = np.array([[0.0, 1e3, 500j], [0.0, 0.0, 2e3], [0.0, 0.0, 0.0]])
+    path = tmp_path / "inst.json"
+    save_instance(Instance(dim=3, a=np.diag([4.0, 2.0, 1.0]), operators={"T": t}, seed=0), path)
+    proc = run_cli("check", "--instance", str(path), "--check-id", "thm_cubic")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "checks=3 violations=0" in proc.stdout
+
+
 def test_check_rejects_an_operand_that_would_overflow(tmp_path):
     # w_A(T)^6 overflows once ||T||_A passes about 2.6e51: this instance was
     # reported as a violation (thm_power_r_3 nan nan FAIL)
