@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoAdjoint
 from .frame import AFrame
-from .matrixcore import DEFAULT_RANK_TOL, as_cmatrix, frob, herm_part
+from .matrixcore import DEFAULT_RANK_TOL, as_cmatrix, frob, herm_part, pow2_unit
 
 
 def _check_square(f: AFrame, t) -> np.ndarray:
@@ -32,16 +32,17 @@ def _range_rows(f: AFrame, t):
     Douglas criterion: R(T* A) lies in R(A) exactly when A T N = 0, tested as
     ||diag(lam) U* T N||_F <= DEFAULT_RANK_TOL (1 + ||T||_F ||lam||_2), where
     ||lam||_2 is ||A||_F up to the eigenvalues below the rank tolerance. T
-    enters the test divided by its largest entry modulus and lam divided by
-    lambda_max, which leaves the test scale-free in both and keeps its norms
-    from overflowing.
+    enters the test brought to unit peak by an exact power of two
+    (``pow2_unit``) and lam divided by lambda_max, which leaves the test
+    scale-free in both and keeps its norms from overflowing or underflowing
+    at any scale. U* T itself is formed from T as given.
     """
     t = _check_square(f, t)
     ut = f.range_u.conj().T @ t
-    peak = float(np.max(np.abs(t))) or 1.0
+    unit = pow2_unit(t)
     lam = f.lam / (f.lam[0] if f.rank else 1.0)
-    residual = frob(lam[:, None] * (ut @ f.null_u) / peak)
-    scale = frob(t / peak) * float(np.linalg.norm(lam))
+    residual = frob(lam[:, None] * (f.range_u.conj().T @ unit @ f.null_u))
+    scale = frob(unit) * float(np.linalg.norm(lam))
     return ut, residual <= DEFAULT_RANK_TOL * (1.0 + scale)
 
 

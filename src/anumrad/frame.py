@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRange, NotHermitian, NotPSD
-from .matrixcore import DEFAULT_RANK_TOL, as_cmatrix, frob, herm_part, tile
+from .matrixcore import DEFAULT_RANK_TOL, as_cmatrix, frob, herm_part, pow2_unit, tile
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,9 @@ def new_frame(a) -> AFrame:
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise NotHermitian(f"metric must be square, got {a.shape}")
-    # the test reads A divided by its largest entry modulus, so it is
-    # scale-free and its norms cannot overflow
-    unit = a / (float(np.max(np.abs(a))) or 1.0)
+    # the test reads A brought to unit peak by an exact power of two, so it
+    # is scale-free and its norms can neither overflow nor underflow
+    unit = pow2_unit(a)
     dev = frob(unit - unit.conj().T)
     if dev > DEFAULT_RANK_TOL * (1.0 + frob(unit)):
         raise NotHermitian(f"relative Hermitian deviation {dev:.3e} exceeds tolerance")

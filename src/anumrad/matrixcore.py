@@ -10,6 +10,8 @@ Matrices are desk-scale (n <= ~64); numpy/LAPACK is used throughout.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -30,6 +32,18 @@ def as_cmatrix(a) -> np.ndarray:
 
 def frob(m) -> float:
     return float(np.linalg.norm(m, "fro"))
+
+
+def pow2_unit(m: np.ndarray) -> np.ndarray:
+    """``m`` times the power of two 2^e that puts its largest entry modulus
+    in [1/2, 1), exact wherever it leaves an entry normal (a zero matrix is
+    returned as is). 2^e goes in as two finite halves: for a subnormal peak
+    2^e itself overflows, as does the reciprocal a division by it forms."""
+    peak = float(np.max(np.abs(m)))
+    if peak == 0.0:
+        return m
+    e = -math.frexp(peak)[1]
+    return m * math.ldexp(1.0, e // 2) * math.ldexp(1.0, e - e // 2)
 
 
 def spec_norm(m) -> float:

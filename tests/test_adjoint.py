@@ -255,3 +255,15 @@ def test_compression_is_a_star_homomorphism_on_every_rank():
             kz = np.zeros((rank, rank))
             want = np.block([[kz, kx], [ky, kz]])
             assert frob(reduced(direct_sum(f), anti) - want) <= tol, (n, rank)
+
+
+@pytest.mark.filterwarnings("error")
+def test_douglas_test_takes_subnormal_operators():
+    # dividing T by a subnormal peak formed the peak's reciprocal, which
+    # overflowed: from s = 1e-310 the test warned and rejected every operand
+    f = new_frame(np.diag([0.0, 1.0]))
+    keeps = np.array([[1.0, 0.5j], [0.0, 2.0]])  # maps N = span(e1) into itself
+    swaps = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for s in (1.0, 1e-310, 1e-320):
+        assert admits_a_adjoint(f, s * keeps), s
+        assert not admits_a_adjoint(f, s * swaps), s

@@ -726,3 +726,61 @@ def test_checks_and_repro_never_call_sharp(monkeypatch):
         assert all(r.passed for r in results)
     report = repro_paper()
     assert [r["check_id"] for r in report.rows if not r["pass"]] == []
+
+
+# The metadata keys each evaluated row carries: the terms criteria 6 and 7,
+# repro and the tests read. Every other row carries none.
+_ROW_KEYS = {
+    "thm_refined_fourth": {"w_T2", "w_T2P_PT2", "nrm_P", "comparison_rhs"},
+    "thm_lower_fourth": {"nrm_P"},
+    "cor_prod_improved_1": {"plain_rhs"},
+    "cor_prod_improved_2": {"plain_rhs"},
+    "thm_wa_lower_max": {"nrm_T"},
+    **{f"thm_power_r_{s}": {"r", "power_term"} for s in ("1", "1p5", "2", "3")},
+    "thm_cubic_sq_zero": {"nilpotency_defect"},
+    "thm_cubic_cube_zero": {"nilpotency_defect"},
+}
+
+
+def test_rows_carry_only_the_metadata_a_reader_uses():
+    # a skipped row's reason is its registry hypothesis, so it carries
+    # nothing; an errored row carries its error text alone
+    rng = np.random.default_rng(67)
+    full = new_frame(gen_psd(4, 4, 11))
+    degenerate = new_frame(gen_psd(4, 2, 12))
+    evaluated = set()
+    for f, ops in ((full, random_operands(full, rng)),
+                   (degenerate, random_operands(degenerate, rng)),
+                   (new_frame(_A421), {"T": _SQ_ZERO})):
+        for res in run_all(f, ops, seed=3):
+            if res.skipped:
+                assert res.metadata == {}, res
+            else:
+                assert set(res.metadata) == _ROW_KEYS.get(res.check_id, set()), res
+                evaluated.add(res.check_id)
+    assert evaluated == set(REGISTRY)
+    bad = run_all(new_frame(np.diag([0.0, 1.0])), {"T": np.array([[0.0, 1.0], [1.0, 0.0]])})
+    errored = [res for res in bad if not res.skipped]
+    assert errored and all(set(res.metadata) == {"error"} for res in errored)
+
+
+_T0 = np.array([[1.0, 2.0, 0.5j], [0.0, -1.0, 1.0], [0.3, 0.0, 2.0]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [_T0, _SQ_ZERO], ids=["generic", "sq_zero"])
+def test_hypotheses_hold_at_every_scale(t):
+    # an absolute ||K|| > 1e-12 (1 + ||K||_F) skipped thm_wa_lower_* at
+    # s = 1e-13, an underflowed ||K||_F read the nilpotency defect as 0 and
+    # ran both nilpotent equalities on K^2 != 0 at s = 1e-170, and a division
+    # by a subnormal peak overflowed and errored every row at s = 1e-310
+    f = new_frame(_A421)
+
+    def skips(s):
+        results = run_all(f, {"T": s * t})
+        assert all(res.passed for res in results), s
+        return {res.check_id: res.skipped for res in results}
+
+    at_one = skips(1.0)
+    for s in (1e-13, 1e-170, 1e-300, 1e-310, 1e-320):
+        assert skips(s) == at_one, s

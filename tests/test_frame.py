@@ -124,3 +124,14 @@ def test_direct_sum_tiles_the_eigendecomposition():
             np.testing.assert_array_equal(big[:rows, :cols], small)
             np.testing.assert_array_equal(big[rows:, cols:], small)
             assert frob(big[:rows, cols:]) == frob(big[rows:, :cols]) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_hermitian_test_takes_subnormal_metrics():
+    # dividing a subnormal A by its peak formed the peak's reciprocal, which
+    # overflowed: new_frame(1e-310 I) warned and tested an infinite matrix
+    for c in (1e-310, 1e-320):
+        f = new_frame(c * np.eye(3))
+        assert f.rank == 3 and (f.lam == c).all()
+        with pytest.raises(NotHermitian):
+            new_frame(c * np.array([[1.0, 1.0], [0.0, 1.0]]))

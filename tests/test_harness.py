@@ -556,3 +556,17 @@ def test_package_all_is_sorted_and_complete():
     public = {k for k, v in vars(anumrad).items()
               if not k.startswith("_") and not isinstance(v, types.ModuleType)}
     assert set(names) == public
+
+
+def test_a_bare_string_check_filter_is_rejected():
+    # a string iterates as its characters, so "equiv_half" failed as the
+    # unknown id 'e'; a filter of one id is a one-element list
+    inst = make_instance(3, 3, 1)
+    calls = (
+        lambda: fuzz(FuzzConfig(trials=1, checks="equiv_half")),
+        lambda: run_all(inst.frame, inst.operators, checks="equiv_half"),
+        lambda: check_instance(inst, "thm_cubic"),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="not a bare string"):
+            call()

@@ -3,7 +3,7 @@ import pytest
 
 from anumrad import as_cmatrix, new_frame
 from anumrad.catalog import _Ctx
-from anumrad.matrixcore import singular_values, spec_norm, tile
+from anumrad.matrixcore import pow2_unit, singular_values, spec_norm, tile
 
 
 def test_as_cmatrix_rejects_nonfinite():
@@ -50,3 +50,20 @@ def test_norm_reads_match_the_wrappers_they_skip():
         sv = singular_values(m)
         assert ctx.nrm(m).hex() == float(sv[0]).hex()
         assert ctx.mm(m).hex() == float(sv[-1]).hex()
+
+
+@pytest.mark.filterwarnings("error")
+def test_pow2_unit_scales_by_an_exact_power_of_two():
+    # the peak lands in [1/2, 1) at every scale, subnormal ones included,
+    # and every entry is the input's times the same power of two
+    rng = np.random.default_rng(92)
+    m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    unit = pow2_unit(m)
+    assert 0.5 <= np.max(np.abs(unit)) < 1.0
+    for k in (-1000, -30, 0, 30, 1000):
+        scaled = np.ldexp(m.real, k) + 1j * np.ldexp(m.imag, k)
+        assert pow2_unit(scaled).tobytes() == unit.tobytes()
+    for s in (1e-310, 1e-320, 1e300):
+        assert 0.5 <= np.max(np.abs(pow2_unit(s * m))) < 1.0
+    zero = np.zeros((2, 2), dtype=complex)
+    assert pow2_unit(zero).tobytes() == zero.tobytes()
