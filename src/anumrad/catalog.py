@@ -101,12 +101,17 @@ def registry_ids() -> list[str]:
     return sorted(REGISTRY)
 
 
+def _reject_bare_string(name: str, value) -> None:
+    """A string iterates as its characters, so "equiv_half" would read as
+    the ids 'e', 'q', ...; a filter of one id is a one-element list."""
+    if isinstance(value, str):
+        raise ValueError(f"{name} must be a list, such as [{value!r}], not a bare string")
+
+
 def resolve_ids(checks: Optional[Sequence[str]]) -> list[str]:
     """Expand exact ids and family prefixes into sorted registry ids; a
     prefix matches whole ``_``-separated words only."""
-    if isinstance(checks, str):
-        raise ValueError(f"checks must be a list of ids or family prefixes, such as "
-                         f"[{checks!r}], not a bare string")
+    _reject_bare_string("checks", checks)
     if not checks:
         return registry_ids()
     out = set()
@@ -721,15 +726,22 @@ def run_all(f: AFrame, operands, *, seed: int = 0, tol: float = DEFAULT_TOL,
 
     ``checks`` takes exact ids and family prefixes; a caller that runs many
     instances can resolve them once with ``resolve_ids`` and pass the result
-    as ``ids`` instead. All checks share one gauge cache. Per-check errors
-    are folded into failed results (error message in metadata) instead of
-    aborting the batch; the result list is ordered by check_id.
+    as ``ids`` instead. A bare string or an id outside the registry raises
+    (``ValueError``, ``UnknownCheckId``) before any check runs. All checks
+    share one gauge cache. Per-check errors are folded into failed results
+    (error message in metadata) instead of aborting the batch; the result
+    list is ordered by check_id.
     """
     _check_tol(tol)
     if ids is None:
         ids = resolve_ids(checks)
     elif checks is not None:
         raise ValueError("pass checks or ids, not both")
+    else:
+        _reject_bare_string("ids", ids)
+        unknown = next((cid for cid in ids if cid not in REGISTRY), None)
+        if unknown is not None:
+            raise UnknownCheckId(unknown)
     ctx = _Ctx(f, operands, seed)
     results = []
     for cid in ids:

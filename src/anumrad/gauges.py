@@ -470,6 +470,11 @@ _PHASES = (
     (16, 300, (0.1, 0.025, 6e-3, 1.5e-3, 4e-4, 1e-4, 2.5e-5), 1.0, 1.0, "uniform"),
 )
 _UNIFORM_SPREAD = 2.0 * math.sqrt(3.0)  # U(-1/2, 1/2) * this has variance 1
+# Doubles of proposal noise drawn per fill (512 KB): a phase draws
+# max(1, _NOISE_CHUNK // (2 r props m)) rounds at a time, so at rank 6 the
+# broad phase draws 1 round per fill, the 256-chain phase 5 and the
+# 16-chain phase 48, without raising the peak memory of the broad phase.
+_NOISE_CHUNK = 2 ** 16
 
 
 def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
@@ -489,7 +494,11 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
 
     Every evaluation happens at a feasible point, so the result approaches
     sup-type gauges from below and inf-type gauges from above. The result is
-    a pure function of (f, t, kind, samples, seed), stable bit for bit.
+    a pure function of (f, t, kind, samples, seed), stable bit for bit: a
+    phase draws its proposal noise in chunks of rounds (up to
+    ``_NOISE_CHUNK`` doubles per fill), and since the generator fills in
+    sequence these are the same numbers, in the same order, as one fill per
+    round. Each phase reuses one set of work arrays for all its rounds.
     """
     if kind not in ORACLE_KINDS:
         raise ValueError(f"unknown gauge kind {kind!r}; expected one of {ORACLE_KINDS}")
@@ -509,36 +518,55 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
     ss = sqrt_a @ s if s is not None else None
 
     rng = np.random.default_rng(seed)
-    r = f.rank
+    n, r = f.dim, f.rank
     maximize = kind in ("w", "norm")
     sign = 1.0 if maximize else -1.0
 
     def draw(shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    def column_norms(y):
-        """np.linalg.norm(y, axis=0), without its argument handling; y is
-        overwritten. Summed from (y.conj() * y).real as np.linalg.norm does:
-        y.real**2 + y.imag**2 rounds differently."""
-        np.multiply(y.conj(), y, out=y)
-        return np.sqrt(np.add.reduce(y.real, axis=0))
+    def work(cols):
+        """Work arrays for ``cols`` columns, allocated once per phase and
+        reused by every round: three n x cols complex, then the einsum
+        output, the column norms and the values, one per column."""
+        return (np.empty((n, cols), dtype=complex), np.empty((n, cols), dtype=complex),
+                np.empty((n, cols), dtype=complex), np.empty(cols, dtype=complex),
+                np.empty(cols), np.empty(cols))
 
-    def normalize(z):
-        """Scale the columns of z to unit A-norm, in place."""
-        nrm = column_norms(w_map @ z)
-        nrm[nrm == 0.0] = 1.0
-        z /= nrm
+    def column_norms(y, c, out):
+        """np.linalg.norm(y, axis=0) into out, without its argument handling;
+        y is overwritten and c is a work array. Summed from (y.conj() * y).real as
+        np.linalg.norm does: y.real**2 + y.imag**2 rounds differently."""
+        np.multiply(np.conjugate(y, out=c), y, out=y)
+        return np.sqrt(np.add.reduce(y.real, axis=0, out=out), out=out)
+
+    def normalize(z, buf):
+        """Scale the columns of z to unit A-norm, in place.
+
+        Multiplying both parts by 1/nrm gives the bits of the complex
+        division z /= nrm: with a zero imaginary part, numpy's complex
+        division (Smith's method) computes exactly that reciprocal and
+        product. Dividing each part by nrm instead rounds differently."""
+        y, c, _, _, nrm, _ = buf
+        column_norms(np.matmul(w_map, z, out=y), c, nrm)
+        if not nrm.all():
+            nrm[nrm == 0.0] = 1.0
+        np.divide(1.0, nrm, out=nrm)
+        z.real *= nrm
+        z.imag *= nrm
         return z
 
-    def evaluate(z):
-        x = u @ z
+    def evaluate(z, buf):
+        x, c, y, inner, _, vals = buf
+        np.matmul(u, z, out=x)
         if kind in ("w", "c"):
-            return np.abs(np.einsum("ij,ij->j", x.conj(), at @ x))
+            np.einsum("ij,ij->j", np.conjugate(x, out=c), np.matmul(at, x, out=y), out=inner)
+            return np.abs(inner, out=vals)
         if kind in ("norm", "minmod"):
-            return column_norms(st @ x)
+            return column_norms(np.matmul(st, x, out=y), c, vals)
         # kind == "C": min over phases of ||(e^{i phi} Tx + e^{-i phi} T#x)/2||_A
-        tu = st @ x
-        tv = ss @ x
+        tu = np.matmul(st, x, out=y)
+        tv = np.matmul(ss, x, out=c)
         nu2 = np.sum(np.abs(tu) ** 2, axis=0)
         nv2 = np.sum(np.abs(tv) ** 2, axis=0)
         inner = np.einsum("ij,ij->j", tu, tv.conj())  # <Tx, T#x>_A
@@ -546,33 +574,42 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
         return np.sqrt(np.clip(val2, 0.0, None))
 
     def climb(z, best, rounds, scales, base, decay, law):
-        # One fill per round draws the real parts, then the imaginary parts;
-        # for "normal" exactly the numbers of draw((r, props, m)).
+        # One fill draws a chunk of rounds, each round's real parts and then
+        # its imaginary parts. A Generator fills in sequence, so these are
+        # the numbers of one fill per round; for "normal" one round's are
+        # exactly those of draw((r, props, m)).
         props, m = len(scales), z.shape[1]
         scales = np.asarray(scales)[:, None]
         uniform = law == "uniform"
         spread = _UNIFORM_SPREAD if uniform else 1.0  # 1.0 * base is base, bit for bit
-        noise = np.empty((2, r, props, m))
+        fill = rng.random if uniform else rng.standard_normal
+        chunk = min(rounds, max(1, _NOISE_CHUNK // (2 * r * props * m)))
+        noise = np.empty((chunk, 2, r, props, m))
+        factor = np.empty((chunk, props, 1))
         zp = np.empty((r, props, m), dtype=complex)
         flat = zp.reshape(r, props * m)
+        buf = work(props * m)
         cols = np.arange(m)
-        for _ in range(rounds):
+        for done in range(0, rounds, chunk):
+            k = min(chunk, rounds - done)
+            block, fac = noise[:k], factor[:k]
+            fill(out=block)
             if uniform:
-                rng.random(out=noise)
-                noise -= 0.5
-            else:
-                rng.standard_normal(out=noise)
-            noise *= (spread * base) * scales
-            np.add(z.real[:, None, :], noise[0], out=zp.real)
-            np.add(z.imag[:, None, :], noise[1], out=zp.imag)
-            vals = evaluate(normalize(flat)).reshape(props, m)
-            idx = vals.argmax(axis=0) if maximize else vals.argmin(axis=0)
-            vb = vals[idx, cols]
-            up = (vb > best if maximize else vb < best).nonzero()[0]
-            if up.size:  # false in about half of the last phase's rounds
-                z[:, up] = zp[:, idx[up], up]
-                best[up] = vb[up]
-            base *= decay
+                block -= 0.5
+            for row in fac:
+                row[...] = (spread * base) * scales
+                base *= decay
+            block *= fac[:, None, None]
+            for step in block:
+                np.add(z.real[:, None, :], step[0], out=zp.real)
+                np.add(z.imag[:, None, :], step[1], out=zp.imag)
+                vals = evaluate(normalize(flat, buf), buf).reshape(props, m)
+                idx = vals.argmax(axis=0) if maximize else vals.argmin(axis=0)
+                vb = vals[idx, cols]
+                up = (vb > best if maximize else vb < best).nonzero()[0]
+                if up.size:  # false in about half of the last phase's rounds
+                    z[:, up] = zp[:, idx[up], up]
+                    best[up] = vb[up]
         return z, best
 
     def select(z, best, k):
@@ -582,8 +619,10 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
 
     # each phase keeps the leading chain and climbing never worsens a
     # chain, so the last phase's best is the estimate
-    z = normalize(draw((r, samples)))
-    best = evaluate(z)
+    buf = work(samples)
+    z = normalize(draw((r, samples)), buf)
+    best = evaluate(z, buf).copy()
+    del buf  # each phase allocates its own
     for keep, rounds, scales, base, decay, law in _PHASES:
         if keep is not None:
             z, best = select(z, best, keep)

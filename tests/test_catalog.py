@@ -90,6 +90,17 @@ def test_run_all_takes_resolved_ids():
         run_all(f, ops, checks=checks, ids=resolve_ids(checks))
 
 
+def test_run_all_rejects_unknown_ids_before_any_check_runs(monkeypatch):
+    f = new_frame(gen_psd(3, 3, 21))
+    ops = random_operands(f, np.random.default_rng(22))
+    ran = []
+    monkeypatch.setattr(catalog, "_run_one", lambda cd, ctx, tol: ran.append(cd))
+    for ids in (["nope"], ["equiv_half_lower", "nope"], ["thm_power_r"]):  # a prefix is no id
+        with pytest.raises(UnknownCheckId, match=repr(ids[-1])):
+            run_all(f, ops, ids=ids)
+    assert ran == []
+
+
 def test_slack_is_read_from_lhs_and_rhs():
     assert CheckResult("x", 1.0, 3.0, True, True).slack == 2.0
     with pytest.raises(TypeError):
