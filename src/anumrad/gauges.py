@@ -450,30 +450,36 @@ def a_crawford_C(f: AFrame, t) -> float:
 ORACLE_KINDS = ("w", "c", "norm", "minmod", "C")
 
 # Hill-climb schedule, one (chains kept, rounds, proposal scales, base step,
-# decay, proposal law) row per phase: a short broad phase over every sample,
-# then two survivor phases. Only the best chain matters for a sup/inf
-# estimate, so the late phases concentrate effort on the leaders; the final
-# phase mixes proposal scales spanning several orders of magnitude, which
-# keeps narrow ridges climbable without per-instance step tuning.
-#
-# Each real coordinate of a proposal step has mean 0 and variance 1 before
-# the base * scale factor. The broad phase draws it Gaussian, since it picks
-# the basins the survivors refine; the survivor phases draw it uniform on
-# [-sqrt(3), sqrt(3)], at a fifth of the cost per value. On criterion 3's
-# instance 108 (n = 6) at oracle seeds splitmix64(777, 108) + k, k = 0..31,
-# Gaussian steps in every phase stop on a local maximum on 8 of the 32 seeds
-# (w missed by 1.7e-2), uniform survivor phases on 7, and uniform steps in
-# every phase on 21.
+# decay) row per phase: a short broad phase over every sample, then two
+# survivor phases. Only the best chain matters for a sup/inf estimate, so the
+# late phases concentrate effort on the leaders; the final phase mixes
+# proposal scales spanning several orders of magnitude, which keeps narrow
+# ridges climbable without per-instance step tuning. Every phase draws each
+# real coordinate of a proposal step uniform on [-sqrt(3), sqrt(3)] (mean 0,
+# variance 1 before the base * scale factor), a fifth of the cost of a
+# Gaussian draw.
 _PHASES = (
-    (None, 12, (1.0, 1.0), 0.5, 0.85, "normal"),
-    (256, 50, (0.6, 0.15, 0.04, 0.01), 1.0, 0.93, "uniform"),
-    (16, 300, (0.1, 0.025, 6e-3, 1.5e-3, 4e-4, 1e-4, 2.5e-5), 1.0, 1.0, "uniform"),
+    (None, 12, (1.0, 1.0), 0.5, 0.85),
+    (256, 50, (0.6, 0.15, 0.04, 0.01), 1.0, 0.93),
+    (16, 300, (0.1, 0.025, 6e-3, 1.5e-3, 4e-4, 1e-4, 2.5e-5), 1.0, 1.0),
 )
+# For w, a truncation first keeps the best chain of each of _SECTORS equal
+# sectors of arg <Tx, x>_A, then fills the other slots by value. A chain of w
+# can stop on a point of the numerical range that is only locally farthest
+# from 0; one survivor per direction keeps a chain near the global maximum
+# too. On criterion 3's instance 108 (n = 6) at oracle seeds
+# splitmix64(777, 108) + k, k = 0..31, truncation by value alone stopped on a
+# local maximum (w missed by 1.7e-2) on 21 of the 32 seeds with uniform steps
+# in every phase and on 7 with Gaussian broad steps; with the sector
+# survivors it misses on none. The other kinds truncate by value alone; norm
+# and minmod are Rayleigh quotients, with no spurious local extrema.
+_SECTORS = 8
 _UNIFORM_SPREAD = 2.0 * math.sqrt(3.0)  # U(-1/2, 1/2) * this has variance 1
 # Doubles of proposal noise drawn per fill (512 KB): a phase draws
-# max(1, _NOISE_CHUNK // (2 r props m)) rounds at a time, so at rank 6 the
-# broad phase draws 1 round per fill, the 256-chain phase 5 and the
-# 16-chain phase 48, without raising the peak memory of the broad phase.
+# max(1, _NOISE_CHUNK // (2 r props m)) rounds at a time, so at rank 6 with
+# 2000 samples the broad phase draws 1 round per fill, the 256-chain phase 5
+# and the 16-chain phase 48, without raising the peak memory of the broad
+# phase.
 _NOISE_CHUNK = 2 ** 16
 
 
@@ -484,13 +490,11 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
     unit A-norm and evaluates the defining quantity (|<Tx, x>_A| for w/c,
     ||Tx||_A for norm/minmod, the phase-minimized A-norm of Re_A(e^{i phi}T)x
     for C), improving the samples with a staged random-perturbation
-    hill-climb (see ``_PHASES``). The broad first phase perturbs every
-    sample with Gaussian steps and keeps the best 256; the two survivor
-    phases perturb with uniform steps of the same variance, which cost a
-    fifth as much to draw. Gaussian steps in the broad phase matter: on
-    criterion 3's instance 108 over 32 oracle seeds, uniform steps in every
-    phase left 21 seeds on a local maximum, against 7 with the broad phase
-    Gaussian (8 with every phase Gaussian).
+    hill-climb (see ``_PHASES``) with uniform proposal steps. The broad
+    first phase perturbs every sample and keeps the best 256, the second
+    phase keeps the best 16; for w each truncation first keeps the best
+    chain of each phase sector of <Tx, x>_A (``_SECTORS``), so that a chain
+    stuck on a local maximum cannot crowd out the global one.
 
     Every evaluation happens at a feasible point, so the result approaches
     sup-type gauges from below and inf-type gauges from above. The result is
@@ -573,31 +577,26 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
         val2 = 0.25 * (nu2 + nv2 - 2.0 * np.abs(inner))
         return np.sqrt(np.clip(val2, 0.0, None))
 
-    def climb(z, best, rounds, scales, base, decay, law):
+    def climb(z, best, lead, rounds, scales, base, decay):
         # One fill draws a chunk of rounds, each round's real parts and then
-        # its imaginary parts. A Generator fills in sequence, so these are
-        # the numbers of one fill per round; for "normal" one round's are
-        # exactly those of draw((r, props, m)).
+        # its imaginary parts.
         props, m = len(scales), z.shape[1]
         scales = np.asarray(scales)[:, None]
-        uniform = law == "uniform"
-        spread = _UNIFORM_SPREAD if uniform else 1.0  # 1.0 * base is base, bit for bit
-        fill = rng.random if uniform else rng.standard_normal
         chunk = min(rounds, max(1, _NOISE_CHUNK // (2 * r * props * m)))
         noise = np.empty((chunk, 2, r, props, m))
         factor = np.empty((chunk, props, 1))
         zp = np.empty((r, props, m), dtype=complex)
         flat = zp.reshape(r, props * m)
         buf = work(props * m)
+        inner = buf[3].reshape(props, m)
         cols = np.arange(m)
         for done in range(0, rounds, chunk):
             k = min(chunk, rounds - done)
             block, fac = noise[:k], factor[:k]
-            fill(out=block)
-            if uniform:
-                block -= 0.5
+            rng.random(out=block)
+            block -= 0.5
             for row in fac:
-                row[...] = (spread * base) * scales
+                row[...] = (_UNIFORM_SPREAD * base) * scales
                 base *= decay
             block *= fac[:, None, None]
             for step in block:
@@ -608,23 +607,37 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
                 vb = vals[idx, cols]
                 up = (vb > best if maximize else vb < best).nonzero()[0]
                 if up.size:  # false in about half of the last phase's rounds
-                    z[:, up] = zp[:, idx[up], up]
+                    pick = idx[up]
+                    z[:, up] = zp[:, pick, up]
                     best[up] = vb[up]
-        return z, best
+                    if lead is not None:
+                        lead[up] = inner[pick, up]
+        return z, best, lead
 
-    def select(z, best, k):
-        order = np.argsort(sign * best)
-        keep = order[-min(k, best.size):]
-        return z[:, keep].copy(), best[keep].copy()
+    def select(z, best, lead, k):
+        order = np.argsort(sign * best)[::-1]  # best first
+        if lead is None:
+            keep = order[:k]
+        else:
+            # the best chain of each occupied phase sector, then the rest
+            # by value
+            sector = np.floor(np.angle(lead[order]) * (_SECTORS / (2.0 * math.pi))) % _SECTORS
+            _, first = np.unique(sector, return_index=True)
+            taken = np.zeros(order.size, dtype=bool)
+            taken[first] = True
+            keep = np.concatenate((order[first], order[~taken][:k - first.size]))
+            lead = lead[keep]
+        return z[:, keep], best[keep], lead
 
     # each phase keeps the leading chain and climbing never worsens a
     # chain, so the last phase's best is the estimate
     buf = work(samples)
     z = normalize(draw((r, samples)), buf)
     best = evaluate(z, buf).copy()
+    lead = buf[3].copy() if kind == "w" else None  # <Tx, x>_A of each chain
     del buf  # each phase allocates its own
-    for keep, rounds, scales, base, decay, law in _PHASES:
+    for keep, rounds, scales, base, decay in _PHASES:
         if keep is not None:
-            z, best = select(z, best, keep)
-        z, best = climb(z, best, rounds, scales, base, decay, law)
+            z, best, lead = select(z, best, lead, keep)
+        z, best, lead = climb(z, best, lead, rounds, scales, base, decay)
     return sign * float(np.max(sign * best))
