@@ -46,7 +46,7 @@ from .frame import AFrame, require_range
 from .gauges import sweep_gauges
 from .matrixcore import (as_cmatrix, frob, herm_part, pow2_unit, singular_values, spec_norm,
                          tile)
-from .seeding import label_seed
+from .seeding import check_seed, label_seed
 
 DEFAULT_TOL = 1e-8
 
@@ -159,7 +159,7 @@ class _Ctx:
 
     def __init__(self, f: AFrame, operands, seed: int):
         self.f = require_range(f)
-        self.seed = int(seed)
+        self.seed = check_seed(seed)
         self._ops = {k: as_cmatrix(v) for k, v in dict(operands or {}).items()}
         self._k: dict = {}
         self._memos: dict = {}

@@ -58,9 +58,10 @@ Each test clears its threshold by _PRUNE_MARGIN ||M||, far above eigvalsh
 rounding.
 
 A-weighted gauges are classical gauges of the range compression (see
-adjoint.reduced). ``oracle_gauge`` estimates the same quantities straight
-from their sup/inf definitions by seeded sampling with a hill-climb, and is
-the independent cross-check for the compression route.
+adjoint.reduced). ``oracle_gauge`` is the independent cross-check for that
+route: it never compresses. It reads each gauge as a ratio of the forms
+that <x, y>_A = y* A x defines on the range of A, and takes its sup or inf
+by a seeded random hill-climb.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ import numpy as np
 from .adjoint import admits_a_adjoint, reduced, sharp
 from .errors import NoAdjoint
 from .frame import AFrame, require_range
-from .matrixcore import as_cmatrix, herm_part, singular_values, spec_norm
+from .matrixcore import as_cmatrix, pow2_unit, singular_values, spec_norm
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Below this eigenvalue gap the perturbation derivatives are unreliable.
@@ -486,23 +487,22 @@ _NOISE_CHUNK = 2 ** 16
 def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
     """Direct-definition gauge estimate, independent of the range compression.
 
-    Draws ``samples`` random vectors in the range of A, normalizes them to
-    unit A-norm and evaluates the defining quantity (|<Tx, x>_A| for w/c,
-    ||Tx||_A for norm/minmod, the phase-minimized A-norm of Re_A(e^{i phi}T)x
-    for C), improving the samples with a staged random-perturbation
-    hill-climb (see ``_PHASES``) with uniform proposal steps. The broad
-    first phase perturbs every sample and keeps the best 256, the second
-    phase keeps the best 16; for w each truncation first keeps the best
-    chain of each phase sector of <Tx, x>_A (``_SECTORS``), so that a chain
-    stuck on a local maximum cannot crowd out the global one.
+    Every kind is a ratio of forms in range coordinates z, x = U z, read from
+    <x, y>_A = y* A x: |<Tx, x>_A| / ||x||_A^2 for w and c, ||Tx||_A /
+    ||x||_A for norm and minmod, and for C the phase-minimized
+    ||Re_A(e^{i phi} T) x||_A / ||x||_A from ||Tx||_A^2, ||T#x||_A^2 and
+    <Tx, T#x>_A. A enters at unit peak (``pow2_unit``), an exact power of
+    two that leaves every ratio unchanged and makes the fixed steps of
+    ``_PHASES`` independent of the metric's scale. A squared-norm form
+    carries absolute rounding of about eps ||T||_A^2.
 
-    Every evaluation happens at a feasible point, so the result approaches
-    sup-type gauges from below and inf-type gauges from above. The result is
-    a pure function of (f, t, kind, samples, seed), stable bit for bit: a
-    phase draws its proposal noise in chunks of rounds (up to
-    ``_NOISE_CHUNK`` doubles per fill), and since the generator fills in
-    sequence these are the same numbers, in the same order, as one fill per
-    round. Each phase reuses one set of work arrays for all its rounds.
+    ``samples`` Gaussian starts climb by uniform random steps; proposals are
+    evaluated unnormalised, and accepted chains are rescaled to unit A-norm.
+    For w each truncation first keeps the best chain of each phase sector
+    (``_SECTORS``). Every value is attained, so sup-type estimates approach
+    from below and inf-type ones from above. The result is a pure function
+    of (f, t, kind, samples, seed): chunked noise draws (``_NOISE_CHUNK``)
+    give the same numbers in the same order as one draw per round.
     """
     if kind not in ORACLE_KINDS:
         raise ValueError(f"unknown gauge kind {kind!r}; expected one of {ORACLE_KINDS}")
@@ -512,70 +512,31 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
     t = as_cmatrix(t)
     if not admits_a_adjoint(f, t):
         raise NoAdjoint("operator does not satisfy the Douglas range condition")
-    s = sharp(f, t) if kind == "C" else None
 
-    u = f.range_u
-    sqrt_a = herm_part((u * np.sqrt(f.lam)) @ u.conj().T)  # A^{1/2}, formed on H
-    w_map = sqrt_a @ u  # ||U z||_A = ||w_map z||_2
-    at = f.a @ t
-    st = sqrt_a @ t
-    ss = sqrt_a @ s if s is not None else None
+    u, r = f.range_u, f.rank
+    a = pow2_unit(f.a)
 
-    rng = np.random.default_rng(seed)
-    n, r = f.dim, f.rank
+    def form(y, x):  # the matrix of <Xz, Yz>_A = (Yz)* A (Xz) from y = YU, x = XU
+        return y.conj().T @ (a @ x)
+
+    tu = t @ u
+    forms = [form(u, u), form(u, tu) if kind in ("w", "c") else form(tu, tu)]
+    if kind == "C":
+        su = sharp(f, t) @ u
+        forms += [form(su, su), form(su, tu)]
+    forms = np.concatenate(forms)  # k forms stacked as one (k r) x r matrix
     maximize = kind in ("w", "norm")
     sign = 1.0 if maximize else -1.0
 
-    def draw(shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    def work(cols):
-        """Work arrays for ``cols`` columns, allocated once per phase and
-        reused by every round: three n x cols complex, then the einsum
-        output, the column norms and the values, one per column."""
-        return (np.empty((n, cols), dtype=complex), np.empty((n, cols), dtype=complex),
-                np.empty((n, cols), dtype=complex), np.empty(cols, dtype=complex),
-                np.empty(cols), np.empty(cols))
-
-    def column_norms(y, c, out):
-        """np.linalg.norm(y, axis=0) into out, without its argument handling;
-        y is overwritten and c is a work array. Summed from (y.conj() * y).real as
-        np.linalg.norm does: y.real**2 + y.imag**2 rounds differently."""
-        np.multiply(np.conjugate(y, out=c), y, out=y)
-        return np.sqrt(np.add.reduce(y.real, axis=0, out=out), out=out)
-
-    def normalize(z, buf):
-        """Scale the columns of z to unit A-norm, in place.
-
-        Multiplying both parts by 1/nrm gives the bits of the complex
-        division z /= nrm: with a zero imaginary part, numpy's complex
-        division (Smith's method) computes exactly that reciprocal and
-        product. Dividing each part by nrm instead rounds differently."""
-        y, c, _, _, nrm, _ = buf
-        column_norms(np.matmul(w_map, z, out=y), c, nrm)
-        if not nrm.all():
-            nrm[nrm == 0.0] = 1.0
-        np.divide(1.0, nrm, out=nrm)
-        z.real *= nrm
-        z.imag *= nrm
-        return z
-
-    def evaluate(z, buf):
-        x, c, y, inner, _, vals = buf
-        np.matmul(u, z, out=x)
+    def evaluate(z):
+        """Each column's value, and the forms at it (q[0] = ||x||_A^2)."""
+        q = np.einsum("ij,kij->kj", z.conj(), (forms @ z).reshape(-1, r, z.shape[1]))
         if kind in ("w", "c"):
-            np.einsum("ij,ij->j", np.conjugate(x, out=c), np.matmul(at, x, out=y), out=inner)
-            return np.abs(inner, out=vals)
-        if kind in ("norm", "minmod"):
-            return column_norms(np.matmul(st, x, out=y), c, vals)
-        # kind == "C": min over phases of ||(e^{i phi} Tx + e^{-i phi} T#x)/2||_A
-        tu = np.matmul(st, x, out=y)
-        tv = np.matmul(ss, x, out=c)
-        nu2 = np.sum(np.abs(tu) ** 2, axis=0)
-        nv2 = np.sum(np.abs(tv) ** 2, axis=0)
-        inner = np.einsum("ij,ij->j", tu, tv.conj())  # <Tx, T#x>_A
-        val2 = 0.25 * (nu2 + nv2 - 2.0 * np.abs(inner))
-        return np.sqrt(np.clip(val2, 0.0, None))
+            return np.abs(q[1]) / q[0].real, q
+        sq = q[1].real
+        if kind == "C":  # min over phi of ||e^{i phi} Tx + e^{-i phi} T#x||_A^2 / 4
+            sq = 0.25 * (sq + q[2].real - 2.0 * np.abs(q[3]))
+        return np.sqrt(np.maximum(sq, 0.0) / q[0].real), q
 
     def climb(z, best, lead, rounds, scales, base, decay):
         # One fill draws a chunk of rounds, each round's real parts and then
@@ -586,9 +547,6 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
         noise = np.empty((chunk, 2, r, props, m))
         factor = np.empty((chunk, props, 1))
         zp = np.empty((r, props, m), dtype=complex)
-        flat = zp.reshape(r, props * m)
-        buf = work(props * m)
-        inner = buf[3].reshape(props, m)
         cols = np.arange(m)
         for done in range(0, rounds, chunk):
             k = min(chunk, rounds - done)
@@ -602,16 +560,18 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
             for step in block:
                 np.add(z.real[:, None, :], step[0], out=zp.real)
                 np.add(z.imag[:, None, :], step[1], out=zp.imag)
-                vals = evaluate(normalize(flat, buf), buf).reshape(props, m)
+                vals, q = evaluate(zp.reshape(r, props * m))
+                vals = vals.reshape(props, m)
                 idx = vals.argmax(axis=0) if maximize else vals.argmin(axis=0)
                 vb = vals[idx, cols]
                 up = (vb > best if maximize else vb < best).nonzero()[0]
                 if up.size:  # false in about half of the last phase's rounds
                     pick = idx[up]
-                    z[:, up] = zp[:, pick, up]
+                    q = q.reshape(-1, props, m)[:, pick, up]
+                    z[:, up] = zp[:, pick, up] / np.sqrt(q[0].real)
                     best[up] = vb[up]
                     if lead is not None:
-                        lead[up] = inner[pick, up]
+                        lead[up] = q[1]
         return z, best, lead
 
     def select(z, best, lead, k):
@@ -631,11 +591,11 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
 
     # each phase keeps the leading chain and climbing never worsens a
     # chain, so the last phase's best is the estimate
-    buf = work(samples)
-    z = normalize(draw((r, samples)), buf)
-    best = evaluate(z, buf).copy()
-    lead = buf[3].copy() if kind == "w" else None  # <Tx, x>_A of each chain
-    del buf  # each phase allocates its own
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((r, samples)) + 1j * rng.standard_normal((r, samples))
+    best, q = evaluate(z)
+    z /= np.sqrt(q[0].real)
+    lead = q[1] if kind == "w" else None  # <Tx, x>_A of each chain, up to scale
     for keep, rounds, scales, base, decay in _PHASES:
         if keep is not None:
             z, best, lead = select(z, best, lead, keep)

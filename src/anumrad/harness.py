@@ -41,7 +41,7 @@ from .errors import BadRank, NoAdjoint
 from .frame import AFrame, new_frame, require_range
 from .gauges import a_numerical_radius
 from .matrixcore import as_cmatrix, frob, herm_part, spec_norm
-from .seeding import splitmix64
+from .seeding import check_seed, splitmix64
 
 TOOL_VERSION = "0.1.0"
 
@@ -214,7 +214,7 @@ def instance_from_dict(d: dict) -> Instance:
     if not isinstance(note, str):
         raise ValueError(f"instance field 'note' must be a string, got {note!r}")
     return Instance(dim=dim, a=a, operators=ops,
-                    seed=_integer(d.get("seed", 0), "instance field 'seed'"), note=note)
+                    seed=check_seed(d.get("seed", 0), "instance field 'seed'"), note=note)
 
 
 def save_instance(inst: Instance, path) -> None:
@@ -243,14 +243,11 @@ class FuzzConfig:
     checks: Optional[Sequence[str]] = None
 
     def __post_init__(self):
-        for name in ("trials", "master_seed", "n_min", "n_max"):
+        for name in ("trials", "n_min", "n_max"):
             setattr(self, name, _integer(getattr(self, name), name))
+        self.master_seed = check_seed(self.master_seed, "master_seed")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
-        # splitmix64 reduces seeds mod 2**64: another seed would run the
-        # trials of its residue under a different recorded seed
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if not 1 <= self.n_min <= self.n_max:
             raise ValueError("need 1 <= n_min <= n_max")
         if self.rank_policy not in RANK_POLICIES:

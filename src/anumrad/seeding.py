@@ -12,8 +12,24 @@ from __future__ import annotations
 
 import zlib
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+
+def check_seed(value, name: str = "seed") -> int:
+    """``value`` as an int, once it is a seed: an integer (numpy integers
+    included, bools not) in [0, 2**64). Anything else raises ValueError:
+    int() would run a float or a string under another seed than the one
+    given, and splitmix64 would run any other integer under the seed of its
+    residue mod 2**64."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    seed = int(value)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def splitmix64(seed: int, index: int = 0) -> int:

@@ -101,6 +101,29 @@ def test_run_all_rejects_unknown_ids_before_any_check_runs(monkeypatch):
     assert ran == []
 
 
+@pytest.mark.parametrize("seed", [1.9, True, "7", None, -3, 2**64])
+def test_run_check_and_run_all_reject_seeds_they_would_coerce(monkeypatch, seed):
+    # int() would run 1.9, True and "7" as seeds 1, 1 and 7, and splitmix64
+    # would run -3 as its residue mod 2**64, so lem_pointwise would sample
+    # under another seed than the one given
+    f = new_frame(gen_psd(3, 3, 21))
+    ops = random_operands(f, np.random.default_rng(22))
+    monkeypatch.setattr(catalog, "_run_one", lambda cd, ctx, tol: pytest.fail("a check ran"))
+    with pytest.raises(ValueError, match="seed must"):
+        run_check("lem_pointwise", f, ops, seed=seed)
+    with pytest.raises(ValueError, match="seed must"):
+        run_all(f, ops, seed=seed)
+
+
+def test_numpy_integer_seeds_give_the_same_row():
+    f = new_frame(gen_psd(3, 3, 21))
+    ops = random_operands(f, np.random.default_rng(22))
+    for seed, same in ((5, np.int64(5)), (5, np.uint64(5)), (2**64 - 1, np.uint64(2**64 - 1))):
+        row = run_check("lem_pointwise", f, ops, seed=seed)
+        assert run_check("lem_pointwise", f, ops, seed=same) == row
+        assert run_all(f, ops, seed=same, ids=["lem_pointwise"]) == [row]
+
+
 def test_slack_is_read_from_lhs_and_rhs():
     assert CheckResult("x", 1.0, 3.0, True, True).slack == 2.0
     with pytest.raises(TypeError):
