@@ -7,7 +7,8 @@ predicate of its own: T is A-positive (A T Hermitian PSD) exactly when it
 admits an A-adjoint and K(T) is Hermitian PSD.
 
 With A = U diag(lam) U* and N spanning the null space (``frame.AFrame``),
-the Douglas test and the compression both read U* T (``_range_rows``).
+the Douglas test and the compression both read U* T, and every caller that
+needs an A-adjoint runs the one requirement ``require_adjoint``.
 """
 
 from __future__ import annotations
@@ -19,15 +20,8 @@ from .frame import AFrame
 from .matrixcore import DEFAULT_RANK_TOL, as_cmatrix, frob, herm_part, pow2_unit
 
 
-def _check_square(f: AFrame, t) -> np.ndarray:
-    t = as_cmatrix(t)
-    if t.shape != (f.dim, f.dim):
-        raise DimensionMismatch(f"operator shape {t.shape} on a dim-{f.dim} frame")
-    return t
-
-
-def _range_rows(f: AFrame, t):
-    """(U* T, whether T admits an A-adjoint).
+def _douglas(f: AFrame, t):
+    """(T as a validated n x n matrix, whether it admits an A-adjoint).
 
     Douglas criterion: R(T* A) lies in R(A) exactly when A T N = 0, tested as
     ||diag(lam) U* T N||_F <= DEFAULT_RANK_TOL (1 + ||T||_F ||lam||_2), where
@@ -35,27 +29,35 @@ def _range_rows(f: AFrame, t):
     enters the test brought to unit peak by an exact power of two
     (``pow2_unit``) and lam divided by lambda_max, which leaves the test
     scale-free in both and keeps its norms from overflowing or underflowing
-    at any scale. U* T itself is formed from T as given.
+    at any scale.
     """
-    t = _check_square(f, t)
-    ut = f.range_u.conj().T @ t
+    t = as_cmatrix(t)
+    if t.shape != (f.dim, f.dim):
+        raise DimensionMismatch(f"operator shape {t.shape} on a dim-{f.dim} frame")
     unit = pow2_unit(t)
     lam = f.lam / (f.lam[0] if f.rank else 1.0)
     residual = frob(lam[:, None] * (f.range_u.conj().T @ unit @ f.null_u))
     scale = frob(unit) * float(np.linalg.norm(lam))
-    return ut, residual <= DEFAULT_RANK_TOL * (1.0 + scale)
+    return t, residual <= DEFAULT_RANK_TOL * (1.0 + scale)
 
 
 def admits_a_adjoint(f: AFrame, t) -> bool:
     """Douglas criterion: R(T* A) inside R(A), that is A T N = 0."""
-    return _range_rows(f, t)[1]
+    return _douglas(f, t)[1]
+
+
+def require_adjoint(f: AFrame, t) -> np.ndarray:
+    """``t`` as a validated n x n matrix, once it admits an A-adjoint; the one
+    place that raises NoAdjoint for an operator."""
+    t, admits = _douglas(f, t)
+    if not admits:
+        raise NoAdjoint("operator does not satisfy the Douglas range condition")
+    return t
 
 
 def sharp(f: AFrame, t) -> np.ndarray:
     """Distinguished A-adjoint A^dagger T* A; requires the Douglas condition."""
-    t = _check_square(f, t)
-    if not admits_a_adjoint(f, t):
-        raise NoAdjoint("operator does not satisfy the Douglas range condition")
+    t = require_adjoint(f, t)
     u = f.range_u
     pinv_a = herm_part((u / f.lam) @ u.conj().T)
     return pinv_a @ t.conj().T @ f.a
@@ -71,8 +73,6 @@ def reduced(f: AFrame, t) -> np.ndarray:
     the null space) onto ordinary unit vectors of the range, preserving
     <Tx, x>_A and ||Tx||_A.
     """
-    ut, admits = _range_rows(f, t)
-    if not admits:
-        raise NoAdjoint("operator does not satisfy the Douglas range condition")
+    t = require_adjoint(f, t)
     root = np.sqrt(f.lam)
-    return root[:, None] * (ut @ f.range_u) / root
+    return root[:, None] * ((f.range_u.conj().T @ t) @ f.range_u) / root

@@ -22,7 +22,7 @@ nilpotency hypothesis reads K(T)^k = K(T^k) = 0, that is A T^k = 0: every
 term of the equalities it gates is a gauge of K(T).
 
 Operands a check names but the caller omits fall back to X = Y = T and
-P = Q = I.
+P = Q = I (``OPERAND_NAMES`` and ``_FALLBACK`` state both once).
 
 Checks work in compressed coordinates only (see ``_Ctx``): each operand is
 compressed to the range of A once, and every derived operator (T^2,
@@ -34,6 +34,7 @@ read from one SVD of K(T). Nothing here reads an operand on H.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -94,6 +95,12 @@ class CheckDef:
     description: str = ""
 
 
+# The operand vocabulary of ``CheckDef.roles``, in the order that fixes each
+# operand's random stream (``harness.make_instance``), and the fallback of an
+# operand the caller omits: X = Y = T and P = Q = I. T has none.
+OPERAND_NAMES = ("T", "X", "Y", "P", "Q")
+_FALLBACK = {"X": "T", "Y": "T", "P": "I", "Q": "I"}
+
 REGISTRY: "Dict[str, CheckDef]" = {}
 
 
@@ -129,13 +136,19 @@ def operands_needed(ids: Sequence[str]) -> frozenset:
     return frozenset(role for cid in ids for role in REGISTRY[cid].roles)
 
 
+def check_operand_names(names) -> None:
+    """Raise ValueError for any name outside ``OPERAND_NAMES``."""
+    unknown = sorted(set(names) - set(OPERAND_NAMES))
+    if unknown:
+        raise ValueError(f"unknown operand(s) {unknown}; expected names from {OPERAND_NAMES}")
+
+
 def missing_operands(operands, checks: Optional[Sequence[str]] = None) -> list[str]:
     """Operands the selected checks need (``operands_needed``) that neither
-    ``operands`` nor the fallbacks X = Y = T and P = Q = I supply."""
-    have = set(operands or {}) | {"P", "Q"}
-    if "T" in have:
-        have |= {"X", "Y"}
-    return sorted(operands_needed(resolve_ids(checks)) - have)
+    ``operands`` nor their fallbacks (``_FALLBACK``) supply."""
+    have = set(operands or {}) | {"I"}
+    return sorted(name for name in operands_needed(resolve_ids(checks))
+                  if name not in have and _FALLBACK.get(name) not in have)
 
 
 class _Ctx:
@@ -161,6 +174,7 @@ class _Ctx:
         self.f = require_range(f)
         self.seed = check_seed(seed)
         self._ops = {k: as_cmatrix(v) for k, v in dict(operands or {}).items()}
+        check_operand_names(self._ops)  # a misspelled X must not read as X = T
         self._k: dict = {}
         self._memos: dict = {}
         self._antidiag = None
@@ -170,18 +184,18 @@ class _Ctx:
         return (m.shape, m.tobytes())
 
     def k(self, name: str) -> np.ndarray:
-        """Range compression of operand ``name``, computed once per instance;
-        the fallbacks are X = Y = K(T) and P = Q = I_r. ``reduced`` runs the
-        Douglas test, so an operand without an A-adjoint raises NoAdjoint."""
+        """Range compression of operand ``name`` or of its fallback
+        (``_FALLBACK``), computed once per instance; with neither it raises
+        ValueError, and ``reduced`` raises NoAdjoint without an A-adjoint."""
         if name not in self._k:
             if name in self._ops:
                 self._k[name] = reduced(self.f, self._ops[name])
-            elif name in ("X", "Y"):
-                self._k[name] = self.k("T")
-            elif name in ("P", "Q"):
+            elif name not in _FALLBACK:
+                raise ValueError(f"operand {name!r} not supplied")
+            elif _FALLBACK[name] == "I":
                 self._k[name] = np.eye(self.f.rank, dtype=np.complex128)
             else:
-                raise KeyError(f"operand {name!r} not supplied")
+                self._k[name] = self.k(_FALLBACK[name])
         return self._k[name]
 
     def _memo(self, fn, m: np.ndarray):
@@ -266,8 +280,9 @@ def _hypothesis_state(cd: CheckDef, ctx: _Ctx) -> bool:
 
 
 def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (
+            math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be a finite nonnegative number, got {tol!r}")
 
 
 def _verdict(lhs: float, rhs: float, mode: str, tol: float) -> bool:

@@ -176,9 +176,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (AnumradError, OSError, ValueError, KeyError) as exc:
+    except (AnumradError, OSError, ValueError) as exc:
         # JSONDecodeError is a ValueError subclass, so malformed input files
-        # land here as well.
+        # land here as well; any other exception is a bug and propagates.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -72,10 +72,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .adjoint import admits_a_adjoint, reduced, sharp
-from .errors import NoAdjoint
+from .adjoint import reduced, require_adjoint, sharp
 from .frame import AFrame, require_range
 from .matrixcore import as_cmatrix, pow2_unit, singular_values, spec_norm
+from .seeding import check_integer, check_seed
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Below this eigenvalue gap the perturbation derivatives are unreliable.
@@ -506,12 +506,8 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
     """
     if kind not in ORACLE_KINDS:
         raise ValueError(f"unknown gauge kind {kind!r}; expected one of {ORACLE_KINDS}")
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ValueError(f"samples must be an integer of at least 1, got {samples!r}")
-    require_range(f)
-    t = as_cmatrix(t)
-    if not admits_a_adjoint(f, t):
-        raise NoAdjoint("operator does not satisfy the Douglas range condition")
+    samples, seed = check_integer(samples, "samples", 1), check_seed(seed)
+    t = require_adjoint(require_range(f), t)
 
     u, r = f.range_u, f.rank
     a = pow2_unit(f.a)
@@ -538,7 +534,7 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
             sq = 0.25 * (sq + q[2].real - 2.0 * np.abs(q[3]))
         return np.sqrt(np.maximum(sq, 0.0) / q[0].real), q
 
-    def climb(z, best, lead, rounds, scales, base, decay):
+    def climb(z, best, rounds, scales, base, decay):
         # One fill draws a chunk of rounds, each round's real parts and then
         # its imaginary parts.
         props, m = len(scales), z.shape[1]
@@ -570,24 +566,22 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
                     q = q.reshape(-1, props, m)[:, pick, up]
                     z[:, up] = zp[:, pick, up] / np.sqrt(q[0].real)
                     best[up] = vb[up]
-                    if lead is not None:
-                        lead[up] = q[1]
-        return z, best, lead
+        return z, best
 
-    def select(z, best, lead, k):
+    def select(z, best, k):
         order = np.argsort(sign * best)[::-1]  # best first
-        if lead is None:
+        if kind != "w":
             keep = order[:k]
         else:
-            # the best chain of each occupied phase sector, then the rest
-            # by value
-            sector = np.floor(np.angle(lead[order]) * (_SECTORS / (2.0 * math.pi))) % _SECTORS
+            # the best chain of each occupied sector of arg <Tx, x>_A, then
+            # the rest by value
+            lead = evaluate(z[:, order])[1][1]
+            sector = np.floor(np.angle(lead) * (_SECTORS / (2.0 * math.pi))) % _SECTORS
             _, first = np.unique(sector, return_index=True)
             taken = np.zeros(order.size, dtype=bool)
             taken[first] = True
             keep = np.concatenate((order[first], order[~taken][:k - first.size]))
-            lead = lead[keep]
-        return z[:, keep], best[keep], lead
+        return z[:, keep], best[keep]
 
     # each phase keeps the leading chain and climbing never worsens a
     # chain, so the last phase's best is the estimate
@@ -595,9 +589,8 @@ def oracle_gauge(f: AFrame, t, kind: str, samples: int, seed: int) -> float:
     z = rng.standard_normal((r, samples)) + 1j * rng.standard_normal((r, samples))
     best, q = evaluate(z)
     z /= np.sqrt(q[0].real)
-    lead = q[1] if kind == "w" else None  # <Tx, x>_A of each chain, up to scale
     for keep, rounds, scales, base, decay in _PHASES:
         if keep is not None:
-            z, best, lead = select(z, best, lead, keep)
-        z, best, lead = climb(z, best, lead, rounds, scales, base, decay)
+            z, best = select(z, best, keep)
+        z, best = climb(z, best, rounds, scales, base, decay)
     return sign * float(np.max(sign * best))

@@ -35,19 +35,17 @@ import numpy as np
 
 from . import catalog
 from .adjoint import admits_a_adjoint, reduced
-from .catalog import (CheckResult, errored_result, missing_operands, operands_needed,
-                      resolve_ids, run_all, run_check)
+from .catalog import (OPERAND_NAMES, CheckResult, check_operand_names, errored_result,
+                      missing_operands, operands_needed, resolve_ids, run_all, run_check)
 from .errors import BadRank, NoAdjoint
 from .frame import AFrame, new_frame, require_range
 from .gauges import a_numerical_radius
 from .matrixcore import as_cmatrix, frob, herm_part, spec_norm
-from .seeding import check_seed, splitmix64
+from .seeding import check_integer, check_seed, splitmix64
 
 TOOL_VERSION = "0.1.0"
 
 RANK_POLICIES = ("full", "mixed", "degenerate-heavy")
-
-OPERAND_NAMES = ("T", "X", "Y", "P", "Q")
 
 _SPECTRUM_FLOOR = 1e-3
 _SPECTRUM_CEIL = 1e3
@@ -74,6 +72,7 @@ def gen_psd(n: int, rank: int, seed: int) -> np.ndarray:
     the nonzero spectrum is geometrically centered at 1 and clamped into
     [1e-3, 1e3]. Deterministic in ``seed``.
     """
+    n, rank, seed = check_integer(n, "n", 1), check_integer(rank, "rank"), check_seed(seed)
     if not 0 <= rank <= n:
         raise BadRank(f"rank {rank} out of range for dimension {n}")
     if rank == 0:
@@ -98,7 +97,7 @@ def gen_compatible(f: AFrame, seed: int) -> np.ndarray:
     (range-row, null-column) block zeroed, so the Douglas condition holds by
     construction for every output.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     n, r = f.dim, f.rank
     g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
     g[:r, r:] = 0.0
@@ -129,9 +128,8 @@ def make_instance(n: int, rank: int, seed: int,
                   names: Collection[str] = OPERAND_NAMES) -> Instance:
     """Random instance with the operands ``names``, each drawn from its own
     stream ``splitmix64(seed, OPERAND_NAMES.index(name) + 1)``."""
-    unknown = sorted(set(names) - set(OPERAND_NAMES))
-    if unknown:
-        raise ValueError(f"unknown operand(s) {unknown}; expected names from {OPERAND_NAMES}")
+    check_operand_names(names)
+    seed = check_seed(seed)  # gen_psd checks n and rank
     a = gen_psd(n, rank, splitmix64(seed, 0))
     f = new_frame(a)
     ops = {
@@ -149,9 +147,8 @@ def validate_instance(inst: Instance) -> AFrame:
     if f.dim != inst.dim:
         raise ValueError(f"instance dim {inst.dim} does not match metric {f.dim}")
     require_range(f)
+    check_operand_names(inst.operators)
     for name, op in inst.operators.items():
-        if name not in OPERAND_NAMES:
-            raise ValueError(f"unknown operand {name!r}; expected names from {OPERAND_NAMES}")
         op = as_cmatrix(op)
         if op.shape != (inst.dim, inst.dim):
             raise ValueError(f"operator {name!r} has shape {op.shape}, expected "
@@ -191,12 +188,6 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
-def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def instance_from_dict(d: dict) -> Instance:
     """Parse the wire form; any malformed field raises ValueError."""
     if not isinstance(d, dict):
@@ -207,7 +198,7 @@ def instance_from_dict(d: dict) -> Instance:
     for key in ("dim", "A"):
         if key not in d:
             raise ValueError(f"instance field {key!r} is missing")
-    dim = _integer(d["dim"], "instance field 'dim'")
+    dim = check_integer(d["dim"], "instance field 'dim'", 1)
     a = mat_from_wire(d["A"])
     ops = {str(k): mat_from_wire(v) for k, v in ops.items()}
     note = d.get("note", "")
@@ -243,13 +234,10 @@ class FuzzConfig:
     checks: Optional[Sequence[str]] = None
 
     def __post_init__(self):
-        for name in ("trials", "n_min", "n_max"):
-            setattr(self, name, _integer(getattr(self, name), name))
+        self.trials = check_integer(self.trials, "trials", 0)
         self.master_seed = check_seed(self.master_seed, "master_seed")
-        if self.trials < 0:
-            raise ValueError("trials must be nonnegative")
-        if not 1 <= self.n_min <= self.n_max:
-            raise ValueError("need 1 <= n_min <= n_max")
+        self.n_min = check_integer(self.n_min, "n_min", 1)
+        self.n_max = check_integer(self.n_max, "n_max", self.n_min)
         if self.rank_policy not in RANK_POLICIES:
             raise ValueError(f"rank_policy must be one of {RANK_POLICIES}")
         catalog._check_tol(self.tol)
@@ -355,8 +343,8 @@ def fuzz(config: FuzzConfig, top: Optional[int] = None) -> Report:
     implementation bug, since every registered statement is a theorem on its
     hypothesis domain.
     """
-    if top is not None and _integer(top, "top") < 0:
-        raise ValueError("top must be nonnegative")
+    if top is not None:
+        top = check_integer(top, "top", 0)
     ids = resolve_ids(config.checks)
     names = operands_needed(ids)
     rows: List[dict] = []

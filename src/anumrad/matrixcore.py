@@ -48,9 +48,8 @@ def pow2_unit(m: np.ndarray) -> np.ndarray:
 
 def spec_norm(m) -> float:
     """Spectral norm: the largest singular value, as ``np.linalg.norm(m, 2)``
-    reads it from the same SVD, without that wrapper's argument handling."""
-    if min(m.shape) == 0:
-        return 0.0
+    reads it from the same SVD, without that wrapper's argument handling
+    (every caller's matrix is at least 1 x 1)."""
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 

@@ -1,6 +1,6 @@
 # src/anumrad/seeding.py
 
-"""Deterministic 64-bit seed derivation.
+"""Deterministic 64-bit seed derivation and the one integer rule.
 
 ``splitmix64(seed, index)`` is the published child-seed function: seeded
 trials produce the same streams in whatever order they run, because every
@@ -18,18 +18,23 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def check_seed(value, name: str = "seed") -> int:
-    """``value`` as an int, once it is a seed: an integer (numpy integers
-    included, bools not) in [0, 2**64). Anything else raises ValueError:
-    int() would run a float or a string under another seed than the one
-    given, and splitmix64 would run any other integer under the seed of its
-    residue mod 2**64."""
+def check_integer(value, name: str, low=None, high=None) -> int:
+    """``value`` as an int, once it is an integer (numpy integers included,
+    bools not) in [low, high), a None bound left open: the one integer rule.
+    Anything else raises a ValueError that names the argument."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    seed = int(value)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
-    return seed
+    value = int(value)
+    if (low is not None and value < low) or (high is not None and value >= high):
+        bounds = f"lie in [{low}, {high})" if high is not None else f"be at least {low}"
+        raise ValueError(f"{name} must {bounds}, got {value}")
+    return value
+
+
+def check_seed(value, name: str = "seed") -> int:
+    """``value`` as an int, once it is a seed in [0, 2**64): splitmix64 would
+    run any other integer under the seed of its residue mod 2**64."""
+    return check_integer(value, name, 0, 2**64)
 
 
 def splitmix64(seed: int, index: int = 0) -> int:

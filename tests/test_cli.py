@@ -250,6 +250,19 @@ def test_lapack_failure_in_the_frame_is_a_usage_error(tmp_path, monkeypatch, cap
     assert err == "error: Eigenvalues did not converge\n" and out == ""
 
 
+def test_a_bug_is_not_reported_as_a_usage_error(monkeypatch):
+    # exit 2 means the input is at fault; a KeyError raised by a bug must
+    # propagate with its traceback instead of printing "error:" and exiting 2
+    from anumrad import cli
+
+    def bug(*args, **kwargs):
+        raise KeyError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "fuzz", bug)
+    with pytest.raises(KeyError, match="a bug"):
+        cli.main(["fuzz", "--trials", "1"])
+
+
 @pytest.mark.parametrize("explore", [False, True])
 def test_fuzz_explore_flag(explore):
     # --explore was removed: a plain run still works, the old flag is a usage error

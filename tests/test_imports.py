@@ -1,5 +1,6 @@
 """Every import in the package modules is used, every private name is read,
-every error class is raised, and one tiler builds every 2x2 block matrix.
+every error class is raised, one tiler builds every 2x2 block matrix, and
+the integer rule and the adjoint requirement are each stated once.
 
 The toolchain has no linter, so this stands in for its unused-import and
 dead-code rules.
@@ -105,3 +106,59 @@ def test_no_package_module_calls_np_block():
                     and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
                 hits.append(f"{path.name}:{node.lineno}")
     assert hits == []
+
+
+def _is_isinstance(node, classes) -> bool:
+    """``node`` is ``isinstance(x, c)`` with ``c`` one of ``classes`` as
+    written (a name, a dotted name, or a tuple of those)."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    return ast.unparse(node.args[1]) in classes
+
+
+def _integer_tests(tree: ast.Module) -> list:
+    """Lines of ``isinstance(x, bool) or not isinstance(x, (int, np.integer))``,
+    alone or inside a longer ``or``."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+            if any(_is_isinstance(v, ("bool",)) for v in node.values) and any(
+                    isinstance(v, ast.UnaryOp) and isinstance(v.op, ast.Not)
+                    and _is_isinstance(v.operand, ("(int, np.integer)", "(int, numpy.integer)"))
+                    for v in node.values):
+                hits.append(node.lineno)
+    return hits
+
+
+def _raise_sites(tree: ast.Module, exc: str) -> list:
+    """The innermost enclosing function of each ``raise`` that names ``exc``."""
+    sites = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None and any(
+                    isinstance(n, ast.Name) and n.id == exc for n in ast.walk(child.exc)):
+                sites.append(function)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(tree, None)
+    return sites
+
+
+def _sites(find) -> list:
+    return [f"{path.name}:{site}" for path in sorted(SRC.glob("*.py"))
+            for site in find(ast.parse(path.read_text(encoding="utf-8")))]
+
+
+def test_the_integer_rule_is_stated_once():
+    # every integer argument goes through seeding.check_integer
+    hits = _sites(_integer_tests)
+    assert [hit.split(":")[0] for hit in hits] == ["seeding.py"], hits
+
+
+def test_no_adjoint_is_raised_only_by_the_one_requirement():
+    # adjoint.require_adjoint is the one Douglas requirement; validate_instance
+    # re-raises its NoAdjoint only to name the operand
+    assert _sites(lambda tree: _raise_sites(tree, "NoAdjoint")) == [
+        "adjoint.py:require_adjoint", "harness.py:validate_instance"]
