@@ -25,7 +25,8 @@ Operands a check names but the caller omits fall back to X = Y = T and
 P = Q = I (``OPERAND_NAMES`` and ``_FALLBACK`` state both once).
 
 Checks work in compressed coordinates only (see ``_Ctx``): each operand is
-compressed to the range of A once, and every derived operator (T^2,
+compressed to the range of A once, and admitted there (``_Ctx.k``: shape,
+A-adjoint and A-seminorm bound), and every derived operator (T^2,
 T#T + TT#, PXQ# +- QYP#, the antidiagonal block under diag(A, A)) is built
 from those r x r matrices, and the power term ||(T#T)^r + (TT#)^r||_A is
 read from one SVD of K(T). Nothing here reads an operand on H.
@@ -42,7 +43,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .adjoint import reduced
-from .errors import UnknownCheckId
+from .errors import DimensionMismatch, NoAdjoint, UnknownCheckId
 from .frame import AFrame, require_range
 from .gauges import sweep_gauges
 from .matrixcore import (as_cmatrix, frob, herm_part, pow2_unit, singular_values, spec_norm,
@@ -56,6 +57,18 @@ _POINTWISE_SAMPLES = 50
 # Relative size below which K(T)^k counts as vanishing
 # (``nilpotent2``/``nilpotent3``).
 _HYPOTHESIS_TOL = 1e-12
+
+# Largest operand A-seminorm that ``_Ctx.k`` admits, at every entry point
+# (``run_check``, ``run_all`` and the harness that calls them). Past it a
+# check's arithmetic leaves the double range and an overflowed inf or nan
+# would read as a theorem violation. Measured on random instances (n 2..6,
+# full and half rank) with every operand scaled to A-seminorm 10^e: on the
+# full-rank ones the sweep's curvature, which squares the entries of the
+# degree-4 matrix T^2 P + P T^2 (P = T#T + TT#, thm_refined_fourth), first
+# overflowed at e = 39 or 40 while every row still passed, and on all of
+# them the first failed row came at e = 52, where thm_power_r_3's SVD does
+# not converge. 1e36 stays three orders below the first overflow.
+_MAX_SEMINORM = 1e36
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -108,22 +121,20 @@ def registry_ids() -> list[str]:
     return sorted(REGISTRY)
 
 
-def _reject_bare_string(name: str, value) -> None:
-    """A string iterates as its characters, so "equiv_half" would read as
-    the ids 'e', 'q', ...; a filter of one id is a one-element list."""
-    if isinstance(value, str):
-        raise ValueError(f"{name} must be a list, such as [{value!r}], not a bare string")
-
-
 def resolve_ids(checks: Optional[Sequence[str]]) -> list[str]:
     """Expand exact ids and family prefixes into sorted registry ids; a
-    prefix matches whole ``_``-separated words only."""
-    _reject_bare_string("checks", checks)
+    prefix matches whole ``_``-separated words only. This is the one place a
+    check filter becomes ids. A bare string raises ValueError: it iterates as
+    its characters, so "equiv_half" would read as the ids 'e', 'q', ...; a
+    filter of one id is a one-element list."""
+    if isinstance(checks, str):
+        raise ValueError(f"checks must be a list, such as [{checks!r}], not a bare string")
     if not checks:
         return registry_ids()
     out = set()
     for pat in checks:
-        hits = [cid for cid in REGISTRY if cid == pat or cid.startswith(pat + "_")]
+        prefix = pat + "_"
+        hits = [cid for cid in REGISTRY if cid == pat or cid.startswith(prefix)]
         if not hits:
             raise UnknownCheckId(pat)
         out.update(hits)
@@ -185,11 +196,26 @@ class _Ctx:
 
     def k(self, name: str) -> np.ndarray:
         """Range compression of operand ``name`` or of its fallback
-        (``_FALLBACK``), computed once per instance; with neither it raises
-        ValueError, and ``reduced`` raises NoAdjoint without an A-adjoint."""
+        (``_FALLBACK``), computed once per instance. This is the one
+        admission of an operand, and each error names it: a missing operand
+        with no fallback or an A-seminorm above ``_MAX_SEMINORM`` raises
+        ValueError, a wrong shape DimensionMismatch, and an operand without
+        an A-adjoint NoAdjoint."""
         if name not in self._k:
             if name in self._ops:
-                self._k[name] = reduced(self.f, self._ops[name])
+                op = self._ops[name]
+                try:
+                    k = reduced(self.f, op)
+                except DimensionMismatch:
+                    raise DimensionMismatch(f"operator {name!r} has shape {op.shape}, expected "
+                                            f"({self.f.dim}, {self.f.dim})") from None
+                except NoAdjoint:
+                    raise NoAdjoint(f"operator {name!r} does not admit an A-adjoint") from None
+                # ``not <=`` also rejects the NaN an overflowed compression leaves
+                if not self.nrm(k) <= _MAX_SEMINORM:
+                    raise ValueError(f"operator {name!r} has A-seminorm above "
+                                     f"{_MAX_SEMINORM:g}; larger operands overflow the checks")
+                self._k[name] = k
             elif name not in _FALLBACK:
                 raise ValueError(f"operand {name!r} not supplied")
             elif _FALLBACK[name] == "I":
@@ -232,10 +258,7 @@ class _Ctx:
             self._antidiag = tile(zero, kx, ky, zero)
         return self._antidiag
 
-    def wb(self, m2: np.ndarray) -> float:
-        """Numerical radius of a block operator under diag(A, A), given its
-        compression."""
-        return self._gauges(m2).w
+    wb = w  # w of a block operator under diag(A, A), read from its compression
 
     @staticmethod
     def pm(k: np.ndarray) -> np.ndarray:
@@ -735,28 +758,18 @@ def run_check(check_id: str, f: AFrame, operands, *, seed: int = 0,
 
 
 def run_all(f: AFrame, operands, *, seed: int = 0, tol: float = DEFAULT_TOL,
-            checks: Optional[Sequence[str]] = None,
-            ids: Optional[Sequence[str]] = None) -> list[CheckResult]:
+            checks: Optional[Sequence[str]] = None) -> list[CheckResult]:
     """Evaluate a filtered batch of checks on one instance.
 
-    ``checks`` takes exact ids and family prefixes; a caller that runs many
-    instances can resolve them once with ``resolve_ids`` and pass the result
-    as ``ids`` instead. A bare string or an id outside the registry raises
-    (``ValueError``, ``UnknownCheckId``) before any check runs. All checks
-    share one gauge cache. Per-check errors are folded into failed results
-    (error message in metadata) instead of aborting the batch; the result
-    list is ordered by check_id.
+    The one selection ``checks`` takes exact ids and family prefixes
+    (``resolve_ids``; default all). A bare string or a filter that matches
+    no id raises (``ValueError``, ``UnknownCheckId``) before any check runs.
+    All checks share one gauge cache. Per-check errors are folded into
+    failed results (error message in metadata) instead of aborting the
+    batch; the result list is ordered by check_id.
     """
     _check_tol(tol)
-    if ids is None:
-        ids = resolve_ids(checks)
-    elif checks is not None:
-        raise ValueError("pass checks or ids, not both")
-    else:
-        _reject_bare_string("ids", ids)
-        unknown = next((cid for cid in ids if cid not in REGISTRY), None)
-        if unknown is not None:
-            raise UnknownCheckId(unknown)
+    ids = resolve_ids(checks)
     ctx = _Ctx(f, operands, seed)
     results = []
     for cid in ids:

@@ -37,8 +37,8 @@ from . import catalog
 from .adjoint import admits_a_adjoint, reduced
 from .catalog import (OPERAND_NAMES, CheckResult, check_operand_names, errored_result,
                       missing_operands, operands_needed, resolve_ids, run_all, run_check)
-from .errors import BadRank, NoAdjoint
-from .frame import AFrame, new_frame, require_range
+from .errors import BadRank
+from .frame import AFrame, new_frame
 from .gauges import a_numerical_radius
 from .matrixcore import as_cmatrix, frob, herm_part, spec_norm
 from .seeding import check_integer, check_seed, splitmix64
@@ -49,16 +49,6 @@ RANK_POLICIES = ("full", "mixed", "degenerate-heavy")
 
 _SPECTRUM_FLOOR = 1e-3
 _SPECTRUM_CEIL = 1e3
-
-# Largest operand A-seminorm an instance may have. Checks sweep derived
-# matrices of degree 4 in the operands (T^2 P + P T^2 with P = T#T + TT# in
-# thm_refined_fourth), and the sweep's curvature squares their entries, a
-# degree-8 quantity: (1.8e308)^(1/8) is about 3.3e38, and random instances
-# overflow there from about 4e38. That binds before the degree-6 limit of the
-# gauge powers (w_A(T)^6 in thm_power_r_3, about 2.6e51). A larger operand
-# overflows to inf or nan and would read as a theorem violation; 1e36 keeps
-# two orders of margin.
-_MAX_SEMINORM = 1e36
 
 
 # --------------------------------------------------------------------------
@@ -141,25 +131,16 @@ def make_instance(n: int, rank: int, seed: int,
 
 
 def validate_instance(inst: Instance) -> AFrame:
-    """Frame construction, a metric of nonzero rank, and admissibility and an
-    A-seminorm of at most _MAX_SEMINORM for every operator."""
+    """The instance's frame, once its metric matches ``dim`` and the checks'
+    own admission (``catalog._Ctx``: metric rank, seed, operand names and
+    matrices, then shape, A-adjoint and A-seminorm in ``k``) accepts every
+    operator."""
     f = new_frame(inst.a)
     if f.dim != inst.dim:
         raise ValueError(f"instance dim {inst.dim} does not match metric {f.dim}")
-    require_range(f)
-    check_operand_names(inst.operators)
-    for name, op in inst.operators.items():
-        op = as_cmatrix(op)
-        if op.shape != (inst.dim, inst.dim):
-            raise ValueError(f"operator {name!r} has shape {op.shape}, expected "
-                             f"({inst.dim}, {inst.dim})")
-        try:
-            k = reduced(f, op)
-        except NoAdjoint:
-            raise NoAdjoint(f"operator {name!r} does not admit an A-adjoint") from None
-        if spec_norm(k) > _MAX_SEMINORM:
-            raise ValueError(f"operator {name!r} has A-seminorm above {_MAX_SEMINORM:g}; "
-                             "larger operands overflow the checks")
+    ctx = catalog._Ctx(f, inst.operators, inst.seed)
+    for name in inst.operators:
+        ctx.k(name)
     return f
 
 
@@ -359,7 +340,7 @@ def fuzz(config: FuzzConfig, top: Optional[int] = None) -> Report:
         try:
             inst = make_instance(n, rank, child, names=names)
             results = run_all(inst.frame, inst.operators, seed=child, tol=config.tol,
-                              ids=ids)
+                              checks=config.checks)
         except Exception as exc:  # noqa: BLE001 - never abort the sweep
             error = f"{type(exc).__name__}: {exc}"
             results = [errored_result(cid, error) for cid in ids]
@@ -379,8 +360,9 @@ def check_instance(inst: Instance, checks: Optional[Sequence[str]] = None,
                    tol: float = catalog.DEFAULT_TOL) -> Report:
     """One-trial report of ``checks`` (ids or family prefixes, default all)
     on ``inst``, seeded by ``inst.seed``. An inadmissible instance, or one
-    lacking an operand a selected check reads, raises instead (NoAdjoint or
-    ValueError), so bad input is never reported as a violation."""
+    lacking an operand a selected check reads, raises instead
+    (DimensionMismatch, NoAdjoint or ValueError), so bad input is never
+    reported as a violation."""
     f = validate_instance(inst)
     missing = missing_operands(inst.operators, checks)
     if missing:

@@ -75,29 +75,14 @@ def test_resolve_ids_prefix_families():
             resolve_ids([pat])
 
 
-def test_run_all_takes_resolved_ids():
-    f = new_frame(gen_psd(3, 3, 21))
-    ops = random_operands(f, np.random.default_rng(22))
-    checks = ["thm_cubic", "lem_pointwise", "equiv_half"]
-    by_checks = run_all(f, ops, seed=5, checks=checks)
-    by_ids = run_all(f, ops, seed=5, ids=resolve_ids(checks))
-    assert [r.check_id for r in by_ids] == resolve_ids(checks)
-    def fields(results):  # repr: skipped rows carry nan
-        return [repr((r.check_id, r.lhs, r.rhs, r.passed, r.skipped)) for r in results]
-
-    assert fields(by_ids) == fields(by_checks)
-    with pytest.raises(ValueError):
-        run_all(f, ops, checks=checks, ids=resolve_ids(checks))
-
-
 def test_run_all_rejects_unknown_ids_before_any_check_runs(monkeypatch):
     f = new_frame(gen_psd(3, 3, 21))
     ops = random_operands(f, np.random.default_rng(22))
     ran = []
     monkeypatch.setattr(catalog, "_run_one", lambda cd, ctx, tol: ran.append(cd))
-    for ids in (["nope"], ["equiv_half_lower", "nope"], ["thm_power_r"]):  # a prefix is no id
-        with pytest.raises(UnknownCheckId, match=repr(ids[-1])):
-            run_all(f, ops, ids=ids)
+    for checks in (["nope"], ["equiv_half_lower", "nope"]):
+        with pytest.raises(UnknownCheckId, match=repr(checks[-1])):
+            run_all(f, ops, checks=checks)
     assert ran == []
 
 
@@ -121,7 +106,7 @@ def test_numpy_integer_seeds_give_the_same_row():
     for seed, same in ((5, np.int64(5)), (5, np.uint64(5)), (2**64 - 1, np.uint64(2**64 - 1))):
         row = run_check("lem_pointwise", f, ops, seed=seed)
         assert run_check("lem_pointwise", f, ops, seed=same) == row
-        assert run_all(f, ops, seed=same, ids=["lem_pointwise"]) == [row]
+        assert run_all(f, ops, seed=same, checks=["lem_pointwise"]) == [row]
 
 
 def test_slack_is_read_from_lhs_and_rhs():

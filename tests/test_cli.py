@@ -18,7 +18,7 @@ from anumrad import (
     registry_ids,
     save_instance,
 )
-from anumrad import harness
+from anumrad import catalog, harness
 from anumrad.harness import RANK_POLICIES, FuzzConfig
 
 
@@ -412,7 +412,7 @@ def test_check_passes_at_the_largest_accepted_seminorm(n, rank, seed):
     # relative so that rounding cannot lift it past the limit
     inst = make_instance(n, rank, seed)
     f = inst.frame
-    top = harness._MAX_SEMINORM * (1.0 - 1e-9)
+    top = catalog._MAX_SEMINORM * (1.0 - 1e-9)
     inst.operators = {name: op * (top / a_seminorm(f, op))
                       for name, op in inst.operators.items()}
     report = check_instance(inst)

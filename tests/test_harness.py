@@ -565,7 +565,6 @@ def test_a_bare_string_check_filter_is_rejected():
     calls = (
         lambda: fuzz(FuzzConfig(trials=1, checks="equiv_half")),
         lambda: run_all(inst.frame, inst.operators, checks="equiv_half"),
-        lambda: run_all(inst.frame, inst.operators, ids="equiv_half"),
         lambda: check_instance(inst, "thm_cubic"),
     )
     for call in calls:

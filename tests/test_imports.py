@@ -158,7 +158,7 @@ def test_the_integer_rule_is_stated_once():
 
 
 def test_no_adjoint_is_raised_only_by_the_one_requirement():
-    # adjoint.require_adjoint is the one Douglas requirement; validate_instance
-    # re-raises its NoAdjoint only to name the operand
+    # adjoint.require_adjoint is the one Douglas requirement; the operand
+    # admission catalog._Ctx.k re-raises its NoAdjoint only to name the operand
     assert _sites(lambda tree: _raise_sites(tree, "NoAdjoint")) == [
-        "adjoint.py:require_adjoint", "harness.py:validate_instance"]
+        "adjoint.py:require_adjoint", "catalog.py:k"]

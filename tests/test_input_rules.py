@@ -3,8 +3,9 @@ argument, never a run under another value than the one given.
 
 Each input fact has one rule: ``seeding.check_integer`` (and its seed case
 ``check_seed``) for integers, ``catalog._check_tol`` for tolerances,
-``catalog.OPERAND_NAMES`` with its fallbacks for operands, and
-``adjoint.require_adjoint`` for the A-adjoint. The property test below
+``catalog.OPERAND_NAMES`` with its fallbacks for operand names,
+``adjoint.require_adjoint`` for the A-adjoint, and ``catalog._Ctx.k`` for
+the admission of each operand (shape, A-adjoint and A-seminorm bound). The property test below
 draws values in and out of each integer argument's range and checks every
 entry point that the integer rule guards.
 """
@@ -28,7 +29,8 @@ from anumrad import (
     run_all,
     run_check,
 )
-from anumrad.errors import BadRank
+from anumrad.errors import BadRank, DimensionMismatch, NoAdjoint
+from anumrad.harness import Instance, check_instance
 
 SEEDS = (0, 2**64)
 F2 = new_frame(np.diag([1.0, 0.0]))
@@ -141,7 +143,7 @@ def test_a_missing_operand_is_a_value_error_that_names_it():
     # X falls back to T, but T has no fallback
     with pytest.raises(ValueError, match="operand 'T' not supplied"):
         run_check("equiv_half_upper", F2, {"X": T2})
-    [row] = run_all(F2, {"X": T2}, ids=ONE_CHECK)
+    [row] = run_all(F2, {"X": T2}, checks=ONE_CHECK)
     assert row.metadata == {"error": "ValueError: operand 'T' not supplied"}
 
 
@@ -151,3 +153,44 @@ def test_a_misspelled_operand_is_rejected_not_replaced_by_its_fallback():
         run_check("thm_prod_particular_plus", F2, {"T": T2, "x": 2 * T2})
     with pytest.raises(ValueError, match="unknown operand"):
         run_all(F2, {"T": T2, "x": 2 * T2})
+
+
+@pytest.mark.parametrize("a,t", [
+    # ||T||_A = 1e52: run_check raised numpy's LinAlgError (SVD did not
+    # converge) from thm_power_r_3, and only check_instance named T
+    (np.eye(2), 1e52 * np.array([[1.0, 1.0], [0.0, 1.0]])),
+    # K(T) overflows to inf and nan: nan > 1e36 is false, so T was admitted
+    # and check_instance reported 35 violations
+    (np.diag([1e3, 1e-3]), 1e307 * np.array([[1.0, 1.0], [0.0, 1.0]])),
+], ids=["large", "overflowed"])
+def test_an_operand_past_the_seminorm_bound_is_a_value_error_that_names_it(a, t):
+    f = new_frame(a)
+    message = "operator 'T' has A-seminorm above 1e+36"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            run_check("thm_power_r_3", f, {"T": t})
+        [row] = run_all(f, {"T": t}, checks=["thm_power_r_3"])
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            check_instance(Instance(dim=2, a=a, operators={"T": t}, seed=0))
+    assert row.metadata["error"].startswith("ValueError: " + message)
+
+
+def test_an_operand_of_the_wrong_shape_is_a_dimension_mismatch_that_names_it():
+    # run_check raised DimensionMismatch without the operand's name, and
+    # check_instance a ValueError with it, for the same fact
+    f = new_frame(np.diag([1.0, 0.0]))
+    message = r"^operator 'T' has shape \(3, 3\), expected \(2, 2\)$"
+    with pytest.raises(DimensionMismatch, match=message):
+        run_check("equiv_half_upper", f, {"T": np.eye(3)})
+    inst = Instance(dim=2, a=f.a, operators={"T": np.eye(3)}, seed=0)
+    with pytest.raises(DimensionMismatch, match=message):
+        check_instance(inst)
+
+
+def test_an_operand_without_adjoint_is_named():
+    # the error read "operator does not satisfy the Douglas range condition"
+    # without saying that X failed
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(NoAdjoint, match="^operator 'X' does not admit an A-adjoint$"):
+        run_check("thm_prod_pm_plus", new_frame(np.diag([1.0, 0.0])),
+                  {"T": np.diag([2.0, 1.0]), "X": swap})
