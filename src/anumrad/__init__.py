@@ -61,7 +61,6 @@ from .harness import (
     report_to_json,
     repro_paper,
     save_instance,
-    validate_instance,
 )
 from .matrixcore import as_cmatrix
 from .seeding import splitmix64
@@ -122,5 +121,4 @@ __all__ = [
     "sharp",
     "splitmix64",
     "sweep_gauges",
-    "validate_instance",
 ]

@@ -22,7 +22,10 @@ nilpotency hypothesis reads K(T)^k = K(T^k) = 0, that is A T^k = 0: every
 term of the equalities it gates is a gauge of K(T).
 
 Operands a check names but the caller omits fall back to X = Y = T and
-P = Q = I (``OPERAND_NAMES`` and ``_FALLBACK`` state both once).
+P = Q = I (``OPERAND_NAMES`` and ``_FALLBACK`` state both once; ``_Ctx.k``
+alone applies them). ``run_check`` and ``run_all`` admit the whole instance
+(``_Ctx.admit``) before any check runs, so every input fault raises; only
+an error raised while a check evaluates becomes a failed row.
 
 Checks work in compressed coordinates only (see ``_Ctx``): each operand is
 compressed to the range of A once, and admitted there (``_Ctx.k``: shape,
@@ -154,14 +157,6 @@ def check_operand_names(names) -> None:
         raise ValueError(f"unknown operand(s) {unknown}; expected names from {OPERAND_NAMES}")
 
 
-def missing_operands(operands, checks: Optional[Sequence[str]] = None) -> list[str]:
-    """Operands the selected checks need (``operands_needed``) that neither
-    ``operands`` nor their fallbacks (``_FALLBACK``) supply."""
-    have = set(operands or {}) | {"I"}
-    return sorted(name for name in operands_needed(resolve_ids(checks))
-                  if name not in have and _FALLBACK.get(name) not in have)
-
-
 class _Ctx:
     """Per-instance evaluation context: frame, operands and one gauge memo.
 
@@ -205,7 +200,9 @@ class _Ctx:
             if name in self._ops:
                 op = self._ops[name]
                 try:
-                    k = reduced(self.f, op)
+                    # a compression past the double range is named below, not warned
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        k = reduced(self.f, op)
                 except DimensionMismatch:
                     raise DimensionMismatch(f"operator {name!r} has shape {op.shape}, expected "
                                             f"({self.f.dim}, {self.f.dim})") from None
@@ -223,6 +220,14 @@ class _Ctx:
             else:
                 self._k[name] = self.k(_FALLBACK[name])
         return self._k[name]
+
+    def admit(self, ids: Sequence[str]) -> "_Ctx":
+        """Admit (``k``) every supplied operand and every operand the checks
+        ``ids`` read, in sorted order, so that an input fault raises before
+        any check runs."""
+        for name in sorted(set(self._ops) | operands_needed(ids)):
+            self.k(name)
+        return self
 
     def _memo(self, fn, m: np.ndarray):
         """fn(m), computed once per instance for each function and matrix ``m``."""
@@ -748,13 +753,13 @@ def run_check(check_id: str, f: AFrame, operands, *, seed: int = 0,
               tol: float = DEFAULT_TOL) -> CheckResult:
     """Evaluate a single registry check; errors propagate to the caller.
 
+    Every supplied operand is admitted, even one the check does not read.
     ``seed`` seeds the checks that sample (``lem_pointwise``)."""
     _check_tol(tol)
     cd = REGISTRY.get(check_id)
     if cd is None:
         raise UnknownCheckId(check_id)
-    ctx = _Ctx(f, operands, seed)
-    return _run_one(cd, ctx, tol)
+    return _run_one(cd, _Ctx(f, operands, seed).admit([check_id]), tol)
 
 
 def run_all(f: AFrame, operands, *, seed: int = 0, tol: float = DEFAULT_TOL,
@@ -762,15 +767,15 @@ def run_all(f: AFrame, operands, *, seed: int = 0, tol: float = DEFAULT_TOL,
     """Evaluate a filtered batch of checks on one instance.
 
     The one selection ``checks`` takes exact ids and family prefixes
-    (``resolve_ids``; default all). A bare string or a filter that matches
-    no id raises (``ValueError``, ``UnknownCheckId``) before any check runs.
-    All checks share one gauge cache. Per-check errors are folded into
+    (``resolve_ids``; default all). Every input fault (a bad filter, metric,
+    seed or operand) raises before any check runs. All checks share one
+    gauge cache. Errors raised while a check evaluates are folded into
     failed results (error message in metadata) instead of aborting the
     batch; the result list is ordered by check_id.
     """
     _check_tol(tol)
     ids = resolve_ids(checks)
-    ctx = _Ctx(f, operands, seed)
+    ctx = _Ctx(f, operands, seed).admit(ids)
     results = []
     for cid in ids:
         cd = REGISTRY[cid]

@@ -7,7 +7,7 @@ Every report is assembled here: ``check_instance`` (one instance), ``fuzz``
 (seeded random trials; with ``top`` it also ranks each check's sharpest
 trials) and ``repro_paper`` (the reference quantities) build their rows with
 ``_row`` and their summary with ``_summarize``, so the CLI only prints,
-writes and picks an exit code.
+writes and picks an exit code. Only ``run_all`` admits operands.
 
 Determinism contract: every random quantity flows from a per-trial child seed
 derived with ``seeding.splitmix64(master_seed, trial)``, so repeated runs
@@ -36,7 +36,7 @@ import numpy as np
 from . import catalog
 from .adjoint import admits_a_adjoint, reduced
 from .catalog import (OPERAND_NAMES, CheckResult, check_operand_names, errored_result,
-                      missing_operands, operands_needed, resolve_ids, run_all, run_check)
+                      operands_needed, resolve_ids, run_all, run_check)
 from .errors import BadRank
 from .frame import AFrame, new_frame
 from .gauges import a_numerical_radius
@@ -128,20 +128,6 @@ def make_instance(n: int, rank: int, seed: int,
     }
     return Instance(dim=n, a=a, operators=ops, seed=seed, note=f"n={n} rank={rank}",
                     frame=f)
-
-
-def validate_instance(inst: Instance) -> AFrame:
-    """The instance's frame, once its metric matches ``dim`` and the checks'
-    own admission (``catalog._Ctx``: metric rank, seed, operand names and
-    matrices, then shape, A-adjoint and A-seminorm in ``k``) accepts every
-    operator."""
-    f = new_frame(inst.a)
-    if f.dim != inst.dim:
-        raise ValueError(f"instance dim {inst.dim} does not match metric {f.dim}")
-    ctx = catalog._Ctx(f, inst.operators, inst.seed)
-    for name in inst.operators:
-        ctx.k(name)
-    return f
 
 
 def mat_to_wire(m) -> list:
@@ -359,15 +345,12 @@ scan_sharpness = fuzz
 def check_instance(inst: Instance, checks: Optional[Sequence[str]] = None,
                    tol: float = catalog.DEFAULT_TOL) -> Report:
     """One-trial report of ``checks`` (ids or family prefixes, default all)
-    on ``inst``, seeded by ``inst.seed``. An inadmissible instance, or one
-    lacking an operand a selected check reads, raises instead
-    (DimensionMismatch, NoAdjoint or ValueError), so bad input is never
-    reported as a violation."""
-    f = validate_instance(inst)
-    missing = missing_operands(inst.operators, checks)
-    if missing:
-        raise ValueError(f"instance lacks operand(s) {', '.join(missing)} "
-                         "needed by the selected checks")
+    on ``inst``, seeded by ``inst.seed``. A metric that does not match
+    ``dim`` raises ValueError, and ``run_all`` raises for every other input
+    fault, so bad input is never reported as a violation."""
+    f = new_frame(inst.a)
+    if f.dim != inst.dim:
+        raise ValueError(f"instance dim {inst.dim} does not match metric {f.dim}")
     results = run_all(f, inst.operators, seed=inst.seed, tol=tol, checks=checks)
     rows = [_row(0, res) for res in results]
     return Report(TOOL_VERSION, inst.seed, 1, rows,

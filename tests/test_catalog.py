@@ -25,8 +25,7 @@ from anumrad import (
     run_check,
     sharp,
 )
-from anumrad.catalog import (REGISTRY, _Ctx, _verdict, errored_result, missing_operands,
-                             operands_needed)
+from anumrad.catalog import REGISTRY, _Ctx, _verdict, errored_result, operands_needed
 from anumrad.matrixcore import frob, spec_norm, tile
 from anumrad.errors import UnknownCheckId
 from anumrad.seeding import label_seed
@@ -310,15 +309,31 @@ def test_power_non_integer_evaluated_on_degenerate_frame():
     assert res_int.hypothesis_met and res_int.passed
 
 
-def test_run_all_folds_errors_per_check():
-    # an operator without an adjoint poisons evaluation but not the batch
-    f = new_frame(np.diag([0.0, 1.0]))
-    bad = np.array([[0.0, 1.0], [1.0, 0.0]])
-    results = run_all(f, {"T": bad}, checks=["equiv_half"])
-    assert len(results) == 2
-    for res in results:
-        assert not res.passed and not res.skipped
-        assert "NoAdjoint" in res.metadata["error"]
+def _diverging(monkeypatch, check_id):
+    """Patch the registry row ``check_id`` to raise while it evaluates."""
+    def diverge(ctx):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    cd = REGISTRY[check_id]
+    monkeypatch.setitem(REGISTRY, check_id, dataclasses.replace(cd, evaluate=diverge))
+
+
+def test_run_all_folds_errors_per_check(monkeypatch):
+    # an error raised while a check evaluates fails its row, not the batch
+    f = new_frame(gen_psd(3, 3, 16))
+    ops = {"T": gen_compatible(f, 17)}
+    upper = run_check("equiv_half_upper", f, ops)
+    _diverging(monkeypatch, "equiv_half_lower")
+    lower, upper_again = run_all(f, ops, checks=["equiv_half"])
+    assert not lower.passed and not lower.skipped
+    assert lower.metadata == {"error": "LinAlgError: SVD did not converge"}
+    assert upper_again == upper
+    # an input fault is no evaluation error: it raises before any check runs
+    from anumrad.errors import NoAdjoint
+
+    with pytest.raises(NoAdjoint):
+        run_all(new_frame(np.diag([0.0, 1.0])), {"T": np.array([[0.0, 1.0], [1.0, 0.0]])},
+                checks=["equiv_half"])
 
 
 def test_run_check_propagates_errors():
@@ -348,7 +363,7 @@ def _bits(res):
 
 
 def test_roles_name_every_operand_a_check_reads():
-    # missing_operands and fuzz trust CheckDef.roles: a check given only its
+    # admission and fuzz trust CheckDef.roles: a check given only its
     # roles must give the same result, bit for bit, as with all five operands,
     # so it cannot fall back to an operand it does not declare (X = T, P = I)
     for n, rank, seed in ((3, 3, 18), (4, 2, 20)):
@@ -358,10 +373,12 @@ def test_roles_name_every_operand_a_check_reads():
             res = run_check(cid, f, {name: ops[name] for name in cd.roles})
             assert _bits(res) == _bits(run_check(cid, f, ops)), cid
             assert res.passed or res.skipped, cid
-    assert missing_operands(ops) == []
-    assert missing_operands({"X": ops["X"], "Y": ops["Y"]}) == ["T"]
-    assert missing_operands({"X": ops["X"]}) == ["T", "Y"]
-    assert missing_operands({"X": ops["X"]}, ["thm_prod_particular"]) == []
+    assert len(run_all(f, ops)) == len(REGISTRY)
+    # without T nothing stands in for it: X and Y never do, and Y falls back to T
+    for supplied in ({"X": ops["X"], "Y": ops["Y"]}, {"X": ops["X"]}):
+        with pytest.raises(ValueError, match="^operand 'T' not supplied$"):
+            run_all(f, supplied)
+    assert len(run_all(f, {"X": ops["X"]}, checks=["thm_prod_particular"])) == 2
 
 
 def test_operands_needed_is_the_role_union():
@@ -761,7 +778,7 @@ _ROW_KEYS = {
 }
 
 
-def test_rows_carry_only_the_metadata_a_reader_uses():
+def test_rows_carry_only_the_metadata_a_reader_uses(monkeypatch):
     # a skipped row's reason is its registry hypothesis, so it carries
     # nothing; an errored row carries its error text alone
     rng = np.random.default_rng(67)
@@ -778,9 +795,12 @@ def test_rows_carry_only_the_metadata_a_reader_uses():
                 assert set(res.metadata) == _ROW_KEYS.get(res.check_id, set()), res
                 evaluated.add(res.check_id)
     assert evaluated == set(REGISTRY)
-    bad = run_all(new_frame(np.diag([0.0, 1.0])), {"T": np.array([[0.0, 1.0], [1.0, 0.0]])})
-    errored = [res for res in bad if not res.skipped]
-    assert errored and all(set(res.metadata) == {"error"} for res in errored)
+    for cid in ("equiv_half_upper", "thm_refined_fourth"):
+        _diverging(monkeypatch, cid)
+    rows = run_all(full, random_operands(full, rng))
+    errored = [res for res in rows if "error" in res.metadata]
+    assert [res.check_id for res in errored] == ["equiv_half_upper", "thm_refined_fourth"]
+    assert all(set(res.metadata) == {"error"} for res in errored)
 
 
 _T0 = np.array([[1.0, 2.0, 0.5j], [0.0, -1.0, 1.0], [0.3, 0.0, 2.0]])

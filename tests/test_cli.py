@@ -167,7 +167,8 @@ def test_check_command_rejects_unknown_operand_names(tmp_path):
 @pytest.mark.parametrize("supplied,missing", [("XYPQ", "T"), ("X", "T, Y")])
 def test_check_command_rejects_missing_operands(tmp_path, supplied, missing):
     # a check that needs an operand nobody supplied is a usage error, not a
-    # FAIL row; X = Y = T and P = Q = I are the only fallbacks
+    # FAIL row; X = Y = T and P = Q = I are the only fallbacks, so a missing
+    # Y falls back to the missing T and the error names T alone
     path = tmp_path / "inst.json"
     save_instance(make_instance(3, 3, seed=42), path)
     obj = json.loads(path.read_text())
@@ -175,7 +176,7 @@ def test_check_command_rejects_missing_operands(tmp_path, supplied, missing):
     path.write_text(json.dumps(obj))
     proc = run_cli("check", "--instance", str(path))
     assert proc.returncode == 2
-    assert f"operand(s) {missing}" in proc.stderr
+    assert "operand 'T' not supplied" in proc.stderr
     assert "violations" not in proc.stdout
     if supplied == "X":  # checks that need only X, P and Q still run
         proc = run_cli("check", "--instance", str(path), "--check-id", "thm_prod_particular")

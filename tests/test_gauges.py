@@ -10,6 +10,7 @@ from anumrad import (
     a_min_modulus,
     a_numerical_radius,
     a_seminorm,
+    check_instance,
     crawford,
     crawford_C,
     gen_compatible,
@@ -22,7 +23,6 @@ from anumrad import (
     run_all,
     run_check,
     sharp,
-    validate_instance,
 )
 from anumrad.catalog import _Ctx
 from anumrad.errors import (
@@ -491,8 +491,8 @@ def test_a_gauges_raise_on_empty_range_and_missing_adjoint():
     with pytest.raises(EmptyRange):
         run_check("lem_sup_theta", f0, {"T": np.eye(2)})
     with pytest.raises(EmptyRange):
-        validate_instance(Instance(dim=2, a=np.zeros((2, 2)), operators={"T": np.eye(2)},
-                                   seed=0))
+        check_instance(Instance(dim=2, a=np.zeros((2, 2)), operators={"T": np.eye(2)},
+                                seed=0))
     f = new_frame(np.diag([0.0, 1.0]))
     t = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NoAdjoint):

@@ -26,9 +26,8 @@ from anumrad import (
     run_all,
     save_instance,
     splitmix64,
-    validate_instance,
 )
-from anumrad import harness
+from anumrad import catalog, harness
 from anumrad.catalog import REGISTRY, CheckResult
 from anumrad.errors import BadRank, NoAdjoint
 from anumrad.harness import Report, exit_code_for, violation_count
@@ -100,7 +99,7 @@ def test_instance_roundtrip(tmp_path):
     save_instance(inst, path)
     loaded = load_instance(path)
     assert frob(loaded.a - inst.a) == 0.0
-    validate_instance(loaded)
+    check_instance(loaded)
 
 
 def test_make_instance_draws_each_operand_from_its_own_stream():
@@ -158,13 +157,13 @@ def test_filtered_fuzz_rows_equal_full_run_rows():
         assert [_row_bits(r) for r in rows if r["check_id"] == cid] == want, cid
 
 
-def test_validate_instance_rejects_bad_operator():
+def test_check_instance_rejects_bad_operator():
     inst = make_instance(2, 1, seed=3)
     inst.operators["T"] = np.array([[0.0, 1.0], [1.0, 0.0]])
     f = new_frame(inst.a)
     if not admits_a_adjoint(f, inst.operators["T"]):
         with pytest.raises(NoAdjoint):
-            validate_instance(inst)
+            check_instance(inst)
 
 
 @pytest.mark.parametrize("args", [(5, 5, 7), (4, 2, 9)])
@@ -186,10 +185,24 @@ def test_check_instance_rejects_missing_operands():
     inst = make_instance(3, 3, seed=42)
     lacking = Instance(dim=inst.dim, a=inst.a, operators={"X": inst.operators["X"]},
                        seed=inst.seed)
-    with pytest.raises(ValueError, match=r"lacks operand\(s\) T, Y"):
+    with pytest.raises(ValueError, match="^operand 'T' not supplied$"):
         check_instance(lacking)
     # checks that read only X, P and Q still run
     assert len(check_instance(lacking, ["thm_prod_particular"]).rows) == 2
+
+
+def test_check_instance_compresses_each_operand_once(monkeypatch):
+    # admission and the checks share one context: 5 compressions, not 10
+    calls = []
+    real_reduced = catalog.reduced
+
+    def counting_reduced(f, t):
+        calls.append(t)
+        return real_reduced(f, t)
+
+    monkeypatch.setattr(catalog, "reduced", counting_reduced)
+    check_instance(make_instance(4, 4, 3))
+    assert len(calls) == 5
 
 
 def test_fuzz_trial_error_rows(monkeypatch):

@@ -5,7 +5,9 @@ Each input fact has one rule: ``seeding.check_integer`` (and its seed case
 ``check_seed``) for integers, ``catalog._check_tol`` for tolerances,
 ``catalog.OPERAND_NAMES`` with its fallbacks for operand names,
 ``adjoint.require_adjoint`` for the A-adjoint, and ``catalog._Ctx.k`` for
-the admission of each operand (shape, A-adjoint and A-seminorm bound). The property test below
+the admission of each operand (shape, A-adjoint and A-seminorm bound), which
+``run_check``, ``run_all`` and ``check_instance`` run on the whole instance
+before any check (``catalog._Ctx.admit``). The property test below
 draws values in and out of each integer argument's range and checks every
 entry point that the integer rule guards.
 """
@@ -139,12 +141,22 @@ def test_tolerance_must_be_a_real_number(tol):
     assert FuzzConfig(trials=1, tol=np.float32(1e-6)).tol == np.float32(1e-6)
 
 
+def _raises_at_every_entry(exc, message, a, operands, check="equiv_half_upper"):
+    """run_check, run_all and check_instance each raise ``exc`` with exactly
+    ``message`` for the same input fault, before any check runs."""
+    f = new_frame(a)
+    inst = Instance(dim=f.dim, a=a, operators=operands, seed=0)
+    for call in (lambda: run_check(check, f, operands),
+                 lambda: run_all(f, operands, checks=[check]),
+                 lambda: check_instance(inst, [check])):
+        with pytest.raises(exc, match="^" + re.escape(message) + "$"):
+            call()
+
+
 def test_a_missing_operand_is_a_value_error_that_names_it():
-    # X falls back to T, but T has no fallback
-    with pytest.raises(ValueError, match="operand 'T' not supplied"):
-        run_check("equiv_half_upper", F2, {"X": T2})
-    [row] = run_all(F2, {"X": T2}, checks=ONE_CHECK)
-    assert row.metadata == {"error": "ValueError: operand 'T' not supplied"}
+    # X falls back to T, but T has no fallback; run_all folded the error
+    # into the row of every check that read T
+    _raises_at_every_entry(ValueError, "operand 'T' not supplied", F2.a, {"X": T2})
 
 
 def test_a_misspelled_operand_is_rejected_not_replaced_by_its_fallback():
@@ -164,33 +176,26 @@ def test_a_misspelled_operand_is_rejected_not_replaced_by_its_fallback():
     (np.diag([1e3, 1e-3]), 1e307 * np.array([[1.0, 1.0], [0.0, 1.0]])),
 ], ids=["large", "overflowed"])
 def test_an_operand_past_the_seminorm_bound_is_a_value_error_that_names_it(a, t):
-    f = new_frame(a)
-    message = "operator 'T' has A-seminorm above 1e+36"
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="^" + re.escape(message)):
-            run_check("thm_power_r_3", f, {"T": t})
-        [row] = run_all(f, {"T": t}, checks=["thm_power_r_3"])
-        with pytest.raises(ValueError, match="^" + re.escape(message)):
-            check_instance(Instance(dim=2, a=a, operators={"T": t}, seed=0))
-    assert row.metadata["error"].startswith("ValueError: " + message)
+    # the overflowed compression warned (RuntimeWarning: overflow encountered
+    # in multiply) before the bound could name T, and run_all folded the
+    # error into a row
+    _raises_at_every_entry(ValueError, "operator 'T' has A-seminorm above 1e+36; larger "
+                           "operands overflow the checks", a, {"T": t}, "thm_power_r_3")
 
 
 def test_an_operand_of_the_wrong_shape_is_a_dimension_mismatch_that_names_it():
     # run_check raised DimensionMismatch without the operand's name, and
     # check_instance a ValueError with it, for the same fact
-    f = new_frame(np.diag([1.0, 0.0]))
-    message = r"^operator 'T' has shape \(3, 3\), expected \(2, 2\)$"
-    with pytest.raises(DimensionMismatch, match=message):
-        run_check("equiv_half_upper", f, {"T": np.eye(3)})
-    inst = Instance(dim=2, a=f.a, operators={"T": np.eye(3)}, seed=0)
-    with pytest.raises(DimensionMismatch, match=message):
-        check_instance(inst)
+    _raises_at_every_entry(DimensionMismatch, "operator 'T' has shape (3, 3), expected (2, 2)",
+                           F2.a, {"T": np.eye(3)})
 
 
 def test_an_operand_without_adjoint_is_named():
     # the error read "operator does not satisfy the Douglas range condition"
     # without saying that X failed
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(NoAdjoint, match="^operator 'X' does not admit an A-adjoint$"):
-        run_check("thm_prod_pm_plus", new_frame(np.diag([1.0, 0.0])),
-                  {"T": np.diag([2.0, 1.0]), "X": swap})
+    operands = {"T": np.diag([2.0, 1.0]), "X": swap}
+    message = "operator 'X' does not admit an A-adjoint"
+    _raises_at_every_entry(NoAdjoint, message, F2.a, operands, "thm_prod_pm_plus")
+    # a bad operand is rejected even where the selected check does not read it
+    _raises_at_every_entry(NoAdjoint, message, F2.a, operands, "equiv_half_upper")
