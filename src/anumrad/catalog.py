@@ -32,7 +32,11 @@ compressed to the range of A once, and admitted there (``_Ctx.k``: shape,
 A-adjoint and A-seminorm bound), and every derived operator (T^2,
 T#T + TT#, PXQ# +- QYP#, the antidiagonal block under diag(A, A)) is built
 from those r x r matrices, and the power term ||(T#T)^r + (TT#)^r||_A is
-read from one SVD of K(T). Nothing here reads an operand on H.
+read from one SVD of K(T). Nothing here reads an operand on H, and no
+check body reads the metric: only ``_Ctx``'s admission and the positivity
+gate of ``_hypothesis_state`` read the frame. The two sampled rows draw
+from the row seed: ``lem_pointwise`` its unit vectors in range coordinates,
+``lem_sup_theta`` its angles off the gauge engine's theta grid.
 """
 
 from __future__ import annotations
@@ -167,7 +171,9 @@ class _Ctx:
     diag(A, A) the antidiagonal block [[0, X], [Y, 0]] compresses to
     [[0, K(X)], [K(Y), 0]]. So each operand is compressed once (``k``), and
     hypotheses and check bodies read only those r x r matrices, with # as
-    the conjugate transpose and Re_A as the Hermitian part.
+    the conjugate transpose and Re_A as the Hermitian part. The frame ``f``
+    serves admission alone (and the positivity gate): no check body reads
+    the metric.
 
     Sweeps, singular values and SVDs share one memo keyed by (function,
     matrix shape, matrix bytes) (``_memo``), so that checks sharing a derived
@@ -376,8 +382,8 @@ def _lem_selfadj_eq(ctx):
                         "stays below w_A(T)")
 def _lem_sup_theta(ctx):
     t = ctx.k("T")
-    thetas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    ph = np.exp(1j * thetas)[:, None, None]
+    rng = np.random.default_rng(label_seed(ctx.seed, "lem_sup_theta"))
+    ph = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 64))[:, None, None]
     stack = 0.5 * (ph * t + ph.conj() * t.conj().T)
     sv = np.linalg.svd(stack, compute_uv=False)
     return float(sv[:, 0].max()), ctx.w(t), {}
@@ -610,27 +616,24 @@ _register_family("cor_commutator", _cor_commutator, ("T", "Q"), [
             description="|<X#TYx,x>_A| + |<Y#TXx,x>_A| <= 2 w_A(T) ||Xx||_A ||Yx||_A "
                         "on sampled x (worst sample reported)")
 def _lem_pointwise(ctx):
-    # unit vectors x are drawn on H and mapped once to
-    # y = U* A^{1/2} x = diag(lam)^{1/2} U* x; then
-    # <X#TYx, x>_A = y* K_X* K_T K_Y y and ||Xx||_A = ||K_X y||
+    # y = U* A^{1/2} x is uniform on the unit sphere of C^r exactly when x
+    # has ||x||_A = 1; then <X#TYx, x>_A = y* K_X* K_T K_Y y and
+    # ||Xx||_A = ||K_X y||
     x, t, y = ctx.k("X"), ctx.k("T"), ctx.k("Y")
     g1 = x.conj().T @ t @ y
     g2 = y.conj().T @ t @ x
-    wt = ctx.w(t)
-    n = ctx.f.dim
+    shape = (t.shape[0], _POINTWISE_SAMPLES)
     rng = np.random.default_rng(label_seed(ctx.seed, "lem_pointwise"))
-    xs = rng.standard_normal((n, _POINTWISE_SAMPLES)) + 1j * rng.standard_normal(
-        (n, _POINTWISE_SAMPLES)
-    )
-    xs /= np.linalg.norm(xs, axis=0)
-    ys = np.sqrt(ctx.f.lam)[:, None] * (ctx.f.range_u.conj().T @ xs)
+    ys = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ys /= np.linalg.norm(ys, axis=0)
     quad1 = np.abs(np.einsum("ij,ij->j", ys.conj(), g1 @ ys))
     quad2 = np.abs(np.einsum("ij,ij->j", ys.conj(), g2 @ ys))
     nx = np.linalg.norm(x @ ys, axis=0)
     ny = np.linalg.norm(y @ ys, axis=0)
     lhs_all = quad1 + quad2
-    rhs_all = 2.0 * wt * nx * ny
-    worst = int(np.argmax((lhs_all - rhs_all) / (1.0 + np.abs(rhs_all))))
+    rhs_all = 2.0 * ctx.w(t) * nx * ny
+    # both sides are cubic in (X, T, Y), so scaling moves no argmax
+    worst = int(np.argmax(lhs_all - rhs_all))
     return float(lhs_all[worst]), float(rhs_all[worst]), {}
 
 
@@ -754,7 +757,8 @@ def run_check(check_id: str, f: AFrame, operands, *, seed: int = 0,
     """Evaluate a single registry check; errors propagate to the caller.
 
     Every supplied operand is admitted, even one the check does not read.
-    ``seed`` seeds the checks that sample (``lem_pointwise``)."""
+    ``seed`` seeds the checks that sample (``lem_pointwise``,
+    ``lem_sup_theta``)."""
     _check_tol(tol)
     cd = REGISTRY.get(check_id)
     if cd is None:

@@ -181,11 +181,15 @@ def _newton(fn, x: float, delta: float, find_max: bool) -> float:
 
     The slope's sign narrows the bracket. A Newton step that leaves it, or a
     curvature of the wrong sign, gives way to bisection; a zero of the
-    tracked eigenvalue predicted inside it is stepped to directly.
+    tracked eigenvalue predicted inside it is stepped to directly. A target
+    equal to the point before x bisects too: at a crossing of two
+    eigenvalue branches the steps alternate exactly between the branches'
+    own extrema, and the bracket would never shrink.
     """
     sign = 1.0 if find_max else -1.0
     a, b = x - delta, x + delta
     best = -math.inf
+    before = None
     for _ in range(_REFINE_MAX_ITER):
         f, df, d2f, gap, root = fn(x)
         best = max(best, sign * f)
@@ -202,9 +206,11 @@ def _newton(fn, x: float, delta: float, find_max: bool) -> float:
             nxt = x - df / d2f
         else:
             nxt = 0.5 * (a + b)
+        if nxt == before:
+            nxt = 0.5 * (a + b)
         if abs(nxt - x) <= _REFINE_TOL:
             break
-        x = nxt
+        before, x = x, nxt
     return sign * best
 
 

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 import anumrad
-from anumrad import adjoint, catalog
+from anumrad import adjoint, catalog, gauges
 from anumrad import (
     CheckResult,
+    FuzzConfig,
     a_numerical_radius,
     direct_sum,
+    fuzz,
     gen_compatible,
     gen_psd,
     make_instance,
@@ -703,16 +705,18 @@ def test_ill_conditioned_metrics_report_no_violation(ratio):
 
 
 def _pointwise_on_h(f, ops, seed):
-    # lem_pointwise as it sampled on H from the definitions before it moved
-    # to compressed coordinates: A-adjoints, A and A^{1/2} on the full space
+    # lem_pointwise from the definitions on H: the row's unit vectors y of
+    # C^r, drawn from the same seed, mapped to the x = U diag(lam)^{-1/2} y
+    # of unit A-norm, with A-adjoints, A and A^{1/2} on the full space
     x_op, t, y_op = ops["X"], ops["T"], ops["Y"]
     g1 = sharp(f, x_op) @ t @ y_op
     g2 = sharp(f, y_op) @ t @ x_op
     wt = a_numerical_radius(f, t)
-    n, samples = f.dim, catalog._POINTWISE_SAMPLES
+    shape = (f.rank, catalog._POINTWISE_SAMPLES)
     rng = np.random.default_rng(label_seed(seed, "lem_pointwise"))
-    xs = rng.standard_normal((n, samples)) + 1j * rng.standard_normal((n, samples))
-    xs /= np.linalg.norm(xs, axis=0)
+    ys = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ys /= np.linalg.norm(ys, axis=0)
+    xs = f.range_u @ (ys / np.sqrt(f.lam)[:, None])
     quad1 = np.abs(np.einsum("ij,ij->j", xs.conj(), f.a @ g1 @ xs))
     quad2 = np.abs(np.einsum("ij,ij->j", xs.conj(), f.a @ g2 @ xs))
     sqrt_a = (f.range_u * np.sqrt(f.lam)) @ f.range_u.conj().T
@@ -720,15 +724,13 @@ def _pointwise_on_h(f, ops, seed):
     ny = np.linalg.norm(sqrt_a @ y_op @ xs, axis=0)
     lhs_all = quad1 + quad2
     rhs_all = 2.0 * wt * nx * ny
-    worst = int(np.argmax((lhs_all - rhs_all) / (1.0 + np.abs(rhs_all))))
+    worst = int(np.argmax(lhs_all - rhs_all))
     return float(lhs_all[worst]), float(rhs_all[worst])
 
 
 def test_pointwise_matches_the_full_space_route():
     # the full-space route forms A^dagger X* A, so it carries an error of about
-    # cond(A) eps on top of the compressed route's; on the worst instance here
-    # (cond(A) = 1.8e5) a 40-digit evaluation puts the compressed lhs 1.6e-16
-    # and the full-space lhs 2.3e-11 from the exact value
+    # cond(A) eps on top of the compressed route's (cond(A) reaches 1.8e5 here)
     rng = np.random.default_rng(73)
     for i in range(200):
         n = 2 + i % 5
@@ -739,6 +741,40 @@ def test_pointwise_matches_the_full_space_route():
         tol = 1e-11 + np.finfo(float).eps * np.linalg.cond(f.a)
         assert abs(res.lhs - lhs) <= tol * abs(lhs), (i, res.lhs, lhs)
         assert abs(res.rhs - rhs) <= tol * abs(rhs), (i, res.rhs, rhs)
+
+
+def test_pointwise_is_scale_free():
+    # the row samples the unit sphere of the range and reports the sample
+    # that maximizes lhs - rhs, so it reads the same under A -> alpha A, and
+    # both sides scale by s^3 under (T, X, Y) -> s (T, X, Y); an exact power
+    # of two s scales every product exactly
+    rng = np.random.default_rng(151)
+    for i in range(60):
+        n = 2 + i % 4
+        a = gen_psd(n, n, int(rng.integers(0, 2**63)))
+        f = new_frame(a)
+        ops = {name: gen_compatible(f, int(rng.integers(0, 2**63))) for name in "XTY"}
+        base = run_check("lem_pointwise", f, ops, seed=i)
+        assert base.hypothesis_met
+        for alpha in (1e-2, 3.0, 1e2):
+            res = run_check("lem_pointwise", new_frame(alpha * a), ops, seed=i)
+            gap = 1e-11 * (1.0 + abs(base.lhs) + abs(base.rhs))
+            assert abs(res.lhs - base.lhs) <= gap, (i, alpha, res.lhs, base.lhs)
+            assert abs(res.rhs - base.rhs) <= gap, (i, alpha, res.rhs, base.rhs)
+        for s in (8.0, 0.25):
+            res = run_check("lem_pointwise", f, {k: s * v for k, v in ops.items()}, seed=i)
+            assert (res.lhs, res.rhs) == (s ** 3 * base.lhs, s ** 3 * base.rhs), (i, s)
+
+
+def test_sup_theta_probes_the_refinement(monkeypatch):
+    # the row's angles are drawn off the engine's theta grid, so a sampled
+    # Re(e^{i theta} T) can exceed a w that stopped at the grid maximum
+    def unrefined(vals, fn, find_max, lipschitz, flat_tol):
+        return float(vals.max() if find_max else vals.min())
+
+    monkeypatch.setattr(gauges, "_refine", unrefined)
+    report = fuzz(FuzzConfig(trials=300, master_seed=1, checks=["lem_sup_theta"]))
+    assert report.summary["violations"] > 0
 
 
 def test_checks_and_repro_never_call_sharp(monkeypatch):

@@ -182,6 +182,54 @@ def test_newton_needs_few_evaluations_per_bracket(monkeypatch):
         assert count["evals"] <= 6 * count["brackets"], gauge.__name__
 
 
+def _haar_unitary(rng, n):
+    q, r = np.linalg.qr(rand_complex(rng, (n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _dist_to_hull(z):
+    """dist(0, conv{z}): 0 when 0 lies in a triangle of the points, else the
+    least distance from 0 to a segment between two of them."""
+    n = z.size
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                # 0 lies in the triangle when it is on one side of all three edges
+                sides = [(b.conjugate() * a).imag for a, b in
+                         ((z[i], z[j]), (z[j], z[k]), (z[k], z[i]))]
+                if min(sides) >= 0.0 or max(sides) <= 0.0:
+                    return 0.0
+    best = np.abs(z).min()
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = z[j] - z[i]
+            s = np.clip(-(z[i] * d.conjugate()).real / abs(d) ** 2, 0.0, 1.0)
+            best = min(best, abs(z[i] + s * d))
+    return float(best)
+
+
+def test_crawford_is_exact_where_eigenvalue_branches_cross():
+    # M ~ diag(e^{ia}, e^{i(a+D)}, 1.5 e^{i(a+D/2)}) has c = cos(D/2), which
+    # lambda_max attains at a V-shaped crossing of two eigenvalue branches,
+    # where Newton steps can alternate exactly between the two branches' own
+    # minima without shrinking the bracket
+    rng = np.random.default_rng(141)
+    for delta in (1e-4, 1e-3, 6e-3):
+        for _ in range(200):
+            a = rng.uniform(0.0, 2.0 * np.pi)
+            d = np.exp(1j * (a + np.array([0.0, delta, 0.5 * delta]))) * [1.0, 1.0, 1.5]
+            q = _haar_unitary(rng, 3)
+            c = crawford((q * d) @ q.conj().T)
+            assert abs(c - np.cos(0.5 * delta)) <= 1e-12, (delta, a, c)
+    # on a normal matrix, c is the distance from 0 to the hull of its spectrum
+    for i in range(150):
+        n = 2 + i % 5
+        z = rand_complex(rng, n) + rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        q = _haar_unitary(rng, n)
+        m = (q * z) @ q.conj().T
+        assert abs(crawford(m) - _dist_to_hull(z)) <= 1e-12 * spec_norm(m), (i, z)
+
+
 def test_pointwise_derivatives_match_finite_differences():
     rng = np.random.default_rng(45)
     m = rand_complex(rng, (4, 4))

@@ -1,6 +1,7 @@
 """Every import in the package modules is used, every private name is read,
-every error class is raised, one tiler builds every 2x2 block matrix, and
-the integer rule and the adjoint requirement are each stated once.
+every error class is raised, one tiler builds every 2x2 block matrix, the
+integer rule and the adjoint requirement are each stated once, and no check
+body reads the metric.
 
 The toolchain has no linter, so this stands in for its unused-import and
 dead-code rules.
@@ -162,3 +163,28 @@ def test_no_adjoint_is_raised_only_by_the_one_requirement():
     # admission catalog._Ctx.k re-raises its NoAdjoint only to name the operand
     assert _sites(lambda tree: _raise_sites(tree, "NoAdjoint")) == [
         "adjoint.py:require_adjoint", "catalog.py:k"]
+
+
+def _frame_reads(tree: ast.Module) -> list:
+    """The qualified name (``Class.method`` or ``function``) of the innermost
+    enclosing definition of each ``.f`` attribute."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "f":
+                sites.append(scope)
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(tree, None)
+    return sites
+
+
+def test_no_check_body_reads_the_metric():
+    # checks read only compressions: the frame serves the operand admission
+    # (_Ctx.__init__, _Ctx.k) and the positivity gate, nothing else
+    tree = ast.parse((SRC / "catalog.py").read_text(encoding="utf-8"))
+    assert sorted(set(_frame_reads(tree))) == ["_Ctx.__init__", "_Ctx.k", "_hypothesis_state"]
