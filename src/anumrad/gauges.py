@@ -22,11 +22,12 @@ derivatives and golden-section search takes over. The profiles are Lipschitz
 in theta with constant ||M||_2, which both guarantees bracketing at this
 grid density and lets non-competitive brackets be pruned.
 
-``sweep_gauges`` returns a ``GaugeSweep`` that refines each gauge only when
-it is first read, and solves only the grid points a gauge can still use. It
-solves every 16th grid point first, which cuts the circle into 64 uniform
-coarse cells [a, b] of span b - a = pi/32. Each read then bounds the profile
-on every cell, with one helper per bound:
+``sweep_gauges`` returns a ``GaugeSweep``, which admits its matrix (finite
+and square), refines each gauge only when it is first read, and solves only
+the grid points a gauge can still use. It solves every 16th grid point
+first, which cuts the circle into 64 uniform coarse cells [a, b] of span
+b - a = pi/32. Each read then bounds the profile on every cell, with one
+helper per bound:
 
   * lambda_max is the support function h of the convex numerical range, so
     Johnson's outer polygon (C. R. Johnson, SIAM J. Numer. Anal. 15, 1978)
@@ -48,12 +49,11 @@ the grid extremum nor a refinement candidate, and it cannot change the
 and the gauge is bit for bit the full scan's. 1x1 matrices and profiles
 whose coarse values are flat to rounding are scanned in full.
 
-A c read first tries a sign certificate (``_zero_inside``). If the
-Lipschitz floor keeps lambda_max positive between every pair of adjacent
-solved points, on the coarse cells and then on the solved fine ones, 0 lies
-inside the numerical range and c = 0 without refinement. Every eigenvalue
-the full scan and its refinement would compute is then positive as well,
-so theirs is 0 too.
+A c read first tries a sign certificate (``_zero_inside``), once, on the
+coarse cells only. If the Lipschitz floor keeps lambda_max positive on every
+coarse cell, 0 lies inside the numerical range and c = 0 without
+refinement. Every eigenvalue the full scan and its refinement would compute
+is then positive as well, so theirs is 0 too.
 Each test clears its threshold by _PRUNE_MARGIN ||M||, far above eigvalsh
 rounding.
 
@@ -89,13 +89,6 @@ _COARSE_STRIDE = 16
 # certificate for c) clears its threshold by this much times ||M||: far above
 # eigvalsh rounding (a few ulps of ||M|| per dimension).
 _PRUNE_MARGIN = 1e-10
-
-
-def _square(m) -> np.ndarray:
-    m = as_cmatrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"gauge requires a square matrix, got {m.shape}")
-    return m
 
 
 @dataclass(frozen=True)
@@ -305,17 +298,20 @@ def _make_pointwise(m: np.ndarray):
 class GaugeSweep:
     """Rotation-profile gauges of one matrix from one shared, lazy theta scan.
 
-    Construction solves the coarse grid points, the ends of the 64 uniform
-    cells. Each of ``w``, ``crawford`` and ``crawford_c`` is refined only
-    when it is first read, after solving the fine points of the cells its
-    bound cannot rule out (``_outer`` for ``w``, ``_floor`` for the others);
-    the points any read solved are kept for the others. ``w`` refines only the maxima that
-    can still win (``_can_win``). ``crawford`` returns 0 without refining
-    when the sign certificate (``_zero_inside``) holds on the coarse cells,
-    or on the fine ones once they are solved.
+    Construction admits the matrix (finite, square) and solves the coarse
+    grid points, the ends of the 64 uniform cells. Each of ``w``,
+    ``crawford`` and ``crawford_c`` is refined only when it is first read,
+    after solving the fine points of the cells its bound cannot rule out
+    (``_outer`` for ``w``, ``_floor`` for the others); the points any read
+    solved are kept for the others. ``w`` refines only the maxima that can
+    still win (``_can_win``). ``crawford`` returns 0 without refining when
+    the sign certificate (``_zero_inside``) holds on the coarse cells.
     """
 
-    def __init__(self, m: np.ndarray):
+    def __init__(self, m):
+        m = as_cmatrix(m)
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"gauge requires a square matrix, got {m.shape}")
         self._m = m
         self._lam_max_grid = np.full(_GRID.grid_points, np.nan)
         self._min_abs_grid = np.full(_GRID.grid_points, np.nan)
@@ -338,82 +334,68 @@ class GaugeSweep:
         self._min_abs_grid[rows] = self._min_abs_grid[mirror] = np.abs(eigs).min(axis=1)
         self._solved[rows] = self._solved[mirror] = True
 
-    def _cells_needed(self, grid, find_max: bool) -> np.ndarray:
-        """Per coarse cell: whether its fine points can still matter.
+    def _read(self, grid, fn, find_max: bool) -> float:
+        """The read's extremum: solve the fine points of the coarse cells its
+        bound keeps, then refine from every solved point.
 
         Coarse values that spread by less than the margin keep every cell,
         so a profile flat to rounding is scanned in full and _refine's flat
-        test sees the same grid as before.
+        test sees the same grid as the full scan.
         """
-        lip = self._lipschitz
-        lo = grid[::_COARSE_STRIDE]
-        hi = np.concatenate((lo[1:], lo[:1]))  # np.roll(lo, -1)
-        if find_max:
-            # the cell's points read at most its outer bound, up to eigvalsh rounding
-            outer = _outer(np.maximum(lo, hi), _CELL) + _PRUNE_MARGIN * lip
-            return _can_win(outer, lo.max(), lip)
-        reach = lip * (_DELTA + _PRUNE_MARGIN)
-        return _floor(lo, hi, _CELL, lip) <= lo.min() + reach
-
-    def _solve_cells(self, grid, find_max: bool) -> None:
-        """Solve the fine points of the cells a read cannot rule out."""
         if not self._solved.all():
-            fine = np.repeat(self._cells_needed(grid, find_max), _COARSE_STRIDE)
+            lip = self._lipschitz
+            lo = grid[::_COARSE_STRIDE]
+            hi = np.concatenate((lo[1:], lo[:1]))  # np.roll(lo, -1)
+            if find_max:
+                # the cell's points read at most its outer bound, up to eigvalsh rounding
+                outer = _outer(np.maximum(lo, hi), _CELL) + _PRUNE_MARGIN * lip
+                keep = _can_win(outer, lo.max(), lip)
+            else:
+                keep = _floor(lo, hi, _CELL, lip) <= lo.min() + lip * (_DELTA + _PRUNE_MARGIN)
+            fine = np.repeat(keep, _COARSE_STRIDE)
             rows = np.nonzero((fine[:_HALF] | fine[_HALF:]) & ~self._solved[:_HALF])[0]
             if rows.size:
                 self._solve(rows)
+            # an unsolved point can be no candidate and loses every 3-point test
+            grid = np.where(self._solved, grid, -np.inf if find_max else np.inf)
+        return _refine(grid, fn, find_max, self._lipschitz, self._flat_tol)
 
     def _zero_inside(self) -> bool:
         """The sign certificate for c: whether lambda_max provably stays above
         _PRUNE_MARGIN ||M|| all round the circle, so that 0 lies inside the
         numerical range.
 
-        Between adjacent solved points a and b, ``_floor`` bounds the profile
-        from below. Every eigenvalue of the profile that
-        the full scan or its refinement computes then lies a few ulps of ||M||
-        from a value above the margin, so it is positive, and c is 0.
+        On each coarse cell ``_floor`` bounds the profile from below. Every
+        eigenvalue of the profile that the full scan or its refinement
+        computes then lies a few ulps of ||M|| from a value above the
+        margin, so it is positive, and c is 0.
         """
-        solved = np.nonzero(self._solved)[0]
-        nxt = np.concatenate((solved[1:], solved[:1]))  # np.roll(solved, -1)
-        steps = nxt - solved
-        steps[-1] += self._solved.size  # the step that wraps round the circle
-        h = self._lam_max_grid
-        floor = _floor(h[solved], h[nxt], _DELTA * steps, self._lipschitz)
+        lo = self._lam_max_grid[::_COARSE_STRIDE]
+        hi = np.concatenate((lo[1:], lo[:1]))  # np.roll(lo, -1)
+        floor = _floor(lo, hi, _CELL, self._lipschitz)
         return bool(floor.min() > _PRUNE_MARGIN * self._lipschitz)
-
-    def _refined(self, grid, fn, find_max: bool) -> float:
-        """The read's extremum, refined from the points solved so far."""
-        if not self._solved.all():
-            # an unsolved point can be no candidate and loses every 3-point test
-            grid = np.where(self._solved, grid, -np.inf if find_max else np.inf)
-        return _refine(grid, fn, find_max, self._lipschitz, self._flat_tol)
 
     @cached_property
     def w(self) -> float:
         """Numerical radius: max over theta of lambda_max(Re(e^{i theta} M))."""
-        self._solve_cells(self._lam_max_grid, True)
-        return max(0.0, self._refined(self._lam_max_grid, self._lam_max, True))
+        return max(0.0, self._read(self._lam_max_grid, self._lam_max, True))
 
     @cached_property
     def crawford(self) -> float:
         """Crawford number: max(0, -min over theta of lambda_max)."""
         if self._zero_inside():
             return 0.0
-        self._solve_cells(self._lam_max_grid, False)
-        if self._zero_inside():
-            return 0.0
-        return max(0.0, -self._refined(self._lam_max_grid, self._lam_max, False))
+        return max(0.0, -self._read(self._lam_max_grid, self._lam_max, False))
 
     @cached_property
     def crawford_c(self) -> float:
         """C: min over theta of sigma_min(Re(e^{i theta} M))."""
-        self._solve_cells(self._min_abs_grid, False)
-        return max(0.0, self._refined(self._min_abs_grid, self._min_abs, False))
+        return max(0.0, self._read(self._min_abs_grid, self._min_abs, False))
 
 
 def sweep_gauges(m) -> GaugeSweep:
     """Numerical radius, Crawford number and C of one matrix from one scan."""
-    return GaugeSweep(_square(m))
+    return GaugeSweep(m)
 
 
 def numerical_radius(m) -> float:

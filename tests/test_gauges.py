@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -376,18 +377,18 @@ def _full_scan_gauges(m):
 
 def test_pruned_scan_is_bit_identical_to_full_scan():
     # the cell bounds skip only grid points that can change nothing, in
-    # whichever order the gauges are read
+    # whichever order the gauges are read: each of the six orders reads a
+    # fresh sweep
     rng = np.random.default_rng(1024)
+    names = ("w", "crawford", "crawford_c")
     for n in range(1, 13):
         for m in _structured(n, rng):
             m = np.asarray(m, dtype=complex)
-            want = [v.hex() for v in _full_scan_gauges(m)]
-            forward = gauges.sweep_gauges(m)
-            backward = gauges.sweep_gauges(m)
-            got_b = [backward.crawford_c, backward.crawford, backward.w][::-1]
-            got_f = [forward.w, forward.crawford, forward.crawford_c]
-            assert [v.hex() for v in got_f] == want, (n, m)
-            assert [v.hex() for v in got_b] == want, (n, m)
+            want = dict(zip(names, (v.hex() for v in _full_scan_gauges(m))))
+            for order in itertools.permutations(names):
+                sweep = gauges.sweep_gauges(m)
+                got = {name: getattr(sweep, name).hex() for name in order}
+                assert got == want, (n, order, m)
 
 
 def test_golden_hand_over_matches_full_scan_without_warnings(monkeypatch):

@@ -7,7 +7,8 @@ Each input fact has one rule: ``seeding.check_integer`` (and its seed case
 ``adjoint.require_adjoint`` for the A-adjoint, and ``catalog._Ctx.k`` for
 the admission of each operand (shape, A-adjoint and A-seminorm bound), which
 ``run_check``, ``run_all`` and ``check_instance`` run on the whole instance
-before any check (``catalog._Ctx.admit``). The property test below
+before any check (``catalog._Ctx.admit``), and ``gauges.GaugeSweep`` for the
+matrix of every classical gauge. The property test below
 draws values in and out of each integer argument's range and checks every
 entry point that the integer rule guards.
 """
@@ -20,6 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 from anumrad import (
     FuzzConfig,
+    GaugeSweep,
+    crawford,
+    crawford_C,
     fuzz,
     gen_compatible,
     gen_psd,
@@ -27,9 +31,11 @@ from anumrad import (
     instance_to_dict,
     make_instance,
     new_frame,
+    numerical_radius,
     oracle_gauge,
     run_all,
     run_check,
+    sweep_gauges,
 )
 from anumrad.errors import BadRank, DimensionMismatch, NoAdjoint
 from anumrad.harness import Instance, check_instance
@@ -199,3 +205,22 @@ def test_an_operand_without_adjoint_is_named():
     _raises_at_every_entry(NoAdjoint, message, F2.a, operands, "thm_prod_pm_plus")
     # a bad operand is rejected even where the selected check does not read it
     _raises_at_every_entry(NoAdjoint, message, F2.a, operands, "equiv_half_upper")
+
+
+@pytest.mark.parametrize("m,message", [
+    (np.ones((2, 3)), "gauge requires a square matrix, got (2, 3)"),
+    (np.diag([1.0, np.nan]), "matrix entries must be finite (no NaN/Inf)"),
+    (np.diag([1.0, np.inf]), "matrix entries must be finite (no NaN/Inf)"),
+], ids=["2x3", "nan", "inf"])
+def test_a_gauge_sweep_admits_its_matrix(m, message):
+    # GaugeSweep admitted nothing: a 2x3 matrix failed with a numpy broadcast
+    # error, and diag(1, inf) read w = 0.0 with two RuntimeWarnings
+    for call in (GaugeSweep, sweep_gauges, numerical_radius, crawford, crawford_C):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call(m)
+
+
+def test_a_gauge_sweep_takes_a_list_of_lists():
+    # a square list of lists failed with AttributeError in GaugeSweep
+    rows = [[1.0, 2.0j], [0.5, -1.0]]
+    assert GaugeSweep(rows).w == numerical_radius(np.array(rows))
