@@ -22,6 +22,16 @@ derivatives and golden-section search takes over. The profiles are Lipschitz
 in theta with constant ||M||_2, which both guarantees bracketing at this
 grid density and lets non-competitive brackets be pruned.
 
+The smallest matrices need no eigensolver. A 1x1 matrix [z] has the point
+{z} for its numerical range, so w = c = |z| and C = 0 exactly, with no scan.
+A 2x2 matrix has an ellipse for its numerical range (the elliptical range
+theorem, C.-K. Li, Proc. AMS 124, 1996). With H(theta) = [[mid + dlt, b],
+[conj(b), mid - dlt]] its eigenvalues are mid -+ hypot(dlt, |b|), and each
+entry is a fixed combination of cos(theta) and sin(theta)
+(``_pair_terms``). So the scan builds them with elementwise real products
+and sums, and the pointwise profiles read the value, slope and curvature
+from scalar formulas. Everything else below is the same for every n >= 2.
+
 ``sweep_gauges`` returns a ``GaugeSweep``, which admits its matrix (finite
 and square), refines each gauge only when it is first read, and solves only
 the grid points a gauge can still use. It solves every 16th grid point
@@ -46,16 +56,16 @@ the coarse maximum. A c or C read skips a cell whose Lipschitz floor stays
 more than ||M|| delta above the coarse minimum. A skipped cell holds neither
 the grid extremum nor a refinement candidate, and it cannot change the
 3-point test of a neighbouring candidate. So its points are left unsolved
-and the gauge is bit for bit the full scan's. 1x1 matrices and profiles
-whose coarse values are flat to rounding are scanned in full.
+and the gauge is bit for bit the full scan's. Profiles whose coarse values
+are flat to rounding are scanned in full.
 
 A c read first tries a sign certificate (``_zero_inside``), once, on the
 coarse cells only. If the Lipschitz floor keeps lambda_max positive on every
 coarse cell, 0 lies inside the numerical range and c = 0 without
 refinement. Every eigenvalue the full scan and its refinement would compute
 is then positive as well, so theirs is 0 too.
-Each test clears its threshold by _PRUNE_MARGIN ||M||, far above eigvalsh
-rounding.
+Each test clears its threshold by _PRUNE_MARGIN ||M||, far above the
+rounding of either scan.
 
 A-weighted gauges are classical gauges of the range compression (see
 adjoint.reduced). ``oracle_gauge`` is the independent cross-check for that
@@ -87,7 +97,7 @@ _REFINE_MAX_ITER = 200
 _COARSE_STRIDE = 16
 # Every pruning test (a skipped cell, a dropped refinement candidate, the sign
 # certificate for c) clears its threshold by this much times ||M||: far above
-# eigvalsh rounding (a few ulps of ||M|| per dimension).
+# scan rounding (a few ulps of ||M|| per dimension).
 _PRUNE_MARGIN = 1e-10
 
 
@@ -112,30 +122,50 @@ _GRID = _uniform_grid(1024)
 # that the outer-polygon bound needs.
 _DELTA = 2.0 * np.pi / _GRID.grid_points
 _CELL = _COARSE_STRIDE * _DELTA
-# First-half rows of the coarse points (their mirrors are coarse points too),
-# and of the whole half grid, as the sweep solves them first.
+# The first-half rows of the coarse points (their mirrors are coarse points
+# too), which the sweep solves first.
 _HALF = _GRID.grid_points // 2
 _COARSE_ROWS = np.arange(0, _HALF, _COARSE_STRIDE)
-_ALL_ROWS = np.arange(_HALF)
-_COARSE_ROWS.flags.writeable = _ALL_ROWS.flags.writeable = False
+_COARSE_ROWS.flags.writeable = False
 _EPS = float(np.finfo(float).eps)
+
+
+def _pair_terms(m: np.ndarray):
+    """The entries of H(theta) = Re(e^{i theta} M) for 2x2 M, as (x, y) pairs.
+
+    H = [[mid + dlt, b], [conj(b), mid - dlt]], and each of mid, dlt, Re b
+    and Im b is Re(e^{i theta} z) = x cos(theta) - y sin(theta) for one z
+    of (p + q, p - q, u + w, -i (u - w)) / 2, where M = [[p, u], [w, q]].
+    Its slope is -x sin(theta) - y cos(theta). The eigenvalues of H are
+    mid -+ hypot(dlt, |b|).
+    """
+    (p, u), (w, q) = (0.5 * m).tolist()
+    z = (p + q, p - q, u + w, complex((u - w).imag, -(u - w).real))
+    return [(v.real, v.imag) for v in z]
 
 
 def _theta_scan(m: np.ndarray, grid: _Grid, rows=None):
     """Ascending eigenvalues of Re(e^{i theta} M) on the uniform theta grid;
     the second half of the grid is the first half negated and reversed.
 
-    With ``rows``, only those rows of the first half are solved and returned.
-    Each matrix is built exactly as in the full stack, so for n >= 2 its
-    eigenvalues agree bit for bit. For n = 1 numpy runs the products as one
-    coalesced 1-D loop, whose vectorized kernel rounds a few rows of a k-row
-    subset differently from the same rows of the full stack (about 2 rows in
-    a million on an AVX-512 host), so 1x1 callers ask for every row.
+    With ``rows``, only those rows of the first half are solved and returned,
+    each exactly as in the full stack, so for n >= 2 they agree with it bit
+    for bit (a sweep never scans a 1x1 matrix). A 2x2 M is read in closed
+    form (``_pair_terms``) by elementwise real ufuncs on cos(theta) and
+    sin(theta); larger M are solved by one stacked ``eigvalsh``.
     """
     # grid is always _GRID; bench/tracing.py reads its grid_points per call
     ph = grid.phases if rows is None else grid.phases[rows]
-    ph = ph[:, None, None]
-    eigs = np.linalg.eigvalsh(0.5 * (ph * m + ph.conj() * m.conj().T))
+    if m.shape[0] == 2:
+        xy = np.array(_pair_terms(m))
+        mid, dlt, re_b, im_b = xy[:, :1] * ph.real - xy[:, 1:] * ph.imag
+        mu = np.hypot(dlt, np.hypot(re_b, im_b))
+        eigs = np.empty((ph.shape[0], 2))
+        np.subtract(mid, mu, out=eigs[:, 0])
+        np.add(mid, mu, out=eigs[:, 1])
+    else:
+        ph = ph[:, None, None]
+        eigs = np.linalg.eigvalsh(0.5 * (ph * m + ph.conj() * m.conj().T))
     if rows is not None:
         return grid.thetas, eigs
     return grid.thetas, np.concatenate((eigs, -eigs[:, ::-1]))
@@ -256,17 +286,9 @@ def _refine(vals, fn, find_max, lipschitz, flat_tol) -> float:
     return best
 
 
-def _make_pointwise(m: np.ndarray):
-    """The profiles lambda_max and min |lambda| of H(theta) = Re(e^{i theta} M).
-
-    Each returns (value, slope, curvature, gap, root) at theta. With H' =
-    Re(i e^{i theta} M), H'' = -H and the tracked eigenpair (lam_k, v_k) of
-    one ``eigh``, the slope is v_k* H' v_k and the curvature is
-    -lam_k + 2 sum_{j != k} |v_j* H' v_k|^2 / (lam_k - lam_j). gap is the
-    distance from lam_k to the nearest other eigenvalue; root is the Newton
-    estimate of the zero of lam_k for min |lambda| and None for lambda_max.
-    Below _GAP_TOL the slope and curvature are not formed and read NaN.
-    """
+def _eigh_tracked(m: np.ndarray):
+    """tracked(theta, largest) from one ``eigh`` of H(theta) and eigenvalue
+    perturbation; see ``_make_pointwise``."""
     mh = m.conj().T
 
     def tracked(theta: float, largest: bool):
@@ -283,6 +305,53 @@ def _make_pointwise(m: np.ndarray):
         curvature = float((np.abs(coupling) ** 2 / diff).sum())
         return float(lam[k]), float(coupling[k].real), 2.0 * curvature - float(lam[k]), gap
 
+    return tracked
+
+
+def _pair_tracked(m: np.ndarray):
+    """tracked(theta, largest) for 2x2 M in closed form (``_pair_terms``).
+
+    The tracked eigenvalue is mid + sgn mu, with mu = hypot(dlt, |b|) and
+    sgn = 1 for the larger one. Its slope is mid' + sgn mu' and, with
+    H'' = -H, its curvature is -mid + sgn mu'', where
+    mu' = (dlt dlt' + Re(conj(b) b')) / mu and
+    mu'' = (dlt'^2 + |b'|^2 - mu^2 - mu'^2) / mu. The gap is 2 mu.
+    """
+    (mx, my), (dx, dy), (rx, ry), (ix, iy) = _pair_terms(m)
+
+    def tracked(theta: float, largest: bool):
+        c, s = math.cos(theta), math.sin(theta)
+        mid, dlt, re_b, im_b = mx * c - my * s, dx * c - dy * s, rx * c - ry * s, ix * c - iy * s
+        mu = math.hypot(dlt, re_b, im_b)
+        # min |lambda| tracks the eigenvalue nearer 0, the lower one on a tie
+        sgn = 1.0 if largest or mid < 0.0 else -1.0
+        lam, gap = mid + sgn * mu, 2.0 * mu
+        if gap < _GAP_TOL:  # no derivatives: _newton reads only the value
+            return lam, math.nan, math.nan, gap
+        d_mid, d_dlt = -mx * s - my * c, -dx * s - dy * c
+        d_re_b, d_im_b = -rx * s - ry * c, -ix * s - iy * c
+        d_mu = (dlt * d_dlt + re_b * d_re_b + im_b * d_im_b) / mu
+        d2_mu = (d_dlt * d_dlt + d_re_b * d_re_b + d_im_b * d_im_b - mu * mu - d_mu * d_mu) / mu
+        return lam, d_mid + sgn * d_mu, -mid + sgn * d2_mu, gap
+
+    return tracked
+
+
+def _make_pointwise(m: np.ndarray):
+    """The profiles lambda_max and min |lambda| of H(theta) = Re(e^{i theta} M).
+
+    Each returns (value, slope, curvature, gap, root) at theta. With H' =
+    Re(i e^{i theta} M), H'' = -H and the tracked eigenpair (lam_k, v_k) of
+    one ``eigh``, the slope is v_k* H' v_k and the curvature is
+    -lam_k + 2 sum_{j != k} |v_j* H' v_k|^2 / (lam_k - lam_j). A 2x2 M
+    reads the same quantities from scalar formulas (``_pair_tracked``).
+    gap is the distance from lam_k to the nearest other eigenvalue; root is
+    the Newton estimate of the zero of lam_k for min |lambda| and None for
+    lambda_max. Below _GAP_TOL the slope and curvature are not formed and
+    read NaN.
+    """
+    tracked = _pair_tracked(m) if m.shape[0] == 2 else _eigh_tracked(m)
+
     def lam_max(theta: float):
         return (*tracked(theta, True), None)
 
@@ -298,14 +367,18 @@ def _make_pointwise(m: np.ndarray):
 class GaugeSweep:
     """Rotation-profile gauges of one matrix from one shared, lazy theta scan.
 
-    Construction admits the matrix (finite, square) and solves the coarse
-    grid points, the ends of the 64 uniform cells. Each of ``w``,
-    ``crawford`` and ``crawford_c`` is refined only when it is first read,
-    after solving the fine points of the cells its bound cannot rule out
-    (``_outer`` for ``w``, ``_floor`` for the others); the points any read
-    solved are kept for the others. ``w`` refines only the maxima that can
-    still win (``_can_win``). ``crawford`` returns 0 without refining when
-    the sign certificate (``_zero_inside``) holds on the coarse cells.
+    Construction admits the matrix (finite, square). A 1x1 matrix [z] has
+    the point {z} for its numerical range, so w = c = |z| and C = 0 are set
+    at once, with no scan. Otherwise construction solves the coarse grid
+    points, the ends of the 64 uniform cells; a 2x2 matrix solves them, and
+    evaluates its profiles, in closed form (``_theta_scan``,
+    ``_make_pointwise``). Each of ``w``, ``crawford`` and ``crawford_c`` is
+    refined only when it is first read, after solving the fine points of
+    the cells its bound cannot rule out (``_outer`` for ``w``, ``_floor``
+    for the others); the points any read solved are kept for the others.
+    ``w`` refines only the maxima that can still win (``_can_win``).
+    ``crawford`` returns 0 without refining when the sign certificate
+    (``_zero_inside``) holds on the coarse cells.
     """
 
     def __init__(self, m):
@@ -313,16 +386,19 @@ class GaugeSweep:
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"gauge requires a square matrix, got {m.shape}")
         self._m = m
+        if m.shape[0] == 1:
+            # each cached_property reads the instance dict first
+            radius = float(abs(m[0, 0]))
+            self.__dict__.update(w=radius, crawford=radius, crawford_c=0.0)
+            return
         self._lam_max_grid = np.full(_GRID.grid_points, np.nan)
         self._min_abs_grid = np.full(_GRID.grid_points, np.nan)
         self._solved = np.zeros(_GRID.grid_points, dtype=bool)  # mirrored halves
         self._lam_max, self._min_abs = _make_pointwise(m)
         self._lipschitz = spec_norm(m)
-        # eigvalsh rounding noise: a few ulps of ||M|| per dimension
+        # scan rounding noise: a few ulps of ||M|| per dimension
         self._flat_tol = 4.0 * m.shape[0] * _EPS * self._lipschitz
-        # 1x1 sweeps solve every row: a 1x1 row subset can round differently
-        # from the full stack (_theta_scan)
-        self._solve(_ALL_ROWS if m.shape[0] == 1 else _COARSE_ROWS)
+        self._solve(_COARSE_ROWS)
 
     def _solve(self, rows: np.ndarray) -> None:
         """Solve the unsolved first-half rows with indices ``rows`` and store
@@ -347,7 +423,7 @@ class GaugeSweep:
             lo = grid[::_COARSE_STRIDE]
             hi = np.concatenate((lo[1:], lo[:1]))  # np.roll(lo, -1)
             if find_max:
-                # the cell's points read at most its outer bound, up to eigvalsh rounding
+                # the cell's points read at most its outer bound, up to scan rounding
                 outer = _outer(np.maximum(lo, hi), _CELL) + _PRUNE_MARGIN * lip
                 keep = _can_win(outer, lo.max(), lip)
             else:

@@ -244,6 +244,112 @@ def test_pointwise_derivatives_match_finite_differences():
             assert d2f == pytest.approx((fp - 2 * f0 + fm) / h**2, abs=1e-4)
 
 
+def _eigh_profiles(m, theta):
+    """(value, slope, curvature, gap) of lambda_max and of min |lambda| at
+    theta, from one eigh of H(theta) and the eigenvalue perturbation
+    formulas: the reference for the 2x2 closed form."""
+    ph = np.exp(1j * theta)
+    lam, v = np.linalg.eigh(0.5 * (ph * m + np.conj(ph) * m.conj().T))
+    dh = v.conj().T @ (0.5j * (ph * m - np.conj(ph) * m.conj().T)) @ v  # H' in the eigenbasis
+    out = []
+    k_min = int(np.abs(lam).argmin())
+    for k, sgn in ((lam.size - 1, 1.0), (k_min, 1.0 if lam[k_min] >= 0 else -1.0)):
+        others = np.delete(np.arange(lam.size), k)
+        diff = lam[k] - lam[others]
+        curvature = -lam[k] + 2.0 * np.sum(np.abs(dh[others, k]) ** 2 / diff)
+        out.append((sgn * lam[k], sgn * dh[k, k].real, sgn * curvature, np.abs(diff).min()))
+    return out
+
+
+def test_pair_pointwise_matches_the_eigh_formulas():
+    rng = np.random.default_rng(52)
+    cases = [rand_complex(rng, (2, 2)) for _ in range(40)]
+    cases += [rand_complex(rng, (2, 2)) + 3.0 * np.eye(2), np.array([[0.0, 2.0], [0.0, 0.0]])]
+    for m in cases:
+        scale = spec_norm(m)
+        for theta in rng.uniform(0.0, 2.0 * np.pi, 5):
+            for fn, want in zip(gauges._make_pointwise(m), _eigh_profiles(m, theta)):
+                value, slope, curvature, gap, _ = fn(theta)
+                assert gap == pytest.approx(want[3], abs=1e-13 * scale)
+                if gap < 1e-6 * scale:
+                    continue  # the derivatives lose digits as 1 / gap
+                got = np.array([value, slope, curvature])
+                np.testing.assert_allclose(got, want[:3], rtol=0, atol=1e-12 * scale)
+
+
+def test_pair_crossings_read_nan_derivatives_and_hand_over_to_golden(monkeypatch):
+    # at an exact crossing of the two eigenvalues of H(theta) the derivatives
+    # read NaN, and golden-section search refines the bracket: (2 + i) I
+    # crosses at every theta, and U diag(i, -i) U* at theta = 0 and pi
+    calls = []
+    golden = gauges._golden
+    monkeypatch.setattr(gauges, "_golden", lambda *a: calls.append(a[1:]) or golden(*a))
+    u = _haar_unitary(np.random.default_rng(53), 2)
+    for m, exact, crossing in (((2 + 1j) * np.eye(2), (np.sqrt(5.0), np.sqrt(5.0), 0.0), 0.7),
+                               (u @ np.diag([1j, -1j]) @ u.conj().T, (1.0, 0.0, 0.0), 0.0)):
+        for fn in gauges._make_pointwise(m):
+            value, slope, curvature, gap, _ = fn(crossing)
+            assert gap < gauges._GAP_TOL
+            assert np.isnan(slope) and np.isnan(curvature)
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = gauges.sweep_gauges(m)
+            got = (sweep.w, sweep.crawford, sweep.crawford_c)
+        assert calls, m
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
+
+
+def _ellipse_gauges(l1, l2, minor):
+    """w and c of the ellipse with foci l1, l2 and minor axis ``minor``: the
+    numerical range of a 2x2 matrix (elliptical range theorem, C.-K. Li,
+    Proc. AMS 124, 1996), sampled densely on its boundary and then again
+    around the extreme samples."""
+    centre, half_gap = 0.5 * (l1 + l2), 0.5 * abs(l2 - l1)
+    axis = np.exp(1j * np.angle(l2 - l1))
+    b = 0.5 * minor
+    a = np.hypot(b, half_gap)
+
+    def boundary(t):
+        return centre + axis * (a * np.cos(t) + 1j * b * np.sin(t))
+
+    def extreme(pick):
+        t = np.linspace(0.0, 2.0 * np.pi, 1 << 14, endpoint=False)
+        t0 = t[pick(np.abs(boundary(t)))]
+        t = np.linspace(t0 - 1e-3, t0 + 1e-3, 1 << 12)
+        return float(np.abs(boundary(t))[pick(np.abs(boundary(t)))])
+
+    w = extreme(np.argmax)
+    inside = abs(l1) + abs(l2) <= 2.0 * a  # 0 in the ellipse: sum of focal distances
+    return w, 0.0 if inside else extreme(np.argmin)
+
+
+def test_pair_gauges_match_the_elliptical_range_theorem():
+    rng = np.random.default_rng(54)
+    for i in range(300):
+        kind = i % 3
+        if kind == 2:  # normal: W is the segment between the eigenvalues
+            lam = rand_complex(rng, 2) + rng.uniform(0.0, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            u = _haar_unitary(rng, 2)
+            m, minor = (u * lam) @ u.conj().T, 0.0
+        else:  # random, and shifted so that 0 may lie outside W
+            shift = 0.0 if kind == 0 else rng.uniform(0.5, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            m = rand_complex(rng, (2, 2)) + shift * np.eye(2)
+            lam = np.linalg.eigvals(m)
+            minor = np.sqrt(max(0.0, frob(m) ** 2 - np.sum(np.abs(lam) ** 2)))
+        w, c = _ellipse_gauges(lam[0], lam[1], minor)
+        sweep = gauges.sweep_gauges(m)
+        assert abs(sweep.w - w) <= 1e-9 * w, (i, m)
+        assert abs(sweep.crawford - c) <= 1e-9 * w, (i, m)
+
+
+def test_one_by_one_gauges_are_exact():
+    for z in (3j, -2.5, 0.0, 1e-300 - 4e-300j, 7e200 + 1e200j, 0.1 + 0.2j):
+        sweep = gauges.sweep_gauges([[z]])
+        assert sweep.w == abs(z) and sweep.crawford == abs(z), z
+        assert sweep.crawford_c == 0.0, z
+
+
 def test_jordan_block_profiles_are_flat(monkeypatch):
     # the spectrum of Re(e^{i theta} J) does not depend on theta, so the grid
     # values differ by rounding only and no bracket is refined
@@ -273,13 +379,17 @@ def test_sweep_refines_only_the_gauges_read(monkeypatch):
 
 
 def test_half_circle_scan_matches_full_circle():
+    # every 2x2 input goes through the closed form; its pair must match the
+    # eigvalsh stack at every scale
     rng = np.random.default_rng(47)
-    for n in (1, 2, 5):
-        m = rand_complex(rng, (n, n))
+    pairs = [np.asarray(m, dtype=complex) for m in _structured(2, rng)]
+    pairs += [s * rand_complex(rng, (2, 2)) for s in (1e-150, 1e30)]
+    pairs += [s * np.array([[1.0, 2.0], [0.0, -1j]]) for s in (1e-150, 1e30)]
+    for m in [rand_complex(rng, (n, n)) for n in (1, 2, 5)] + pairs:
         thetas, eigs = gauges._theta_scan(m, gauges._GRID)
         ph = np.exp(1j * thetas)[:, None, None]
         full = np.linalg.eigvalsh(0.5 * (ph * m + ph.conj() * m.conj().T))
-        np.testing.assert_allclose(eigs, full, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(eigs, full, rtol=0, atol=1e-13 * spec_norm(m))
 
 
 def _shifted_across_boundary(m, rng):
@@ -378,13 +488,14 @@ def _full_scan_gauges(m):
 def test_pruned_scan_is_bit_identical_to_full_scan():
     # the cell bounds skip only grid points that can change nothing, in
     # whichever order the gauges are read: each of the six orders reads a
-    # fresh sweep
+    # fresh sweep; a 1x1 sweep scans nothing and must read the exact values
     rng = np.random.default_rng(1024)
     names = ("w", "crawford", "crawford_c")
     for n in range(1, 13):
         for m in _structured(n, rng):
             m = np.asarray(m, dtype=complex)
-            want = dict(zip(names, (v.hex() for v in _full_scan_gauges(m))))
+            exact = (abs(m[0, 0]), abs(m[0, 0]), 0.0) if n == 1 else _full_scan_gauges(m)
+            want = dict(zip(names, (float(v).hex() for v in exact)))
             for order in itertools.permutations(names):
                 sweep = gauges.sweep_gauges(m)
                 got = {name: getattr(sweep, name).hex() for name in order}
@@ -496,10 +607,8 @@ def test_row_subset_scan_matches_full_stack():
         thetas, full = gauges._theta_scan(m, gauges._GRID)
         every = np.arange(512)
         assert np.array_equal(gauges._theta_scan(m, gauges._GRID, every)[1], full[:512])
-        # for n = 1 numpy runs the products as one coalesced 1-D loop, whose
-        # vectorized kernel rounds a few rows of a subset differently from the
-        # full stack (about 2 rows in a million on an AVX-512 host); 1x1
-        # sweeps solve every row
+        # a sweep never scans a 1x1 matrix (its gauges are exact), so only
+        # the whole half grid is pinned for n = 1
         if n == 1:
             continue
         for _ in range(20):
