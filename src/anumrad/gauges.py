@@ -36,28 +36,32 @@ from scalar formulas. Everything else below is the same for every n >= 2.
 and square), refines each gauge only when it is first read, and solves only
 the grid points a gauge can still use. It solves every 16th grid point
 first, which cuts the circle into 64 uniform coarse cells [a, b] of span
-b - a = pi/32. Each read then bounds the profile on every cell, with one
-helper per bound:
+b - a = pi/32. Each read then bounds the profile from the cells' ends, with
+one helper per bound:
 
   * lambda_max is the support function h of the convex numerical range, so
     Johnson's outer polygon (C. R. Johnson, SIAM J. Numer. Anal. 15, 1978)
-    bounds it from above: h <= max(h_a, h_b) / cos((b - a) / 2) on the cell
-    when that max is >= 0, and h <= max(h_a, h_b) otherwise (``_outer``,
-    the bound for w);
+    bounds it from above. For theta in [a, b], e^{i theta} is the
+    nonnegative combination (sin(b - theta) e^{ia} + sin(theta - a) e^{ib})
+    / sin(b - a), so h(theta) is at most the same combination of h_a and
+    h_b: the support function of the wedge that the two support lines cut
+    out (``_wedge``, the bound for w, read at every grid point). Over an
+    arc of length span whose ends read at most v this is at most
+    v / cos(span / 2) if v >= 0, and v otherwise (``_outer``);
   * the Lipschitz bound (f_a + f_b - ||M|| (b - a)) / 2 bounds either
-    profile from below (``_floor``, for c and C).
+    profile from below on a cell (``_floor``, for c and C).
 
 Refinement from a grid point stays within one grid step delta of it, where
 the outer polygon bounds lambda_max by _outer(v, delta) from a local
 maximum v. So a w read refines only the maxima that can still win
-(``_can_win``): those whose bound reaches the grid maximum. It skips a cell
-when the same test, applied to the cell's own outer bound, fails against
-the coarse maximum. A c or C read skips a cell whose Lipschitz floor stays
-more than ||M|| delta above the coarse minimum. A skipped cell holds neither
-the grid extremum nor a refinement candidate, and it cannot change the
-3-point test of a neighbouring candidate. So its points are left unsolved
-and the gauge is bit for bit the full scan's. Profiles whose coarse values
-are flat to rounding are scanned in full.
+(``_can_win``): those whose bound reaches the grid maximum. It skips every
+grid point whose wedge bound fails the same test against the coarse
+maximum. A c or C read skips a cell whose Lipschitz floor stays more than
+||M|| delta above the coarse minimum. A skipped point is neither the grid
+extremum nor a refinement candidate, and it cannot change the 3-point test
+of a candidate next to it, which reads more than the skipped point's bound.
+So it is left unsolved and the gauge is bit for bit the full scan's.
+Profiles whose coarse values are flat to rounding are scanned in full.
 
 A c read first tries a sign certificate (``_zero_inside``), once, on the
 coarse cells only. If the Lipschitz floor keeps lambda_max positive on every
@@ -127,6 +131,10 @@ _CELL = _COARSE_STRIDE * _DELTA
 _HALF = _GRID.grid_points // 2
 _COARSE_ROWS = np.arange(0, _HALF, _COARSE_STRIDE)
 _COARSE_ROWS.flags.writeable = False
+# The weights of a cell's two ends in ``_wedge``, at its points a + j delta.
+_STEPS = np.arange(_COARSE_STRIDE) * _DELTA
+_WEDGE_A = np.sin(_CELL - _STEPS) / math.sin(_CELL)
+_WEDGE_B = np.sin(_STEPS) / math.sin(_CELL)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -241,6 +249,14 @@ def _outer(v, span: float):
     """Johnson's outer-polygon bound on lambda_max over an arc of length span
     < pi whose ends read at most v: v / cos(span / 2) if v >= 0, else v."""
     return np.maximum(v, v / math.cos(0.5 * span))
+
+
+def _wedge(lo, hi):
+    """Johnson's outer-polygon bound on lambda_max at every grid point, from
+    the coarse values lo and the next coarse values hi = roll(lo, -1): the
+    point a + j delta of the cell [a, b] reads at most
+    (sin(b - a - j delta) h_a + sin(j delta) h_b) / sin(b - a)."""
+    return (np.multiply.outer(lo, _WEDGE_A) + np.multiply.outer(hi, _WEDGE_B)).ravel()
 
 
 def _floor(fa, fb, span, lipschitz: float):
@@ -373,9 +389,10 @@ class GaugeSweep:
     points, the ends of the 64 uniform cells; a 2x2 matrix solves them, and
     evaluates its profiles, in closed form (``_theta_scan``,
     ``_make_pointwise``). Each of ``w``, ``crawford`` and ``crawford_c`` is
-    refined only when it is first read, after solving the fine points of
-    the cells its bound cannot rule out (``_outer`` for ``w``, ``_floor``
-    for the others); the points any read solved are kept for the others.
+    refined only when it is first read, after solving the fine points its
+    bound cannot rule out (``_wedge`` at each point for ``w``, ``_floor`` on
+    each cell for the others); the points any read solved are kept for the
+    others.
     ``w`` refines only the maxima that can still win (``_can_win``).
     ``crawford`` returns 0 without refining when the sign certificate
     (``_zero_inside``) holds on the coarse cells.
@@ -411,10 +428,10 @@ class GaugeSweep:
         self._solved[rows] = self._solved[mirror] = True
 
     def _read(self, grid, fn, find_max: bool) -> float:
-        """The read's extremum: solve the fine points of the coarse cells its
-        bound keeps, then refine from every solved point.
+        """The read's extremum: solve the fine points its bound keeps, then
+        refine from every solved point.
 
-        Coarse values that spread by less than the margin keep every cell,
+        Coarse values that spread by less than the margin keep every point,
         so a profile flat to rounding is scanned in full and _refine's flat
         test sees the same grid as the full scan.
         """
@@ -423,12 +440,11 @@ class GaugeSweep:
             lo = grid[::_COARSE_STRIDE]
             hi = np.concatenate((lo[1:], lo[:1]))  # np.roll(lo, -1)
             if find_max:
-                # the cell's points read at most its outer bound, up to scan rounding
-                outer = _outer(np.maximum(lo, hi), _CELL) + _PRUNE_MARGIN * lip
-                keep = _can_win(outer, lo.max(), lip)
+                # each point reads at most its wedge bound, up to scan rounding
+                fine = _can_win(_wedge(lo, hi) + _PRUNE_MARGIN * lip, lo.max(), lip)
             else:
                 keep = _floor(lo, hi, _CELL, lip) <= lo.min() + lip * (_DELTA + _PRUNE_MARGIN)
-            fine = np.repeat(keep, _COARSE_STRIDE)
+                fine = np.repeat(keep, _COARSE_STRIDE)
             rows = np.nonzero((fine[:_HALF] | fine[_HALF:]) & ~self._solved[:_HALF])[0]
             if rows.size:
                 self._solve(rows)

@@ -546,6 +546,21 @@ def test_outer_polygon_keeps_a_peak_between_coarse_points():
     assert numerical_radius(m).hex() == _full_scan_gauges(m)[0].hex()
 
 
+def test_wedge_bounds_lambda_max_at_every_grid_point():
+    # the support lines at the two ends of a coarse cell cut out a wedge
+    # that contains W(M), so its support function bounds every point of the
+    # cell from above and reads the coarse value itself at the cell's start
+    rng = np.random.default_rng(1026)
+    for n in range(2, 9):
+        for m in _structured(n, rng):
+            m = np.asarray(m, dtype=complex)
+            lam_max = gauges._theta_scan(m, gauges._GRID)[1][:, -1]
+            lo = lam_max[::16]
+            bound = gauges._wedge(lo, np.roll(lo, -1))
+            assert np.all(bound >= lam_max - 1e-13 * spec_norm(m)), (n, m)
+            assert np.array_equal(bound[::16], lo)
+
+
 def _count_scan_rows(monkeypatch):
     solved = []
     scan = gauges._theta_scan
