@@ -17,8 +17,9 @@ mirroring the rest.
 Local extrema are bracketed with a 3-point stencil and refined by safeguarded
 Newton steps: one eigendecomposition at theta gives the tracked eigenvalue
 and, by first- and second-order eigenvalue perturbation, its slope and
-curvature. Where the tracked eigenvalue is (nearly) multiple it has no
-derivatives and golden-section search takes over. The profiles are Lipschitz
+curvature. Where the tracked eigenvalue is (nearly) multiple the kernel
+alone decides that it has no derivatives: it returns them as NaN, and
+golden-section search takes the bracket over. The profiles are Lipschitz
 in theta with constant ||M||_2, which both guarantees bracketing at this
 grid density and lets non-competitive brackets be pruned.
 
@@ -45,21 +46,17 @@ one helper per bound:
     nonnegative combination (sin(b - theta) e^{ia} + sin(theta - a) e^{ib})
     / sin(b - a), so h(theta) is at most the same combination of h_a and
     h_b: the support function of the wedge that the two support lines cut
-    out (``_wedge``, the bound for w, read at every grid point). Over an
-    arc of length span whose ends read at most v this is at most
-    v / cos(span / 2) if v >= 0, and v otherwise (``_outer``);
+    out (``_wedge``, the bound for w, read at every grid point);
   * the Lipschitz bound (f_a + f_b - ||M|| (b - a)) / 2 bounds either
     profile from below on a cell (``_floor``, for c and C).
 
-Refinement from a grid point stays within one grid step delta of it, where
-the outer polygon bounds lambda_max by _outer(v, delta) from a local
-maximum v. So a w read refines only the maxima that can still win
-(``_can_win``): those whose bound reaches the grid maximum. It skips every
-grid point whose wedge bound fails the same test against the coarse
-maximum. A c or C read skips a cell whose Lipschitz floor stays more than
-||M|| delta above the coarse minimum. A skipped point is neither the grid
-extremum nor a refinement candidate, and it cannot change the 3-point test
-of a candidate next to it, which reads more than the skipped point's bound.
+Refinement from a grid point stays within one grid step delta of it, so one
+rule per direction (``_can_win``) says whether a value can still reach the
+extremum. A read solves only the grid points whose bound passes it against
+the coarse extremum, and refines only the local extrema that pass it
+against the grid extremum. A skipped point is neither the grid extremum nor
+a refinement candidate, and it cannot change the 3-point test of a
+candidate next to it, which reads more than the skipped point's bound.
 So it is left unsolved and the gauge is bit for bit the full scan's.
 Profiles whose coarse values are flat to rounding are scanned in full.
 
@@ -114,14 +111,9 @@ class _Grid:
     phases: np.ndarray  # e^{i theta} on the first half
 
 
-def _uniform_grid(grid_points: int) -> _Grid:
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
-    grid = _Grid(grid_points, thetas, np.exp(1j * thetas[: grid_points // 2]))
-    grid.thetas.flags.writeable = grid.phases.flags.writeable = False  # shared
-    return grid
-
-
-_GRID = _uniform_grid(1024)
+_THETAS = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+_GRID = _Grid(_THETAS.size, _THETAS, np.exp(1j * _THETAS[: _THETAS.size // 2]))
+_GRID.thetas.flags.writeable = _GRID.phases.flags.writeable = False  # shared
 # The grid step, and the span of a coarse cell: pi/32, well short of the pi
 # that the outer-polygon bound needs.
 _DELTA = 2.0 * np.pi / _GRID.grid_points
@@ -153,14 +145,14 @@ def _pair_terms(m: np.ndarray):
 
 
 def _theta_scan(m: np.ndarray, grid: _Grid, rows=None):
-    """Ascending eigenvalues of Re(e^{i theta} M) on the uniform theta grid;
-    the second half of the grid is the first half negated and reversed.
+    """Ascending eigenvalues of Re(e^{i theta} M) at the first-half rows
+    ``rows`` of the grid (default: all), then at their mirrors theta + pi:
+    the same eigenvalues negated and reversed.
 
-    With ``rows``, only those rows of the first half are solved and returned,
-    each exactly as in the full stack, so for n >= 2 they agree with it bit
-    for bit (a sweep never scans a 1x1 matrix). A 2x2 M is read in closed
-    form (``_pair_terms``) by elementwise real ufuncs on cos(theta) and
-    sin(theta); larger M are solved by one stacked ``eigvalsh``.
+    Each row is solved exactly as in the full stack, so for n >= 2 a subset
+    agrees with it bit for bit (a sweep never scans a 1x1 matrix). A 2x2 M
+    is read in closed form (``_pair_terms``) by elementwise real ufuncs on
+    cos(theta) and sin(theta); larger M are solved by one stacked ``eigvalsh``.
     """
     # grid is always _GRID; bench/tracing.py reads its grid_points per call
     ph = grid.phases if rows is None else grid.phases[rows]
@@ -174,9 +166,7 @@ def _theta_scan(m: np.ndarray, grid: _Grid, rows=None):
     else:
         ph = ph[:, None, None]
         eigs = np.linalg.eigvalsh(0.5 * (ph * m + ph.conj() * m.conj().T))
-    if rows is not None:
-        return grid.thetas, eigs
-    return grid.thetas, np.concatenate((eigs, -eigs[:, ::-1]))
+    return np.concatenate((eigs, -eigs[:, ::-1]))
 
 
 def _golden(fn, a: float, b: float, find_max: bool) -> float:
@@ -210,21 +200,22 @@ def _newton(fn, x: float, delta: float, find_max: bool) -> float:
     """Safeguarded Newton extremum of fn on [x - delta, x + delta], starting
     at x; returns the best value seen.
 
-    The slope's sign narrows the bracket. A Newton step that leaves it, or a
-    curvature of the wrong sign, gives way to bisection; a zero of the
-    tracked eigenvalue predicted inside it is stepped to directly. A target
-    equal to the point before x bisects too: at a crossing of two
-    eigenvalue branches the steps alternate exactly between the branches'
-    own extrema, and the bracket would never shrink.
+    A NaN slope (no derivatives at a crossing) hands the bracket to
+    ``_golden``. Otherwise the slope's sign narrows the bracket. A Newton
+    step that leaves it, or a curvature of the wrong sign, gives way to
+    bisection; a zero of the tracked eigenvalue predicted inside it is
+    stepped to directly. A target equal to the point before x bisects too:
+    at a crossing of two eigenvalue branches the steps alternate exactly
+    between the branches' own extrema, and the bracket would never shrink.
     """
     sign = 1.0 if find_max else -1.0
     a, b = x - delta, x + delta
     best = -math.inf
     before = None
     for _ in range(_REFINE_MAX_ITER):
-        f, df, d2f, gap, root = fn(x)
+        f, df, d2f, root = fn(x)
         best = max(best, sign * f)
-        if gap < _GAP_TOL:
+        if math.isnan(df):
             v = _golden(lambda t: fn(t)[0], a, b, find_max)
             return sign * max(best, sign * v)
         if sign * df > 0:
@@ -245,12 +236,6 @@ def _newton(fn, x: float, delta: float, find_max: bool) -> float:
     return sign * best
 
 
-def _outer(v, span: float):
-    """Johnson's outer-polygon bound on lambda_max over an arc of length span
-    < pi whose ends read at most v: v / cos(span / 2) if v >= 0, else v."""
-    return np.maximum(v, v / math.cos(0.5 * span))
-
-
 def _wedge(lo, hi):
     """Johnson's outer-polygon bound on lambda_max at every grid point, from
     the coarse values lo and the next coarse values hi = roll(lo, -1): the
@@ -259,20 +244,23 @@ def _wedge(lo, hi):
     return (np.multiply.outer(lo, _WEDGE_A) + np.multiply.outer(hi, _WEDGE_B)).ravel()
 
 
-def _floor(fa, fb, span, lipschitz: float):
-    """The Lipschitz lower bound on a profile over an arc of length span
-    whose ends read fa and fb."""
-    return 0.5 * (fa + fb - lipschitz * span)
+def _floor(fa, fb, lipschitz: float):
+    """The Lipschitz lower bound on a profile over a coarse cell whose ends
+    read fa and fb."""
+    return 0.5 * (fa + fb - lipschitz * _CELL)
 
 
-def _can_win(v, best, lipschitz: float):
-    """Whether refining a local maximum v of the lambda_max grid can reach best.
+def _can_win(v, best, lipschitz: float, find_max: bool):
+    """Whether refining from a grid value v can still reach best.
 
-    Refinement stays within one grid step of the maximum, where the profile
-    reads at most _outer(v, _DELTA). Monotone in v, so it also applies to an
-    upper bound on v.
+    Within one grid step delta of v, lambda_max reads at most v / cos(delta
+    / 2) (v if v < 0) by the outer polygon, and a profile at least
+    v - ||M|| delta by the Lipschitz bound. Monotone in v, so it also
+    applies to a bound on v (upper for maxima, lower for minima).
     """
-    return _outer(v, _DELTA) + _PRUNE_MARGIN * lipschitz >= best
+    if find_max:
+        return np.maximum(v, v / math.cos(0.5 * _DELTA)) + _PRUNE_MARGIN * lipschitz >= best
+    return v - lipschitz * (_DELTA + _PRUNE_MARGIN) <= best
 
 
 def _refine(vals, fn, find_max, lipschitz, flat_tol) -> float:
@@ -288,10 +276,9 @@ def _refine(vals, fn, find_max, lipschitz, flat_tol) -> float:
     nxt = np.concatenate((vals[1:], vals[:1]))  # np.roll(vals, -1)
     if find_max:
         cand = np.nonzero((vals >= prev) & (vals >= nxt))[0]
-        cand = cand[_can_win(vals[cand], grid_best, lipschitz)]
     else:
         cand = np.nonzero((vals <= prev) & (vals <= nxt))[0]
-        cand = cand[vals[cand] - lipschitz * _DELTA <= grid_best]
+    cand = cand[_can_win(vals[cand], grid_best, lipschitz, find_max)]
     if cand.size > 64:
         order = np.argsort(vals[cand])
         cand = cand[order[-64:] if find_max else order[:64]]
@@ -313,13 +300,12 @@ def _eigh_tracked(m: np.ndarray):
         k = lam.shape[0] - 1 if largest else int(np.abs(lam).argmin())
         diff = lam[k] - lam
         diff[k] = np.inf
-        gap = float(np.abs(diff).min())
-        if gap < _GAP_TOL:  # no derivatives: _newton reads only the value
-            return float(lam[k]), math.nan, math.nan, gap
+        if np.abs(diff).min() < _GAP_TOL:  # no derivatives: _newton goes to _golden
+            return float(lam[k]), math.nan, math.nan
         vk = v[:, k]
         coupling = v.conj().T @ (0.5j * (ph * (m @ vk) - ph.conjugate() * (mh @ vk)))
         curvature = float((np.abs(coupling) ** 2 / diff).sum())
-        return float(lam[k]), float(coupling[k].real), 2.0 * curvature - float(lam[k]), gap
+        return float(lam[k]), float(coupling[k].real), 2.0 * curvature - float(lam[k])
 
     return tracked
 
@@ -341,14 +327,14 @@ def _pair_tracked(m: np.ndarray):
         mu = math.hypot(dlt, re_b, im_b)
         # min |lambda| tracks the eigenvalue nearer 0, the lower one on a tie
         sgn = 1.0 if largest or mid < 0.0 else -1.0
-        lam, gap = mid + sgn * mu, 2.0 * mu
-        if gap < _GAP_TOL:  # no derivatives: _newton reads only the value
-            return lam, math.nan, math.nan, gap
+        lam = mid + sgn * mu
+        if 2.0 * mu < _GAP_TOL:  # no derivatives: _newton goes to _golden
+            return lam, math.nan, math.nan
         d_mid, d_dlt = -mx * s - my * c, -dx * s - dy * c
         d_re_b, d_im_b = -rx * s - ry * c, -ix * s - iy * c
         d_mu = (dlt * d_dlt + re_b * d_re_b + im_b * d_im_b) / mu
         d2_mu = (d_dlt * d_dlt + d_re_b * d_re_b + d_im_b * d_im_b - mu * mu - d_mu * d_mu) / mu
-        return lam, d_mid + sgn * d_mu, -mid + sgn * d2_mu, gap
+        return lam, d_mid + sgn * d_mu, -mid + sgn * d2_mu
 
     return tracked
 
@@ -356,15 +342,14 @@ def _pair_tracked(m: np.ndarray):
 def _make_pointwise(m: np.ndarray):
     """The profiles lambda_max and min |lambda| of H(theta) = Re(e^{i theta} M).
 
-    Each returns (value, slope, curvature, gap, root) at theta. With H' =
+    Each returns (value, slope, curvature, root) at theta. With H' =
     Re(i e^{i theta} M), H'' = -H and the tracked eigenpair (lam_k, v_k) of
     one ``eigh``, the slope is v_k* H' v_k and the curvature is
     -lam_k + 2 sum_{j != k} |v_j* H' v_k|^2 / (lam_k - lam_j). A 2x2 M
     reads the same quantities from scalar formulas (``_pair_tracked``).
-    gap is the distance from lam_k to the nearest other eigenvalue; root is
-    the Newton estimate of the zero of lam_k for min |lambda| and None for
-    lambda_max. Below _GAP_TOL the slope and curvature are not formed and
-    read NaN.
+    root is the Newton estimate of the zero of lam_k for min |lambda| and
+    None for lambda_max. Within _GAP_TOL of another eigenvalue the kernel
+    forms no derivatives: slope and curvature read NaN (``_newton``).
     """
     tracked = _pair_tracked(m) if m.shape[0] == 2 else _eigh_tracked(m)
 
@@ -372,10 +357,10 @@ def _make_pointwise(m: np.ndarray):
         return (*tracked(theta, True), None)
 
     def min_abs(theta: float):
-        lam, slope, curvature, gap = tracked(theta, False)
+        lam, slope, curvature = tracked(theta, False)
         root = theta - lam / slope if slope else None
         sgn = 1.0 if lam >= 0 else -1.0
-        return abs(lam), sgn * slope, sgn * curvature, gap, root
+        return abs(lam), sgn * slope, sgn * curvature, root
 
     return lam_max, min_abs
 
@@ -389,11 +374,9 @@ class GaugeSweep:
     points, the ends of the 64 uniform cells; a 2x2 matrix solves them, and
     evaluates its profiles, in closed form (``_theta_scan``,
     ``_make_pointwise``). Each of ``w``, ``crawford`` and ``crawford_c`` is
-    refined only when it is first read, after solving the fine points its
-    bound cannot rule out (``_wedge`` at each point for ``w``, ``_floor`` on
-    each cell for the others); the points any read solved are kept for the
-    others.
-    ``w`` refines only the maxima that can still win (``_can_win``).
+    refined only when it is first read, after solving the fine points whose
+    bound can still win (``_can_win`` on ``_wedge`` for ``w``, on ``_floor``
+    for the others). A grid point reads NaN until some read solves it.
     ``crawford`` returns 0 without refining when the sign certificate
     (``_zero_inside``) holds on the coarse cells.
     """
@@ -410,7 +393,6 @@ class GaugeSweep:
             return
         self._lam_max_grid = np.full(_GRID.grid_points, np.nan)
         self._min_abs_grid = np.full(_GRID.grid_points, np.nan)
-        self._solved = np.zeros(_GRID.grid_points, dtype=bool)  # mirrored halves
         self._lam_max, self._min_abs = _make_pointwise(m)
         self._lipschitz = spec_norm(m)
         # scan rounding noise: a few ulps of ||M|| per dimension
@@ -418,14 +400,11 @@ class GaugeSweep:
         self._solve(_COARSE_ROWS)
 
     def _solve(self, rows: np.ndarray) -> None:
-        """Solve the unsolved first-half rows with indices ``rows`` and store
-        both mirrored halves."""
-        mirror = rows + _HALF
-        eigs = _theta_scan(self._m, _GRID, rows)[1]
-        self._lam_max_grid[rows] = eigs[:, -1]
-        self._lam_max_grid[mirror] = -eigs[:, 0]
-        self._min_abs_grid[rows] = self._min_abs_grid[mirror] = np.abs(eigs).min(axis=1)
-        self._solved[rows] = self._solved[mirror] = True
+        """Solve the first-half rows ``rows`` and store them and their mirrors."""
+        idx = np.concatenate((rows, rows + _HALF))
+        eigs = _theta_scan(self._m, _GRID, rows)
+        self._lam_max_grid[idx] = eigs[:, -1]
+        self._min_abs_grid[idx] = np.abs(eigs).min(axis=1)
 
     def _read(self, grid, fn, find_max: bool) -> float:
         """The read's extremum: solve the fine points its bound keeps, then
@@ -435,21 +414,22 @@ class GaugeSweep:
         so a profile flat to rounding is scanned in full and _refine's flat
         test sees the same grid as the full scan.
         """
-        if not self._solved.all():
+        unsolved = np.isnan(grid)
+        if unsolved.any():
             lip = self._lipschitz
             lo = grid[::_COARSE_STRIDE]
             hi = np.concatenate((lo[1:], lo[:1]))  # np.roll(lo, -1)
             if find_max:
                 # each point reads at most its wedge bound, up to scan rounding
-                fine = _can_win(_wedge(lo, hi) + _PRUNE_MARGIN * lip, lo.max(), lip)
+                fine = _can_win(_wedge(lo, hi) + _PRUNE_MARGIN * lip, lo.max(), lip, True)
             else:
-                keep = _floor(lo, hi, _CELL, lip) <= lo.min() + lip * (_DELTA + _PRUNE_MARGIN)
-                fine = np.repeat(keep, _COARSE_STRIDE)
-            rows = np.nonzero((fine[:_HALF] | fine[_HALF:]) & ~self._solved[:_HALF])[0]
+                fine = np.repeat(_can_win(_floor(lo, hi, lip), lo.min(), lip, False),
+                                 _COARSE_STRIDE)
+            rows = np.nonzero((fine[:_HALF] | fine[_HALF:]) & unsolved[:_HALF])[0]
             if rows.size:
                 self._solve(rows)
             # an unsolved point can be no candidate and loses every 3-point test
-            grid = np.where(self._solved, grid, -np.inf if find_max else np.inf)
+            grid = np.where(np.isnan(grid), -np.inf if find_max else np.inf, grid)
         return _refine(grid, fn, find_max, self._lipschitz, self._flat_tol)
 
     def _zero_inside(self) -> bool:
@@ -464,7 +444,7 @@ class GaugeSweep:
         """
         lo = self._lam_max_grid[::_COARSE_STRIDE]
         hi = np.concatenate((lo[1:], lo[:1]))  # np.roll(lo, -1)
-        floor = _floor(lo, hi, _CELL, self._lipschitz)
+        floor = _floor(lo, hi, self._lipschitz)
         return bool(floor.min() > _PRUNE_MARGIN * self._lipschitz)
 
     @cached_property

@@ -165,8 +165,9 @@ def instance_from_dict(d: dict) -> Instance:
     for key in ("dim", "A"):
         if key not in d:
             raise ValueError(f"instance field {key!r} is missing")
-    dim = check_integer(d["dim"], "instance field 'dim'", 1)
     a = mat_from_wire(d["A"])
+    n = a.shape[0]
+    dim = check_integer(d["dim"], "instance field 'dim'", n, n + 1)
     ops = {str(k): mat_from_wire(v) for k, v in ops.items()}
     note = d.get("note", "")
     if not isinstance(note, str):

@@ -118,16 +118,17 @@ def test_check_command_input_errors(tmp_path):
     {"operators": None}, {"operators": [1, 2]}, "top-level list",
     {"dim": None}, {"seed": None}, {"A": {}},
     {"seed": 1.9}, {"seed": "7"}, {"seed": True}, {"seed": -3}, {"dim": 2.7}, {"dim": True},
-    {"note": None}, {"A": [[[0.0, 0.0]] * 2] * 2},
+    {"note": None}, {"A": [[[0.0, 0.0]] * 2] * 2}, {"dim": 3},
     *({"A": harness.mat_to_wire(c * np.array([[1.0, 1.0], [0.0, 1.0]]))}
       for c in (1e-100, 1e-12, 1e160)),
 ], ids=["operators-null", "operators-list", "top-level-list", "dim-null", "seed-null",
         "metric-object", "seed-float", "seed-string", "seed-bool", "seed-negative", "dim-float",
-        "dim-bool", "note-null", "metric-zero", "metric-skew-1e-100", "metric-skew-1e-12",
-        "metric-skew-1e160"])
+        "dim-bool", "note-null", "metric-zero", "dim-mismatch", "metric-skew-1e-100",
+        "metric-skew-1e-12", "metric-skew-1e160"])
 def test_check_command_rejects_malformed_instances(tmp_path, malformed):
     # malformed input is a usage error (exit 2), never a violation (exit 1);
-    # dim and seed must be JSON integers and note a string, not coercible values
+    # dim and seed must be JSON integers and note a string, not coercible values,
+    # dim must be A's size
     # (and the seed in [0, 2**64), where splitmix64 keeps seeds apart),
     # a rank-zero metric leaves every A-gauge undefined, and a non-Hermitian
     # metric is rejected at every scale (these three were symmetrized)

@@ -237,9 +237,11 @@ def test_pointwise_derivatives_match_finite_differences():
     h = 1e-4
     for fn in gauges._make_pointwise(m):
         for theta in rng.uniform(0, 2 * np.pi, 5):
-            f0, df, d2f, gap, _ = fn(theta)
+            f0, df, d2f, _ = fn(theta)
             fp, fm = fn(theta + h)[0], fn(theta - h)[0]
-            assert gap > 1e-3
+            ph = np.exp(1j * theta)
+            lam = np.linalg.eigvalsh(0.5 * (ph * m + np.conj(ph) * m.conj().T))
+            assert np.diff(lam).min() > 1e-3
             assert df == pytest.approx((fp - fm) / (2 * h), abs=1e-6)
             assert d2f == pytest.approx((fp - 2 * f0 + fm) / h**2, abs=1e-4)
 
@@ -269,9 +271,11 @@ def test_pair_pointwise_matches_the_eigh_formulas():
         scale = spec_norm(m)
         for theta in rng.uniform(0.0, 2.0 * np.pi, 5):
             for fn, want in zip(gauges._make_pointwise(m), _eigh_profiles(m, theta)):
-                value, slope, curvature, gap, _ = fn(theta)
-                assert gap == pytest.approx(want[3], abs=1e-13 * scale)
-                if gap < 1e-6 * scale:
+                value, slope, curvature, _ = fn(theta)
+                # the kernel forms derivatives exactly where the eigh gap allows
+                assert np.isnan(slope) == (want[3] < gauges._GAP_TOL)
+                assert np.isnan(curvature) == (want[3] < gauges._GAP_TOL)
+                if want[3] < 1e-6 * scale:
                     continue  # the derivatives lose digits as 1 / gap
                 got = np.array([value, slope, curvature])
                 np.testing.assert_allclose(got, want[:3], rtol=0, atol=1e-12 * scale)
@@ -287,9 +291,11 @@ def test_pair_crossings_read_nan_derivatives_and_hand_over_to_golden(monkeypatch
     u = _haar_unitary(np.random.default_rng(53), 2)
     for m, exact, crossing in (((2 + 1j) * np.eye(2), (np.sqrt(5.0), np.sqrt(5.0), 0.0), 0.7),
                                (u @ np.diag([1j, -1j]) @ u.conj().T, (1.0, 0.0, 0.0), 0.0)):
+        ph = np.exp(1j * crossing)
+        lam = np.linalg.eigvalsh(0.5 * (ph * m + np.conj(ph) * m.conj().T))
+        assert lam[1] - lam[0] < gauges._GAP_TOL
         for fn in gauges._make_pointwise(m):
-            value, slope, curvature, gap, _ = fn(crossing)
-            assert gap < gauges._GAP_TOL
+            value, slope, curvature, _ = fn(crossing)
             assert np.isnan(slope) and np.isnan(curvature)
         calls.clear()
         with warnings.catch_warnings():
@@ -386,8 +392,8 @@ def test_half_circle_scan_matches_full_circle():
     pairs += [s * rand_complex(rng, (2, 2)) for s in (1e-150, 1e30)]
     pairs += [s * np.array([[1.0, 2.0], [0.0, -1j]]) for s in (1e-150, 1e30)]
     for m in [rand_complex(rng, (n, n)) for n in (1, 2, 5)] + pairs:
-        thetas, eigs = gauges._theta_scan(m, gauges._GRID)
-        ph = np.exp(1j * thetas)[:, None, None]
+        eigs = gauges._theta_scan(m, gauges._GRID)
+        ph = np.exp(1j * gauges._GRID.thetas)[:, None, None]
         full = np.linalg.eigvalsh(0.5 * (ph * m + ph.conj() * m.conj().T))
         np.testing.assert_allclose(eigs, full, rtol=0, atol=1e-13 * spec_norm(m))
 
@@ -472,7 +478,7 @@ def _reference_refine(thetas, vals, fn, find_max, lipschitz, flat_tol):
 def _full_scan_gauges(m):
     """w, c and C from the full theta scan, every local extremum within
     ||M|| delta of the grid's refined, and no sign certificate."""
-    thetas, eigs = gauges._theta_scan(m, gauges._GRID)
+    thetas, eigs = gauges._GRID.thetas, gauges._theta_scan(m, gauges._GRID)
     lam_max, min_abs = gauges._make_pointwise(m)
     lip = spec_norm(m)
     flat_tol = 4.0 * m.shape[0] * np.finfo(float).eps * lip
@@ -539,7 +545,8 @@ def test_outer_polygon_keeps_a_peak_between_coarse_points():
     # W is the segment [1, 1.001 e^{-i theta0}]; the higher apex sits mid-cell
     # at theta0, where both coarse ends read 1.001 cos(8 delta) < 1, below the
     # grid maximum even after _can_win's 1 / cos(delta / 2) factor, so only
-    # the cell's 1 / cos(span / 2) factor keeps that cell
+    # the wedge bound at the cell's fine points (``_wedge``), which reaches
+    # 1.001 at theta0, keeps that cell
     theta0 = 24 * 2 * np.pi / 1024
     m = np.diag([1.0, 1.001 * np.exp(-1j * theta0)])
     assert numerical_radius(m) == pytest.approx(1.001, abs=1e-14)
@@ -554,7 +561,7 @@ def test_wedge_bounds_lambda_max_at_every_grid_point():
     for n in range(2, 9):
         for m in _structured(n, rng):
             m = np.asarray(m, dtype=complex)
-            lam_max = gauges._theta_scan(m, gauges._GRID)[1][:, -1]
+            lam_max = gauges._theta_scan(m, gauges._GRID)[:, -1]
             lo = lam_max[::16]
             bound = gauges._wedge(lo, np.roll(lo, -1))
             assert np.all(bound >= lam_max - 1e-13 * spec_norm(m)), (n, m)
@@ -579,6 +586,27 @@ def test_w_read_prunes_most_of_the_scan(monkeypatch):
         solved.clear()
         gauges.sweep_gauges(rand_complex(rng, (4, 4))).w
         assert 0 < sum(solved) <= 32 + 3 * 15
+
+
+def test_min_reads_solve_the_pinned_rows(monkeypatch):
+    # a c or C read solves the cells whose Lipschitz floor can still reach
+    # the coarse minimum (``_can_win``); pinning the row counts makes any
+    # loosening or tightening of that rule show. The 3I shift moves 0
+    # outside W, so the c read is not certified 0 on the coarse cells
+    solved = _count_scan_rows(monkeypatch)
+    rng = np.random.default_rng(49)
+    rows_c, rows_cc = [], []
+    for _ in range(10):
+        solved.clear()
+        gauges.sweep_gauges(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                            ).crawford_c
+        rows_cc.append(sum(solved))
+        solved.clear()
+        gauges.sweep_gauges(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                            + 3.0 * np.eye(4)).crawford
+        rows_c.append(sum(solved))
+    assert rows_cc == [512, 242, 287, 317, 182, 242, 212, 137, 122, 107]
+    assert rows_c == [182, 197, 32, 167, 137, 182, 167, 107, 137, 152]
 
 
 def test_crawford_certified_zero_solves_only_the_coarse_rows(monkeypatch):
@@ -606,7 +634,7 @@ def test_w_refines_only_the_peak_that_can_win(monkeypatch):
     newton = gauges._newton
     monkeypatch.setattr(gauges, "_newton", lambda *a: brackets.append(a[1]) or newton(*a))
     m = np.diag([1.0, 0.999 * np.exp(2j * np.pi / 3), 0.2])
-    thetas, eigs = gauges._theta_scan(m, gauges._GRID)
+    thetas, eigs = gauges._GRID.thetas, gauges._theta_scan(m, gauges._GRID)
     want = _reference_refine(thetas, eigs[:, -1], gauges._make_pointwise(m)[0], True,
                              spec_norm(m), 0.0)
     assert len(brackets) == 2  # the looser rule refines both peaks
@@ -619,18 +647,19 @@ def test_row_subset_scan_matches_full_stack():
     rng = np.random.default_rng(50)
     for n in range(1, 13):
         m = rand_complex(rng, (n, n))
-        thetas, full = gauges._theta_scan(m, gauges._GRID)
+        full = gauges._theta_scan(m, gauges._GRID)
+        assert full.shape == (1024, n)
         every = np.arange(512)
-        assert np.array_equal(gauges._theta_scan(m, gauges._GRID, every)[1], full[:512])
+        assert np.array_equal(gauges._theta_scan(m, gauges._GRID, every), full)
         # a sweep never scans a 1x1 matrix (its gauges are exact), so only
         # the whole half grid is pinned for n = 1
         if n == 1:
             continue
         for _ in range(20):
             rows = np.sort(rng.choice(512, size=int(rng.integers(1, 100)), replace=False))
-            sub_thetas, sub = gauges._theta_scan(m, gauges._GRID, rows)
-            assert sub_thetas is thetas
-            assert np.array_equal(sub, full[rows])
+            sub = gauges._theta_scan(m, gauges._GRID, rows)
+            # the requested rows, then their mirrors theta + pi
+            assert np.array_equal(sub, full[np.concatenate((rows, rows + 512))])
 
 
 def test_a_seminorm_and_min_modulus():

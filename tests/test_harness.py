@@ -102,6 +102,16 @@ def test_instance_roundtrip(tmp_path):
     check_instance(loaded)
 
 
+def test_instance_from_dict_rejects_a_dim_that_contradicts_a():
+    # dim is checked against A's row count where the wire form enters, so no
+    # Instance with a 3x3 A and dim 4 is built, or written back
+    d = instance_to_dict(make_instance(3, 2, 1))
+    for dim in (2, 4):
+        with pytest.raises(ValueError, match=r"^instance field 'dim' must lie in \[3, 4\)"):
+            instance_from_dict({**d, "dim": dim})
+    assert instance_from_dict({**d, "dim": 3}).dim == 3
+
+
 def test_make_instance_draws_each_operand_from_its_own_stream():
     # an operand's matrix depends on its name only, not on which others are drawn
     full = make_instance(4, 2, 123)

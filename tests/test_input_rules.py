@@ -60,7 +60,7 @@ ENTRIES = {
     "FuzzConfig.n_min": ("n_min", (1, None), lambda v: _fuzz(n_min=v, n_max=4), (-1, 4)),
     "FuzzConfig.n_max": ("n_max", (2, None), lambda v: _fuzz(n_min=2, n_max=v), (-1, 4)),
     "fuzz.top": ("top", (0, None), lambda v: _fuzz(top=v), (-2, 3)),
-    "instance_from_dict.dim": ("instance field 'dim'", (1, None),
+    "instance_from_dict.dim": ("instance field 'dim'", (2, 3),
                                lambda v: instance_from_dict({**INSTANCE, "dim": v}), (-2, 4)),
     "instance_from_dict.seed": ("instance field 'seed'", SEEDS,
                                 lambda v: instance_from_dict({**INSTANCE, "seed": v}), None),
