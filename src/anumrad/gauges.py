@@ -23,15 +23,19 @@ golden-section search takes the bracket over. The profiles are Lipschitz
 in theta with constant ||M||_2, which both guarantees bracketing at this
 grid density and lets non-competitive brackets be pruned.
 
-The smallest matrices need no eigensolver. A 1x1 matrix [z] has the point
-{z} for its numerical range, so w = c = |z| and C = 0 exactly, with no scan.
-A 2x2 matrix has an ellipse for its numerical range (the elliptical range
-theorem, C.-K. Li, Proc. AMS 124, 1996). With H(theta) = [[mid + dlt, b],
-[conj(b), mid - dlt]] its eigenvalues are mid -+ hypot(dlt, |b|), and each
-entry is a fixed combination of cos(theta) and sin(theta)
-(``_pair_terms``). So the scan builds them with elementwise real products
-and sums, and the pointwise profiles read the value, slope and curvature
-from scalar formulas. Everything else below is the same for every n >= 2.
+The smallest matrices need no scan. A 1x1 matrix [z] has the point {z} for
+its numerical range, so w = c = |z| and C = 0 exactly. A 2x2 matrix has an
+ellipse for its numerical range (the elliptical range theorem, C.-K. Li,
+Proc. AMS 124, 1996), and the extrema of lambda_max lie on known
+quarter-turns of it (``_pair_near``). So each 2x2 gauge is one Newton
+bracket on its quarter-turn, and c and C share one: C is the minimum of
+lambda_max when 0 lies inside W, where c = 0, and C = 0 otherwise. With
+H(theta) = [[mid + dlt, b], [conj(b), mid - dlt]] the eigenvalues are
+mid -+ hypot(dlt, |b|), each entry a fixed combination of cos(theta) and
+sin(theta) (``_pair_terms``), so the pointwise profile reads the value,
+slope and curvature from scalar formulas. A disk (a scalar matrix, a 2x2
+Jordan block) reads its gauges from its centre and radius, with no
+pointwise evaluation. Everything else below is for n >= 3.
 
 ``sweep_gauges`` returns a ``GaugeSweep``, which admits its matrix (finite
 and square), refines each gauge only when it is first read, and solves only
@@ -77,6 +81,7 @@ by a seeded random hill-climb.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -128,6 +133,8 @@ _STEPS = np.arange(_COARSE_STRIDE) * _DELTA
 _WEDGE_A = np.sin(_CELL - _STEPS) / math.sin(_CELL)
 _WEDGE_B = np.sin(_STEPS) / math.sin(_CELL)
 _EPS = float(np.finfo(float).eps)
+# The half-width of a 2x2 sweep's bracket: a quarter-turn about its centre.
+_QUARTER = 0.25 * math.pi
 
 
 def _pair_terms(m: np.ndarray):
@@ -149,23 +156,13 @@ def _theta_scan(m: np.ndarray, grid: _Grid, rows=None):
     ``rows`` of the grid (default: all), then at their mirrors theta + pi:
     the same eigenvalues negated and reversed.
 
-    Each row is solved exactly as in the full stack, so for n >= 2 a subset
-    agrees with it bit for bit (a sweep never scans a 1x1 matrix). A 2x2 M
-    is read in closed form (``_pair_terms``) by elementwise real ufuncs on
-    cos(theta) and sin(theta); larger M are solved by one stacked ``eigvalsh``.
+    One stacked ``eigvalsh`` solves every row as the full stack does, so a
+    subset agrees with it bit for bit. A sweep scans only n >= 3: the
+    gauges of a 1x1 or 2x2 matrix need no scan.
     """
     # grid is always _GRID; bench/tracing.py reads its grid_points per call
-    ph = grid.phases if rows is None else grid.phases[rows]
-    if m.shape[0] == 2:
-        xy = np.array(_pair_terms(m))
-        mid, dlt, re_b, im_b = xy[:, :1] * ph.real - xy[:, 1:] * ph.imag
-        mu = np.hypot(dlt, np.hypot(re_b, im_b))
-        eigs = np.empty((ph.shape[0], 2))
-        np.subtract(mid, mu, out=eigs[:, 0])
-        np.add(mid, mu, out=eigs[:, 1])
-    else:
-        ph = ph[:, None, None]
-        eigs = np.linalg.eigvalsh(0.5 * (ph * m + ph.conj() * m.conj().T))
+    ph = (grid.phases if rows is None else grid.phases[rows])[:, None, None]
+    eigs = np.linalg.eigvalsh(0.5 * (ph * m + ph.conj() * m.conj().T))
     return np.concatenate((eigs, -eigs[:, ::-1]))
 
 
@@ -332,11 +329,42 @@ def _pair_tracked(m: np.ndarray):
             return lam, math.nan, math.nan
         d_mid, d_dlt = -mx * s - my * c, -dx * s - dy * c
         d_re_b, d_im_b = -rx * s - ry * c, -ix * s - iy * c
-        d_mu = (dlt * d_dlt + re_b * d_re_b + im_b * d_im_b) / mu
-        d2_mu = (d_dlt * d_dlt + d_re_b * d_re_b + d_im_b * d_im_b - mu * mu - d_mu * d_mu) / mu
+        # each term is divided by mu before it is multiplied, so no square
+        # overflows where the entries pass 1e154
+        d_mu = (dlt / mu) * d_dlt + (re_b / mu) * d_re_b + (im_b / mu) * d_im_b
+        d2_mu = ((d_dlt / mu) * d_dlt + (d_re_b / mu) * d_re_b + (d_im_b / mu) * d_im_b
+                 - mu - (d_mu / mu) * d_mu)
         return lam, d_mid + sgn * d_mu, -mid + sgn * d2_mu
 
     return tracked
+
+
+def _pair_near(m: np.ndarray):
+    """For 2x2 M, the centre of the quarter-turn of theta on which
+    lambda_max(Re(e^{i theta} M)) reaches its minimum; the maximum lies on
+    the quarter-turn opposite. None when W(M) is a disk.
+
+    With M = [[p, u], [v, q]], s = (p + q) / 2, d = (p - q) / 2 and
+    eps = sqrt(d^2 + uv), W(M) is the ellipse with foci s -+ eps, and its
+    major axis points along psi = arg eps. lambda_max(theta) is attained at
+    the boundary point with outward normal e^{-i theta}, and on an ellipse
+    that normal points the way of its point, quadrant for quadrant. The
+    nearest boundary point to 0 lies in the quadrant of the ellipse's own
+    axes that holds zeta = -s e^{-i psi}, and the farthest in the opposite
+    one (D. Eberly, Distance from a Point to an Ellipse, 2013). A closed
+    quadrant serves when zeta lies on an axis. Read at unit peak
+    (``pow2_unit``), so nothing overflows at any scale. Where eps is too
+    small to fix psi, W is nearly a circle, and its extremum lies near the
+    line through 0 and s, inside the quadrant chosen.
+    """
+    (p, u), (v, q) = pow2_unit(m).tolist()
+    s, d = 0.5 * (p + q), 0.5 * (p - q)
+    eps = cmath.sqrt(d * d + u * v)
+    if eps == 0.0:
+        return None
+    zeta = -s * eps.conjugate()  # -s e^{-i psi}, up to the factor |eps|
+    quadrant = math.atan2(math.copysign(1.0, zeta.imag), math.copysign(1.0, zeta.real))
+    return -(cmath.phase(eps) + quadrant)
 
 
 def _make_pointwise(m: np.ndarray):
@@ -370,15 +398,17 @@ class GaugeSweep:
 
     Construction admits the matrix (finite, square). A 1x1 matrix [z] has
     the point {z} for its numerical range, so w = c = |z| and C = 0 are set
-    at once, with no scan. Otherwise construction solves the coarse grid
-    points, the ends of the 64 uniform cells; a 2x2 matrix solves them, and
-    evaluates its profiles, in closed form (``_theta_scan``,
-    ``_make_pointwise``). Each of ``w``, ``crawford`` and ``crawford_c`` is
-    refined only when it is first read, after solving the fine points whose
-    bound can still win (``_can_win`` on ``_wedge`` for ``w``, on ``_floor``
-    for the others). A grid point reads NaN until some read solves it.
-    ``crawford`` returns 0 without refining when the sign certificate
-    (``_zero_inside``) holds on the coarse cells.
+    at once, with no scan. A 2x2 matrix scans nothing either: a disk sets
+    all three at once, and otherwise ``w`` refines lambda_max on the far
+    quarter-turn and the first of ``crawford`` and ``crawford_c`` on the
+    near one (``_pair_near``, ``_quarter``). A larger matrix solves the
+    coarse grid points, the ends of the 64 uniform cells, at construction.
+    Each of ``w``, ``crawford`` and ``crawford_c`` is refined only when it
+    is first read, after solving the fine points whose bound can still win
+    (``_can_win`` on ``_wedge`` for ``w``, on ``_floor`` for the others). A
+    grid point reads NaN until some read solves it. ``crawford`` returns 0
+    without refining when the sign certificate (``_zero_inside``) holds on
+    the coarse cells.
     """
 
     def __init__(self, m):
@@ -390,6 +420,20 @@ class GaugeSweep:
             # each cached_property reads the instance dict first
             radius = float(abs(m[0, 0]))
             self.__dict__.update(w=radius, crawford=radius, crawford_c=0.0)
+            return
+        if m.shape[0] == 2:
+            self._near = _pair_near(m)
+            if self._near is None:
+                # W is the disk about s of radius sqrt(alpha), with alpha =
+                # |d|^2 / 2 + (|u|^2 + |v|^2) / 4 in _pair_near's names, read
+                # from the halves of M's entries so that nothing overflows
+                (p, u), (v, q) = (0.5 * m).tolist()
+                centre, half_d = abs(p + q), 0.5 * abs(p - q)
+                radius = math.hypot(half_d, half_d, abs(u), abs(v))
+                self.__dict__.update(w=centre + radius, crawford=max(0.0, centre - radius),
+                                     crawford_c=max(0.0, radius - centre))
+            else:
+                self._lam_max = _make_pointwise(m)[0]
             return
         self._lam_max_grid = np.full(_GRID.grid_points, np.nan)
         self._min_abs_grid = np.full(_GRID.grid_points, np.nan)
@@ -447,14 +491,38 @@ class GaugeSweep:
         floor = _floor(lo, hi, self._lipschitz)
         return bool(floor.min() > _PRUNE_MARGIN * self._lipschitz)
 
+    def _quarter(self, centre: float, find_max: bool) -> float:
+        """The extremum of lambda_max on the quarter-turn about centre
+        (2x2 M): one ``_newton`` bracket, and its two ends, where the
+        extremum of a normal M sits on a kink."""
+        fn = self._lam_max
+        ends = (fn(centre - _QUARTER)[0], fn(centre + _QUARTER)[0])
+        best = _newton(fn, centre, _QUARTER, find_max)
+        return max(best, *ends) if find_max else min(best, *ends)
+
+    @cached_property
+    def _pair_min(self) -> float:
+        """min over theta of lambda_max for 2x2 M.
+
+        If 0 lies inside W(M), every H(theta) is indefinite, so its least
+        |eigenvalue| is min(lambda_max(theta), lambda_max(theta + pi)) and
+        C is this minimum. Otherwise det H(theta) has a zero on the circle,
+        and C = 0. So one read serves both c and C, and c C = 0.
+        """
+        return self._quarter(self._near, False)
+
     @cached_property
     def w(self) -> float:
         """Numerical radius: max over theta of lambda_max(Re(e^{i theta} M))."""
+        if self._m.shape[0] == 2:
+            return max(0.0, self._quarter(self._near + math.pi, True))
         return max(0.0, self._read(self._lam_max_grid, self._lam_max, True))
 
     @cached_property
     def crawford(self) -> float:
         """Crawford number: max(0, -min over theta of lambda_max)."""
+        if self._m.shape[0] == 2:
+            return max(0.0, -self._pair_min)
         if self._zero_inside():
             return 0.0
         return max(0.0, -self._read(self._lam_max_grid, self._lam_max, False))
@@ -462,6 +530,8 @@ class GaugeSweep:
     @cached_property
     def crawford_c(self) -> float:
         """C: min over theta of sigma_min(Re(e^{i theta} M))."""
+        if self._m.shape[0] == 2:
+            return max(0.0, self._pair_min)
         return max(0.0, self._read(self._min_abs_grid, self._min_abs, False))
 
 

@@ -283,14 +283,17 @@ def test_pair_pointwise_matches_the_eigh_formulas():
 
 def test_pair_crossings_read_nan_derivatives_and_hand_over_to_golden(monkeypatch):
     # at an exact crossing of the two eigenvalues of H(theta) the derivatives
-    # read NaN, and golden-section search refines the bracket: (2 + i) I
-    # crosses at every theta, and U diag(i, -i) U* at theta = 0 and pi
+    # read NaN: (2 + i) I crosses at every theta, and U diag(i, -i) U* at
+    # theta = 0 and pi. W((2 + i) I) is a disk, read with no refinement; the
+    # segment's minimum sits on the crossing, and golden-section search
+    # refines the bracket that holds it
     calls = []
     golden = gauges._golden
     monkeypatch.setattr(gauges, "_golden", lambda *a: calls.append(a[1:]) or golden(*a))
     u = _haar_unitary(np.random.default_rng(53), 2)
-    for m, exact, crossing in (((2 + 1j) * np.eye(2), (np.sqrt(5.0), np.sqrt(5.0), 0.0), 0.7),
-                               (u @ np.diag([1j, -1j]) @ u.conj().T, (1.0, 0.0, 0.0), 0.0)):
+    for m, exact, crossing, refined in (
+            ((2 + 1j) * np.eye(2), (np.sqrt(5.0), np.sqrt(5.0), 0.0), 0.7, False),
+            (u @ np.diag([1j, -1j]) @ u.conj().T, (1.0, 0.0, 0.0), 0.0, True)):
         ph = np.exp(1j * crossing)
         lam = np.linalg.eigvalsh(0.5 * (ph * m + np.conj(ph) * m.conj().T))
         assert lam[1] - lam[0] < gauges._GAP_TOL
@@ -302,15 +305,16 @@ def test_pair_crossings_read_nan_derivatives_and_hand_over_to_golden(monkeypatch
             warnings.simplefilter("error")
             sweep = gauges.sweep_gauges(m)
             got = (sweep.w, sweep.crawford, sweep.crawford_c)
-        assert calls, m
+        assert bool(calls) == refined, m
         np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
 
 
 def _ellipse_gauges(l1, l2, minor):
-    """w and c of the ellipse with foci l1, l2 and minor axis ``minor``: the
-    numerical range of a 2x2 matrix (elliptical range theorem, C.-K. Li,
+    """w, c and C of the ellipse E with foci l1, l2 and minor axis ``minor``:
+    the numerical range of a 2x2 matrix (elliptical range theorem, C.-K. Li,
     Proc. AMS 124, 1996), sampled densely on its boundary and then again
-    around the extreme samples."""
+    around the extreme samples. C is dist(0, boundary of E) when 0 lies in
+    E, and 0 otherwise."""
     centre, half_gap = 0.5 * (l1 + l2), 0.5 * abs(l2 - l1)
     axis = np.exp(1j * np.angle(l2 - l1))
     b = 0.5 * minor
@@ -325,9 +329,9 @@ def _ellipse_gauges(l1, l2, minor):
         t = np.linspace(t0 - 1e-3, t0 + 1e-3, 1 << 12)
         return float(np.abs(boundary(t))[pick(np.abs(boundary(t)))])
 
-    w = extreme(np.argmax)
+    w, nearest = extreme(np.argmax), extreme(np.argmin)
     inside = abs(l1) + abs(l2) <= 2.0 * a  # 0 in the ellipse: sum of focal distances
-    return w, 0.0 if inside else extreme(np.argmin)
+    return (w, 0.0, nearest) if inside else (w, nearest, 0.0)
 
 
 def test_pair_gauges_match_the_elliptical_range_theorem():
@@ -343,10 +347,19 @@ def test_pair_gauges_match_the_elliptical_range_theorem():
             m = rand_complex(rng, (2, 2)) + shift * np.eye(2)
             lam = np.linalg.eigvals(m)
             minor = np.sqrt(max(0.0, frob(m) ** 2 - np.sum(np.abs(lam) ** 2)))
-        w, c = _ellipse_gauges(lam[0], lam[1], minor)
+        w, c, big_c = _ellipse_gauges(lam[0], lam[1], minor)
         sweep = gauges.sweep_gauges(m)
         assert abs(sweep.w - w) <= 1e-9 * w, (i, m)
         assert abs(sweep.crawford - c) <= 1e-9 * w, (i, m)
+        assert abs(sweep.crawford_c - big_c) <= 1e-9 * w, (i, m)
+        # one of c and C is 0: C > 0 only when 0 lies inside W, where c = 0
+        assert sweep.crawford * sweep.crawford_c == 0.0, (i, m)
+        if kind == 2:
+            # c is the distance from 0 to the segment and C is 0; the minimum
+            # of lambda_max sits on a kink at an end of its quarter-turn
+            scale = spec_norm(m)
+            assert abs(sweep.crawford - _dist_to_hull(lam)) <= 1e-14 * scale, (i, m)
+            assert sweep.crawford_c <= 1e-14 * scale, (i, m)
 
 
 def test_one_by_one_gauges_are_exact():
@@ -385,17 +398,52 @@ def test_sweep_refines_only_the_gauges_read(monkeypatch):
 
 
 def test_half_circle_scan_matches_full_circle():
-    # every 2x2 input goes through the closed form; its pair must match the
-    # eigvalsh stack at every scale
     rng = np.random.default_rng(47)
-    pairs = [np.asarray(m, dtype=complex) for m in _structured(2, rng)]
-    pairs += [s * rand_complex(rng, (2, 2)) for s in (1e-150, 1e30)]
-    pairs += [s * np.array([[1.0, 2.0], [0.0, -1j]]) for s in (1e-150, 1e30)]
-    for m in [rand_complex(rng, (n, n)) for n in (1, 2, 5)] + pairs:
+    for m in [rand_complex(rng, (n, n)) for n in (1, 2, 5)]:
         eigs = gauges._theta_scan(m, gauges._GRID)
         ph = np.exp(1j * gauges._GRID.thetas)[:, None, None]
         full = np.linalg.eigvalsh(0.5 * (ph * m + ph.conj() * m.conj().T))
         np.testing.assert_allclose(eigs, full, rtol=0, atol=1e-13 * spec_norm(m))
+
+
+def test_pair_sweep_reads_each_gauge_on_one_quarter_turn(monkeypatch):
+    # a 2x2 sweep scans no grid, refines no grid extremum and takes no
+    # norm: w is one Newton bracket, and c and C share one more
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a 2x2 sweep reached the n >= 3 engine")
+
+    for name in ("_theta_scan", "_refine", "spec_norm"):
+        monkeypatch.setattr(gauges, name, forbidden)
+    brackets = []
+    newton = gauges._newton
+    monkeypatch.setattr(gauges, "_newton", lambda *a: brackets.append(a[1]) or newton(*a))
+    rng = np.random.default_rng(56)
+    for m in [rand_complex(rng, (2, 2)) + s * np.eye(2) for s in (0.0, 3.0, 2j)]:
+        brackets.clear()
+        sweep = gauges.sweep_gauges(m)
+        assert brackets == []
+        sweep.w
+        assert len(brackets) == 1
+        sweep.crawford
+        assert len(brackets) == 2
+        sweep.crawford_c
+        assert len(brackets) == 2
+
+
+def test_pair_sweeps_match_the_full_scan_at_every_scale():
+    # the quarter-turns are read at unit peak, so a 2x2 sweep matches the
+    # eigvalsh scan from 1e-150 to 1e200 and at a subnormal peak: below
+    # _GAP_TOL golden section refines, and above 1e154, where a square of an
+    # entry overflows, the profile's derivatives must not
+    rng = np.random.default_rng(47)
+    pairs = [rand_complex(rng, (2, 2)) for _ in range(6)] + [np.array([[1.0, 2.0], [0.0, -1j]])]
+    for m in pairs:
+        for scaled in [s * m for s in (1e-150, 1e30, 1e200)] + [1e-308 * m / np.abs(m).max()]:
+            scale = spec_norm(scaled)
+            sweep = gauges.sweep_gauges(scaled)
+            got = (sweep.w, sweep.crawford, sweep.crawford_c)
+            np.testing.assert_allclose(got, _full_scan_gauges(scaled), rtol=0,
+                                       atol=1e-13 * scale)
 
 
 def _shifted_across_boundary(m, rng):
@@ -419,8 +467,9 @@ def _apex_mid_cell(u, n):
 
     1 has its apex at the fine point 5 delta; 1 + 2e-6 has its apex at
     24.5 delta, mid-cell and mid-step, where every grid point reads below 1.
-    So only the outer-polygon factors 1 / cos(span / 2) (for the cell) and
-    1 / cos(delta / 2) (for the candidate) keep the higher apex in play.
+    So only the outer-polygon bounds keep the higher apex in play: the wedge
+    of its cell's support lines (``_wedge``, at each fine point) and the
+    factor 1 / cos(delta / 2) (``_can_win``, for the candidate).
     """
     delta = 2.0 * np.pi / 1024
     inner = 0.5 * np.exp(1j * (0.3 + np.linspace(0.0, 2.0 * np.pi, n - 2, endpoint=False)))
@@ -494,7 +543,9 @@ def _full_scan_gauges(m):
 def test_pruned_scan_is_bit_identical_to_full_scan():
     # the cell bounds skip only grid points that can change nothing, in
     # whichever order the gauges are read: each of the six orders reads a
-    # fresh sweep; a 1x1 sweep scans nothing and must read the exact values
+    # fresh sweep; a 1x1 sweep scans nothing and must read the exact values,
+    # and a 2x2 sweep, which scans nothing either, must read the full scan's
+    # within 1e-13 ||M||
     rng = np.random.default_rng(1024)
     names = ("w", "crawford", "crawford_c")
     for n in range(1, 13):
@@ -505,25 +556,31 @@ def test_pruned_scan_is_bit_identical_to_full_scan():
             for order in itertools.permutations(names):
                 sweep = gauges.sweep_gauges(m)
                 got = {name: getattr(sweep, name).hex() for name in order}
-                assert got == want, (n, order, m)
+                if n == 2:
+                    gap = max(abs(float.fromhex(got[k]) - float.fromhex(want[k])) for k in names)
+                    assert gap <= 1e-13 * spec_norm(m), (order, m)
+                else:
+                    assert got == want, (n, order, m)
 
 
 def test_golden_hand_over_matches_full_scan_without_warnings(monkeypatch):
     # lambda_max is double at the peak of each profile, so Newton meets a gap
     # below _GAP_TOL and hands the bracket to golden-section search, which
     # reads only the value; no curvature is formed there, so nothing divides
-    # by the zero gap
+    # by the zero gap. W((2 + i) I) is the point 2 + i, a disk of radius 0,
+    # which a 2x2 sweep reads exactly with no refinement at all; the full
+    # scan's golden section reads its C = 0 as 5.9e-14
     calls = []
     golden = gauges._golden
     monkeypatch.setattr(gauges, "_golden", lambda *a: calls.append(a[1:]) or golden(*a))
-    cases = ((np.diag([1, 1, 0.5j]), 4),
-             (np.diag([1, 1, -1 + 0.2j, 0.3]), 3),
-             ((2 + 1j) * np.eye(2), 4))
-    for m, golden_runs in cases:
+    cases = ((np.diag([1, 1, 0.5j]), 4, None),
+             (np.diag([1, 1, -1 + 0.2j, 0.3]), 3, None),
+             ((2 + 1j) * np.eye(2), 0, (abs(2 + 1j), abs(2 + 1j), 0.0)))
+    for m, golden_runs, want in cases:
         m = np.asarray(m, dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            want = _full_scan_gauges(m)
+            want = want or _full_scan_gauges(m)
             calls.clear()
             sweep = gauges.sweep_gauges(m)
             got = [sweep.w, sweep.crawford, sweep.crawford_c]
